@@ -85,7 +85,10 @@ def _parse_params(pairs: List[str]) -> Dict[str, Monomial]:
         if "=" not in pair:
             raise ValueError(f"--param expects name=value, got {pair!r}")
         key, _, value = pair.partition("=")
-        params[key.strip()] = Monomial.parse(value)
+        key = key.strip()
+        if key in params:
+            raise ValueError(f"--param {key} given more than once")
+        params[key] = Monomial.parse(value)
     return params
 
 
@@ -97,7 +100,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         return USAGE_ERROR
     try:
         series = qf.build(args.name, args.order, params or None, form=args.form)
-    except (qf.UnknownName, qf.MissingParameter, IndexError) as exc:
+    except (qf.UnknownName, qf.MissingParameter, qf.UnsupportedParameter, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except SeriesError as exc:

@@ -15,22 +15,38 @@ and positive-odd-rank generating functions, and Fine's numbers.
 
 A few parameterized sums are exposed as well; their parameters are exact
 monomials c*q^k supplied through :class:`Monomial`.
+
+Stating a sum.  Every series here is a q-hypergeometric sum whose summand
+is one q-product, so a builder states that product as a :class:`QTerm` and
+hands it to :func:`qsum` (or, for a closed product, to :func:`qprod`).
+A :class:`Poch` is one factor (arg*q^(slope*n); q^step)_length, with the
+length ``(a, b)`` meaning a*n + b (``N`` is the length n) and ``None`` the
+infinite product.  For example f(q) = sum q^(n^2) / (-q;q)_n^2 is::
+
+    qsum(QTerm(exp=(1, 0, 0), den=(Poch(mono(-1, 1), 1, N),) * 2), order)
+
+and sum_{n>=1} (-1)^n q^(2n) / (1 + q^(2n+1)) is ``QTerm(exp=(0, 2, 0),
+den=(one_plus(1, 2),), ratio=SIGN, start=1)``.  The driver works out the
+truncation windows, including the Laurent depth of factors with negative
+exponents, and the cutoff from the factors' exact valuations; builders
+never pick a window or a cutoff by hand.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .series import (
     DEFAULT_TERM_CAP,
     LaurentSeries,
+    NotInvertible,
     PochhammerSpec,
+    Rational,
     monomial,
-    one,
     pochhammer,
     sum_terms,
     zero,
@@ -43,6 +59,10 @@ class UnknownName(KeyError):
 
 class MissingParameter(ValueError):
     """A parameterized builder was invoked without a required parameter."""
+
+
+class UnsupportedParameter(ValueError):
+    """A parameter value that the builders cannot evaluate exactly."""
 
 
 # ----------------------------------------------------------------------
@@ -64,11 +84,6 @@ class Monomial:
     @property
     def is_zero(self) -> bool:
         return self.coeff == 0
-
-    def pow(self, m: int) -> "Monomial":
-        if m == 0:
-            return Monomial(Fraction(1), 0)
-        return Monomial(self.coeff**m, self.power * m)
 
     def inv(self) -> "Monomial":
         if self.is_zero:
@@ -113,7 +128,10 @@ class Monomial:
         m = cls._PATTERN.match(text)
         if not m or (m.group("coeff") is None and m.group("neg") is None and "q" not in text):
             raise ValueError(f"cannot parse monomial {text!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        try:
+            coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in monomial {text!r}") from None
         if m.group("neg"):
             coeff = -coeff
         power = 0
@@ -146,39 +164,6 @@ def inv_qpoch(sign: int, offset: int, step: int, length: Optional[int], order: i
     return qpoch(sign, offset, step, length, order).invert()
 
 
-def one_minus(e: int, order: int) -> LaurentSeries:
-    """The binomial 1 - q^e."""
-    return qpoch(1, e, 1, 1, order)
-
-
-def one_plus(e: int, order: int) -> LaurentSeries:
-    """The binomial 1 + q^e."""
-    return qpoch(-1, e, 1, 1, order)
-
-
-def inv_one_minus(e: int, order: int) -> LaurentSeries:
-    return inv_qpoch(1, e, 1, 1, order)
-
-
-def inv_one_plus(e: int, order: int) -> LaurentSeries:
-    return inv_qpoch(-1, e, 1, 1, order)
-
-
-def poch_of_monomial(
-    arg: Monomial, step: int, length: Optional[int], order: int
-) -> LaurentSeries:
-    """(arg; q^step)_length for a monomial argument with coefficient 0 or +-1."""
-    if arg.is_zero:
-        return one(order)
-    if arg.coeff == 1:
-        sign = 1
-    elif arg.coeff == -1:
-        sign = -1
-    else:
-        raise ValueError(f"unsupported product argument coefficient {arg.coeff}")
-    return qpoch(sign, arg.power, step, length, order)
-
-
 def smallest_part_exponent(n: int) -> int:
     """Exponent 3n(n+1)/2 of the theta-like tail terms; always integral."""
     prod = 3 * n * (n + 1)
@@ -194,6 +179,229 @@ def fine_exponent(n: int) -> int:
 
 
 # ----------------------------------------------------------------------
+# declarative q-product terms and the summation driver
+
+#: ``(a, b)`` stands for the length a*n + b; ``N`` is the length n.
+Affine = Tuple[int, int]
+N: Affine = (1, 0)
+HALF = Fraction(1, 2)
+#: The ratio of an alternating sum: (-1)^n.
+SIGN = Monomial(Fraction(-1), 0)
+
+# a factor as qpoch takes it: (sign, offset, step, length)
+_Factor = Tuple[int, int, int, Optional[int]]
+
+
+@dataclass(frozen=True)
+class Poch:
+    """One factor (arg*q^(slope*n); q^step)_length of a q-product term.
+
+    ``arg`` gives the sign of the binomials and the first exponent at n = 0;
+    its coefficient must be 1 or -1, or 0 for the factor 1.  ``length`` is
+    an :data:`Affine` length or ``None`` for the infinite product.
+    """
+
+    arg: Monomial
+    step: int = 1
+    length: Optional[Affine] = None
+    slope: int = 0
+
+    def __post_init__(self) -> None:
+        if self.arg.coeff not in (0, 1, -1):
+            raise UnsupportedParameter(
+                f"unsupported product argument coefficient {self.arg.coeff} "
+                "(monomial parameters must have coefficient 0, 1 or -1)"
+            )
+
+    @property
+    def fixed(self) -> bool:
+        """True when the factor does not depend on n."""
+        return self.slope == 0 and (self.length is None or self.length[0] == 0)
+
+    def at(self, n: int) -> Optional[_Factor]:
+        """The factor at index n, or ``None`` where it is the constant 1."""
+        if self.arg.is_zero:
+            return None
+        length = None if self.length is None else self.length[0] * n + self.length[1]
+        if length == 0:
+            return None
+        if length is not None and length < 0:
+            raise ValueError(f"negative Pochhammer length {length} at n={n}")
+        sign = 1 if self.arg.coeff == 1 else -1
+        return (sign, self.arg.power + self.slope * n, self.step, length)
+
+
+def one_minus(k: int, slope: int = 0) -> Poch:
+    """The binomial factor 1 - q^(k + slope*n)."""
+    return Poch(Monomial(Fraction(1), k), 1, (0, 1), slope)
+
+
+def one_plus(k: int, slope: int = 0) -> Poch:
+    """The binomial factor 1 + q^(k + slope*n)."""
+    return Poch(Monomial(Fraction(-1), k), 1, (0, 1), slope)
+
+
+EULER = Poch(MONO_Q)  # (q;q)_inf
+NEG_EULER = Poch(mono(-1, 1))  # (-q;q)_inf
+EULER_Q2 = Poch(mono(1, 2), 2)  # (q^2;q^2)_inf
+
+
+@dataclass(frozen=True)
+class QTerm:
+    """The summand scale * ratio^n * [n] * q^(e2*n^2 + e1*n + e0) * prod(num) / prod(den).
+
+    ``exp`` is ``(e2, e1, e0)``; e2 and e1 may be halves as long as the
+    exponent is integral at every n.  ``ratio`` carries the n-th power of a
+    monomial (a sign, a parameter), ``times_n`` adds the factor n, and a sum
+    over the term runs over n >= ``start``.
+    """
+
+    exp: Tuple[Rational, Rational, int] = (0, 0, 0)
+    num: Tuple[Poch, ...] = ()
+    den: Tuple[Poch, ...] = ()
+    scale: Rational = 1
+    ratio: Monomial = MONO_ONE
+    times_n: bool = False
+    start: int = 0
+
+    def __post_init__(self) -> None:
+        if self.times_n and self.start < 1:
+            raise ValueError("a term with the factor n must start at n >= 1")
+
+    def times(
+        self,
+        scale: Rational = 1,
+        e: int = 0,
+        num: Tuple[Poch, ...] = (),
+        den: Tuple[Poch, ...] = (),
+    ) -> "QTerm":
+        """This term multiplied by the constant scale * q^e * prod(num) / prod(den)."""
+        e2, e1, e0 = self.exp
+        return replace(
+            self,
+            exp=(e2, e1, e0 + e),
+            num=self.num + num,
+            den=self.den + den,
+            scale=self.scale * scale,
+        )
+
+
+def _valuation(sign: int, offset: int, step: int, length: Optional[int]) -> Optional[int]:
+    """Exact valuation of (sign*q^offset; q^step)_length, or ``None`` if it is 0.
+
+    A binomial 1 - sign*q^e with e < 0 leads with -sign*q^e; at e = 0 it is
+    the constant 1 - sign, which vanishes for sign = 1.
+    """
+    v, k, e = 0, 0, offset
+    while e <= 0 and (length is None or k < length):
+        if e == 0 and sign == 1:
+            return None
+        v += e
+        k += 1
+        e += step
+    return v
+
+
+def _mul_all(factors: List[Tuple[_Factor, int]]) -> LaurentSeries:
+    out = None
+    for f, w in factors:
+        p = qpoch(*f, w)
+        out = p if out is None else out.mul(p)
+    return out
+
+
+def _product(
+    scale: Rational, e: int, num: List[_Factor], den: List[_Factor], order: int
+) -> LaurentSeries:
+    """scale * q^e * prod(num) / prod(den), exact below ``order``.
+
+    The valuation v of the whole product is known before any series is
+    built, so each factor of valuation mu is evaluated on [mu, mu + order - v):
+    products and inverses keep that width, and the result reaches ``order``.
+    A factor whose first exponent is at or above that width equals 1 on its
+    window and is skipped.  The denominator is inverted once.
+    """
+    mu_den = [_valuation(*f) for f in den]
+    if None in mu_den:
+        raise NotInvertible("a denominator factor vanishes")
+    mu_num = [_valuation(*f) for f in num]
+    if not scale or None in mu_num:
+        return zero(order)
+    v = e + sum(mu_num) - sum(mu_den)
+    if v >= order:
+        return zero(order)
+    width = order - v
+    num_w = [(f, mu + width) for f, mu in zip(num, mu_num) if f[1] < width]
+    den_w = [(f, mu + width) for f, mu in zip(den, mu_den) if f[1] < width]
+    body = None
+    if len(den_w) == 1:
+        (f, w), = den_w
+        body = inv_qpoch(*f, w)
+    elif den_w:
+        body = _mul_all(den_w).invert()
+    if num_w:
+        p = _mul_all(num_w)
+        body = p if body is None else p.mul(body)
+    if body is None:
+        return monomial(scale, v, order)
+    if scale != 1:
+        body = body.scale(scale)
+    return body.shift(e)
+
+
+def _at(factors: Tuple[Poch, ...], n: int) -> List[_Factor]:
+    return [f for f in (p.at(n) for p in factors) if f is not None]
+
+
+def _term(
+    spec: QTerm, num: Tuple[Poch, ...], den: Tuple[Poch, ...], n: int, order: int
+) -> LaurentSeries:
+    e2, e1, e0 = spec.exp
+    e = e2 * n * n + (e1 + spec.ratio.power) * n + e0
+    if e != int(e):
+        raise ValueError(f"non-integral exponent {e} at n={n}")
+    scale = spec.scale * spec.ratio.coeff**n * (n if spec.times_n else 1)
+    return _product(scale, int(e), _at(num, n), _at(den, n), order)
+
+
+def qprod(spec: QTerm, order: int) -> LaurentSeries:
+    """The single term of ``spec`` at n = ``spec.start``, exact below ``order``.
+
+    Closed product sides are stated this way.
+    """
+    return _term(spec, spec.num, spec.den, spec.start, order)
+
+
+def qsum(spec: QTerm, order: int, cap: int = DEFAULT_TERM_CAP) -> LaurentSeries:
+    """Sum ``spec`` over n >= ``spec.start``, exact below ``order``.
+
+    Factors that do not depend on n are pulled out of the sum and multiplied
+    in once.  The sum stops at the first term whose exact valuation reaches
+    the window top, or that vanishes exactly (a zero ratio, or a numerator
+    factor 1 - q^0); :func:`~qlab.series.sum_terms` does the summing, so its
+    term cap and :class:`~qlab.series.TruncationStall` apply unchanged.
+    """
+    outer_num = _at(tuple(f for f in spec.num if f.fixed), 0)
+    outer_den = _at(tuple(f for f in spec.den if f.fixed), 0)
+    num = tuple(f for f in spec.num if not f.fixed)
+    den = tuple(f for f in spec.den if not f.fixed)
+    mu_den = [_valuation(*f) for f in outer_den]
+    if None in mu_den:
+        raise NotInvertible("a denominator factor vanishes")
+    mu_num = [_valuation(*f) for f in outer_num]
+    # The pulled-out product has valuation mu, so the sum must reach
+    # order - mu.  When it vanishes the sum still runs, so that a pole or a
+    # stall in it is reported rather than multiplied by zero.
+    w = order - sum(v or 0 for v in mu_num) + sum(mu_den)
+    total = sum_terms(lambda i: _term(spec, num, den, spec.start + i, w), w, cap)
+    if not (outer_num or outer_den):
+        return total
+    if total.is_zero or None in mu_num:
+        return zero(order)
+    return _product(1, 0, outer_num, outer_den, order - total.min_exp).mul(total)
+
+
+# ----------------------------------------------------------------------
 # Euler products and theta
 
 
@@ -202,22 +410,14 @@ def euler_product_direct(order: int) -> LaurentSeries:
     return qpoch(1, 1, 1, None, order)
 
 
+# sum_{k>=0} (-1)^k q^(k(3k-1)/2), the pentagonal exponents of one sign
+_PENTAGONAL = QTerm(exp=(3 * HALF, -HALF, 0), ratio=SIGN)
+
+
 def euler_product_pentagonal(order: int) -> LaurentSeries:
     """(q;q)_inf through the pentagonal number theorem (sparse sum)."""
-
-    def term(k: int) -> LaurentSeries:
-        if k == 0:
-            return one(order)
-        e1 = k * (3 * k - 1) // 2
-        if e1 >= order:
-            return zero(order)
-        t = monomial((-1) ** k, e1, order)
-        e2 = k * (3 * k + 1) // 2
-        if e2 < order:
-            t = t.add(monomial((-1) ** k, e2, order))
-        return t
-
-    return sum_terms(term, order)
+    other = replace(_PENTAGONAL, exp=(3 * HALF, HALF, 0), start=1)
+    return qsum(_PENTAGONAL, order).add(qsum(other, order))
 
 
 @lru_cache(maxsize=None)
@@ -232,22 +432,13 @@ def euler_inverse_direct(order: int) -> LaurentSeries:
 
 def theta_phi_neg_sum(order: int) -> LaurentSeries:
     """sum over all integers n of (-1)^n q^(n^2), folded to n >= 0."""
-
-    def term(n: int) -> LaurentSeries:
-        if n == 0:
-            return one(order)
-        e = n * n
-        if e >= order:
-            return zero(order)
-        return monomial(2 * (-1) ** n, e, order)
-
-    return sum_terms(term, order)
+    return qsum(QTerm(exp=(1, 0, 0), scale=2, ratio=SIGN, start=1), order) + 1
 
 
 @lru_cache(maxsize=None)
 def theta_phi_neg_prod(order: int) -> LaurentSeries:
     """(q;q)_inf / (-q;q)_inf."""
-    return euler_product_direct(order).mul(inv_qpoch(-1, 1, 1, None, order))
+    return qprod(QTerm(num=(EULER,), den=(NEG_EULER,)), order)
 
 
 # ----------------------------------------------------------------------
@@ -256,30 +447,12 @@ def theta_phi_neg_prod(order: int) -> LaurentSeries:
 
 def f3_def(order: int) -> LaurentSeries:
     """f(q) = sum q^(n^2) / (-q;q)_n^2, the principal third-order mock theta."""
-
-    def term(n: int) -> LaurentSeries:
-        k = n * n
-        if k >= order:
-            return zero(order)
-        w = order - k
-        den = qpoch(-1, 1, 1, n, w)
-        return den.mul(den).invert().shift(k)
-
-    return sum_terms(term, order)
+    return qsum(QTerm(exp=(1, 0, 0), den=(Poch(mono(-1, 1), 1, N),) * 2), order)
 
 
 def omega3_def(order: int) -> LaurentSeries:
     """omega(q) = sum q^(2n(n+1)) / (q;q^2)_{n+1}^2."""
-
-    def term(n: int) -> LaurentSeries:
-        k = 2 * n * (n + 1)
-        if k >= order:
-            return zero(order)
-        w = order - k
-        den = qpoch(1, 1, 2, n + 1, w)
-        return den.mul(den).invert().shift(k)
-
-    return sum_terms(term, order)
+    return qsum(QTerm(exp=(2, 2, 0), den=(Poch(MONO_Q, 2, (1, 1)),) * 2), order)
 
 
 def omega3_rep_rhs(order: int) -> LaurentSeries:
@@ -287,44 +460,23 @@ def omega3_rep_rhs(order: int) -> LaurentSeries:
 
     sum over n >= 1 of q^(n-1) / ((1-q^n) (q^{n+1};q)_n (q^{2n+2};q^2)_inf).
     """
+    den = (one_minus(0, 1), Poch(MONO_Q, 1, N, 1), Poch(mono(1, 2), 2, None, 2))
+    return qsum(QTerm(exp=(0, 1, -1), den=den, start=1), order)
 
-    def term(i: int) -> LaurentSeries:
-        n = i + 1
-        k = n - 1
-        if k >= order:
-            return zero(order)
-        w = order - k
-        den = one_minus(n, w).mul(qpoch(1, n + 1, 1, n, w)).mul(qpoch(1, 2 * n + 2, 2, None, w))
-        return den.invert().shift(k)
 
-    return sum_terms(term, order)
+# sum q^(n^2) / (-q^2;q^2)_n
+_PHI3 = QTerm(exp=(1, 0, 0), den=(Poch(mono(-1, 2), 2, N),))
 
 
 def phi3_def(order: int) -> LaurentSeries:
     """phi(q) = sum q^(n^2) / (-q^2;q^2)_n, third order."""
-
-    def term(n: int) -> LaurentSeries:
-        k = n * n
-        if k >= order:
-            return zero(order)
-        w = order - k
-        return inv_qpoch(-1, 2, 2, n, w).shift(k)
-
-    return sum_terms(term, order)
+    return qsum(_PHI3, order)
 
 
 @lru_cache(maxsize=None)
 def phi3_neg(order: int) -> LaurentSeries:
     """phi(-q) = sum (-1)^n q^(n^2) / (-q^2;q^2)_n."""
-
-    def term(n: int) -> LaurentSeries:
-        k = n * n
-        if k >= order:
-            return zero(order)
-        w = order - k
-        return inv_qpoch(-1, 2, 2, n, w).shift_scale((-1) ** n, k)
-
-    return sum_terms(term, order)
+    return qsum(replace(_PHI3, ratio=SIGN), order)
 
 
 # ----------------------------------------------------------------------
@@ -333,17 +485,17 @@ def phi3_neg(order: int) -> LaurentSeries:
 
 def spt_lhs(order: int) -> LaurentSeries:
     """sum q^n / ((1-q^n)^2 (q^{n+1};q)_inf): counts smallest parts."""
+    den = (one_minus(0, 1), one_minus(0, 1), Poch(MONO_Q, 1, None, 1))
+    return qsum(QTerm(exp=(0, 1, 0), den=den, start=1), order)
 
-    def term(i: int) -> LaurentSeries:
-        n = i + 1
-        if n >= order:
-            return zero(order)
-        w = order - n
-        b = one_minus(n, w)
-        den = b.mul(b).mul(qpoch(1, n + 1, 1, None, w))
-        return den.invert().shift(n)
 
-    return sum_terms(term, order)
+def _moment_bracket(order: int, k: int, tail_exp: Tuple[Rational, Rational, int]) -> LaurentSeries:
+    # sum n q^(kn)/(1-q^(kn)) + sum (-1)^n (1+q^n) q^(tail_exp(n))/(1-q^(kn))^2
+    body = QTerm(exp=(0, k, 0), den=(one_minus(0, k),), times_n=True, start=1)
+    tail = QTerm(
+        exp=tail_exp, num=(one_plus(0, 1),), den=(one_minus(0, k),) * 2, ratio=SIGN, start=1
+    )
+    return qsum(body, order).add(qsum(tail, order))
 
 
 def spt_rhs(order: int) -> LaurentSeries:
@@ -352,26 +504,7 @@ def spt_rhs(order: int) -> LaurentSeries:
     The theta-like tail carries q^(n(3n+1)/2); the coefficient check against
     the enumerated smallest-part counts pins that exponent down.
     """
-
-    def t1(i: int) -> LaurentSeries:
-        n = i + 1
-        if n >= order:
-            return zero(order)
-        return inv_one_minus(n, order - n).shift_scale(n, n)
-
-    def t2(i: int) -> LaurentSeries:
-        n = i + 1
-        k = fine_exponent(n)
-        if k >= order:
-            return zero(order)
-        w = order - k
-        body = inv_one_minus(n, w)
-        body = body.mul(body)
-        body = body.add(body.shift(n))
-        return body.shift_scale((-1) ** n, k)
-
-    s = sum_terms(t1, order).add(sum_terms(t2, order))
-    return euler_inv(order).mul(s)
+    return euler_inv(order).mul(_moment_bracket(order, 1, (3 * HALF, HALF, 0)))
 
 
 def sptG_lhs(order: int) -> LaurentSeries:
@@ -380,42 +513,13 @@ def sptG_lhs(order: int) -> LaurentSeries:
     Weighted by smallest-part multiplicity over the even-smallest-part
     two-color partitions.
     """
-
-    def term(i: int) -> LaurentSeries:
-        n = i + 1
-        k = 2 * n
-        if k >= order:
-            return zero(order)
-        w = order - k
-        b = one_minus(2 * n, w)
-        den = b.mul(b).mul(qpoch(-1, n + 1, 1, n, w)).mul(qpoch(1, n + 1, 1, None, w))
-        return den.invert().shift(k)
-
-    return sum_terms(term, order)
+    den = (one_minus(0, 2), one_minus(0, 2), Poch(mono(-1, 1), 1, N, 1), Poch(MONO_Q, 1, None, 1))
+    return qsum(QTerm(exp=(0, 2, 0), den=den, start=1), order)
 
 
 def sptg_bracket(order: int) -> LaurentSeries:
     """sum n q^(2n)/(1-q^(2n)) + sum (-1)^n (1+q^n) q^(3n(n+1)/2)/(1-q^(2n))^2."""
-
-    def t1(i: int) -> LaurentSeries:
-        n = i + 1
-        k = 2 * n
-        if k >= order:
-            return zero(order)
-        return inv_one_minus(2 * n, order - k).shift_scale(n, k)
-
-    def t2(i: int) -> LaurentSeries:
-        n = i + 1
-        k = smallest_part_exponent(n)
-        if k >= order:
-            return zero(order)
-        w = order - k
-        body = inv_one_minus(2 * n, w)
-        body = body.mul(body)
-        body = body.add(body.shift(n))
-        return body.shift_scale((-1) ** n, k)
-
-    return sum_terms(t1, order).add(sum_terms(t2, order))
+    return _moment_bracket(order, 2, (3 * HALF, 3 * HALF, 0))
 
 
 def sptG_rhs(order: int) -> LaurentSeries:
@@ -427,145 +531,73 @@ def sptG_rhs(order: int) -> LaurentSeries:
 # two-color partition generating functions and rank series
 
 
+def _two_color(order: int, *den: Poch) -> LaurentSeries:
+    # sum_{n>=1} q^(2n) / prod(den)
+    return qsum(QTerm(exp=(0, 2, 0), den=den, start=1), order)
+
+
 def _g_form_split(order: int) -> LaurentSeries:
     # sum q^(2n) / ((1-q^(2n)) (-q^{n+1};q)_n (q^{n+1};q)_inf)
-    def term(i: int) -> LaurentSeries:
-        n = i + 1
-        k = 2 * n
-        if k >= order:
-            return zero(order)
-        w = order - k
-        den = one_minus(2 * n, w).mul(qpoch(-1, n + 1, 1, n, w)).mul(qpoch(1, n + 1, 1, None, w))
-        return den.invert().shift(k)
-
-    return sum_terms(term, order)
+    return _two_color(order, one_minus(0, 2), Poch(mono(-1, 1), 1, N, 1), Poch(MONO_Q, 1, None, 1))
 
 
 def _g_form_merged(order: int) -> LaurentSeries:
     # sum q^(2n) / ((1-q^(2n)) (q^{2n+2};q^2)_n (q^{2n+1};q)_inf)
-    def term(i: int) -> LaurentSeries:
-        n = i + 1
-        k = 2 * n
-        if k >= order:
-            return zero(order)
-        w = order - k
-        den = one_minus(2 * n, w).mul(qpoch(1, 2 * n + 2, 2, n, w)).mul(qpoch(1, 2 * n + 1, 1, None, w))
-        return den.invert().shift(k)
-
-    return sum_terms(term, order)
+    return _two_color(order, one_minus(0, 2), Poch(mono(1, 2), 2, N, 2), Poch(MONO_Q, 1, None, 2))
 
 
 def _g_form_combinatorial(order: int) -> LaurentSeries:
     # sum q^(2n) / ((q^{2n+2};q^2)_n (q^{2n};q)_inf): even smallest part 2n,
     # blue parts >= 2n, red parts even in (2n, 4n]
-    def term(i: int) -> LaurentSeries:
-        n = i + 1
-        k = 2 * n
-        if k >= order:
-            return zero(order)
-        w = order - k
-        den = qpoch(1, 2 * n + 2, 2, n, w).mul(qpoch(1, 2 * n, 1, None, w))
-        return den.invert().shift(k)
-
-    return sum_terms(term, order)
+    return _two_color(order, Poch(mono(1, 2), 2, N, 2), Poch(MONO_ONE, 1, None, 2))
 
 
 def _no_plus_form1(order: int) -> LaurentSeries:
     # sum q^(2n) / ((q^{2n};q^2)_{n+1} (q^{2n+1};q)_inf)
-    def term(i: int) -> LaurentSeries:
-        n = i + 1
-        k = 2 * n
-        if k >= order:
-            return zero(order)
-        w = order - k
-        den = qpoch(1, 2 * n, 2, n + 1, w).mul(qpoch(1, 2 * n + 1, 1, None, w))
-        return den.invert().shift(k)
-
-    return sum_terms(term, order)
+    return _two_color(order, Poch(MONO_ONE, 2, (1, 1), 2), Poch(MONO_Q, 1, None, 2))
 
 
 def _no_plus_form3(order: int) -> LaurentSeries:
     # sum q^(2n) / ((-q^n;q)_{n+1} (q^n;q)_inf)
-    def term(i: int) -> LaurentSeries:
-        n = i + 1
-        k = 2 * n
-        if k >= order:
-            return zero(order)
-        w = order - k
-        den = qpoch(-1, n, 1, n + 1, w).mul(qpoch(1, n, 1, None, w))
-        return den.invert().shift(k)
-
-    return sum_terms(term, order)
+    return _two_color(order, Poch(mono(-1, 0), 1, (1, 1), 1), Poch(MONO_ONE, 1, None, 1))
 
 
 def _no_plus_form4(order: int) -> LaurentSeries:
     # q^2 sum_{n>=0} q^(2n) / ((-q^{n+1};q)_{n+2} (q^{n+1};q)_inf)
-    def term(n: int) -> LaurentSeries:
-        k = 2 * n + 2
-        if k >= order:
-            return zero(order)
-        w = order - k
-        den = qpoch(-1, n + 1, 1, n + 2, w).mul(qpoch(1, n + 1, 1, None, w))
-        return den.invert().shift(k)
-
-    return sum_terms(term, order)
+    den = (Poch(mono(-1, 1), 1, (1, 2), 1), Poch(MONO_Q, 1, None, 1))
+    return qsum(QTerm(exp=(0, 2, 2), den=den), order)
 
 
 def _no_plus_form5(order: int) -> LaurentSeries:
     # (q^2/(q;q)_inf) sum (q;q)_n q^(2n) / (-q^{n+1};q)_{n+2}
-    if order <= 2:
-        return zero(order)
-    w = order - 2
-
-    def term(n: int) -> LaurentSeries:
-        k = 2 * n
-        if k >= w:
-            return zero(w)
-        ww = w - k
-        return qpoch(1, 1, 1, n, ww).mul(inv_qpoch(-1, n + 1, 1, n + 2, ww)).shift(k)
-
-    return euler_inv(w).mul(sum_terms(term, w)).shift(2)
+    num = (Poch(MONO_Q, 1, N),)
+    den = (Poch(mono(-1, 1), 1, (1, 2), 1), EULER)
+    return qsum(QTerm(exp=(0, 2, 2), num=num, den=den), order)
 
 
 def _no_plus_form6(order: int) -> LaurentSeries:
     # (q^2/(q;q)_inf) sum (q;q)_n (-q;q)_n q^(2n) / (-q;q)_{2n+2}
-    if order <= 2:
-        return zero(order)
-    w = order - 2
+    num = (Poch(MONO_Q, 1, N), Poch(mono(-1, 1), 1, N))
+    den = (Poch(mono(-1, 1), 1, (2, 2)), EULER)
+    return qsum(QTerm(exp=(0, 2, 2), num=num, den=den), order)
 
-    def term(n: int) -> LaurentSeries:
-        k = 2 * n
-        if k >= w:
-            return zero(w)
-        ww = w - k
-        num = qpoch(1, 1, 1, n, ww).mul(qpoch(-1, 1, 1, n, ww))
-        return num.mul(inv_qpoch(-1, 1, 1, 2 * n + 2, ww)).shift(k)
 
-    return euler_inv(w).mul(sum_terms(term, w)).shift(2)
+# sum (q^2;q^2)_n q^(2n) / ((-q^3;q^2)_n (-q^4;q^2)_n)
+_EVEN_BASE = QTerm(
+    exp=(0, 2, 0),
+    num=(Poch(mono(1, 2), 2, N),),
+    den=(Poch(mono(-1, 3), 2, N), Poch(mono(-1, 4), 2, N)),
+)
 
 
 def _no_plus_form7(order: int) -> LaurentSeries:
     # q^2 / ((q;q)_inf (1+q)(1+q^2)) times the even-base quotient sum
-    if order <= 2:
-        return zero(order)
-    w = order - 2
-    pref = euler_inv(w).mul(inv_one_plus(1, w)).mul(inv_one_plus(2, w))
-    return pref.mul(even_base_quotient_sum(w)).shift(2)
+    return qsum(_EVEN_BASE.times(e=2, den=(EULER, one_plus(1), one_plus(2))), order)
 
 
 def even_base_quotient_sum(order: int) -> LaurentSeries:
     """sum (q^2;q^2)_n q^(2n) / ((-q^3;q^2)_n (-q^4;q^2)_n)."""
-
-    def term(n: int) -> LaurentSeries:
-        k = 2 * n
-        if k >= order:
-            return zero(order)
-        w = order - k
-        num = qpoch(1, 2, 2, n, w)
-        den = qpoch(-1, 3, 2, n, w).mul(qpoch(-1, 4, 2, n, w))
-        return num.mul(den.invert()).shift(k)
-
-    return sum_terms(term, order)
+    return qsum(_EVEN_BASE, order)
 
 
 def f3_newrep_rhs(order: int) -> LaurentSeries:
@@ -578,16 +610,8 @@ def gprime_series(order: int) -> LaurentSeries:
 
     Odd smallest part 2n+1, blue parts >= 2n+1, red parts even in (2n, 4n].
     """
-
-    def term(n: int) -> LaurentSeries:
-        k = 2 * n + 1
-        if k >= order:
-            return zero(order)
-        w = order - k
-        den = qpoch(1, 2 * n + 1, 1, None, w).mul(qpoch(1, 2 * n + 2, 2, n, w))
-        return den.invert().shift(k)
-
-    return sum_terms(term, order)
+    den = (Poch(MONO_Q, 1, None, 2), Poch(mono(1, 2), 2, N, 2))
+    return qsum(QTerm(exp=(0, 2, 1), den=den), order)
 
 
 def ne_series_rhs(order: int) -> LaurentSeries:
@@ -597,31 +621,14 @@ def ne_series_rhs(order: int) -> LaurentSeries:
 
 def fineJ_direct(order: int) -> LaurentSeries:
     """sum (-1)^n q^(n(3n+1)/2) / (1+q^n): Fine's numbers."""
-
-    def term(i: int) -> LaurentSeries:
-        n = i + 1
-        k = fine_exponent(n)
-        if k >= order:
-            return zero(order)
-        return inv_one_plus(n, order - k).shift_scale((-1) ** n, k)
-
-    return sum_terms(term, order)
+    return qsum(QTerm(exp=(3 * HALF, HALF, 0), den=(one_plus(0, 1),), ratio=SIGN, start=1), order)
 
 
 def fineJ_rhs(order: int) -> LaurentSeries:
     """- sum (q;q)_n q^(2n) / ((1-q^(2n)) (-q^{n+1};q)_n)."""
-
-    def term(i: int) -> LaurentSeries:
-        n = i + 1
-        k = 2 * n
-        if k >= order:
-            return zero(order)
-        w = order - k
-        num = qpoch(1, 1, 1, n, w)
-        den = one_minus(2 * n, w).mul(qpoch(-1, n + 1, 1, n, w))
-        return num.mul(den.invert()).shift(k)
-
-    return sum_terms(term, order).neg()
+    num = (Poch(MONO_Q, 1, N),)
+    den = (one_minus(0, 2), Poch(mono(-1, 1), 1, N, 1))
+    return qsum(QTerm(exp=(0, 2, 0), num=num, den=den, scale=-1, start=1), order)
 
 
 def fineJ_from_f3(order: int) -> LaurentSeries:
@@ -637,54 +644,29 @@ def thm61_rhs(order: int) -> LaurentSeries:
         + q(1+q)(q^2;q^2)_inf / (2 (-q;q)_inf^3).
     """
     phi = phi3_neg(order)
-    t1 = monomial(1, 2, order + 2)
-    t2 = phi.shift(1).add(phi.shift(2)).neg()
     e = euler_inv(order)
-    t3 = e.shift_scale(Fraction(3, 2), 1).add(e.shift_scale(Fraction(-1, 2), 2))
-    u = qpoch(1, 2, 2, None, order).mul(inv_qpoch(-1, 1, 1, None, order).pow(3))
-    t4 = u.shift(1).add(u.shift(2)).scale(Fraction(1, 2))
-    return t1.add(t2).add(t3).add(t4)
+    t3 = e.shift_scale(Fraction(3, 2), 1).add(e.shift_scale(-HALF, 2))
+    t4 = QTerm(exp=(0, 0, 1), num=(one_plus(1), EULER_Q2), den=(NEG_EULER,) * 3, scale=HALF)
+    t2 = phi.shift(1).add(phi.shift(2)).neg()
+    return mono(1, 2).to_series(order).add(t2).add(t3).add(qprod(t4, order))
 
 
 # ----------------------------------------------------------------------
 # parameterized sums
 
 
-def lem21_lhs(order: int, b: Monomial) -> LaurentSeries:
-    """sum (q^2;q^2)_n q^(2n) / ((-q;q^2)_n (-b q^2;q^2)_n)."""
-    barg = Monomial(-b.coeff, b.power + 2) if not b.is_zero else MONO_ZERO
-
-    def term(n: int) -> LaurentSeries:
-        k = 2 * n
-        if k >= order:
-            return zero(order)
-        w = order - k
-        num = qpoch(1, 2, 2, n, w)
-        den = qpoch(-1, 1, 2, n, w).mul(poch_of_monomial(barg, 2, n, w))
-        return num.mul(den.invert()).shift(k)
-
-    return sum_terms(term, order)
-
-
-def _lem21_theta_part(order: int, b: Monomial) -> LaurentSeries:
+def _lem21_theta_part(b: Monomial) -> QTerm:
     # -q (q^2;q^2)_inf / ((-q;q^2)_inf (-b q^2;q^2)_inf)
     #    * sum_{m>=0} (-1)^m b^m q^(m^2+2m) / (-q^3;q^2)_{m+1}
-    barg = Monomial(-b.coeff, b.power + 2) if not b.is_zero else MONO_ZERO
-    pref = qpoch(1, 2, 2, None, order).mul(
-        qpoch(-1, 1, 2, None, order).mul(poch_of_monomial(barg, 2, None, order)).invert()
-    )
+    den = (Poch(mono(-1, 3), 2, (1, 1)), Poch(mono(-1, 1), 2), Poch(b.times(mono(-1, 2)), 2))
+    return QTerm(exp=(1, 2, 1), num=(EULER_Q2,), den=den, scale=-1, ratio=b.times(SIGN))
 
-    def term(m: int) -> LaurentSeries:
-        bm = b.pow(m)
-        if bm.is_zero:
-            return zero(order)
-        k = m * m + 2 * m + bm.power
-        if k >= order:
-            return zero(order)
-        w = order - k
-        return inv_qpoch(-1, 3, 2, m + 1, w).shift_scale((-1) ** m * bm.coeff, k)
 
-    return pref.mul(sum_terms(term, order)).shift(1).neg()
+def lem21_lhs(order: int, b: Monomial) -> LaurentSeries:
+    """sum (q^2;q^2)_n q^(2n) / ((-q;q^2)_n (-b q^2;q^2)_n)."""
+    num = (Poch(mono(1, 2), 2, N),)
+    den = (Poch(mono(-1, 1), 2, N), Poch(b.times(mono(-1, 2)), 2, N))
+    return qsum(QTerm(exp=(0, 2, 0), num=num, den=den), order)
 
 
 def lem21_rhs(order: int, b: Monomial) -> LaurentSeries:
@@ -693,23 +675,16 @@ def lem21_rhs(order: int, b: Monomial) -> LaurentSeries:
     Valid for any monomial b; this is the analytically continued form whose
     tail terms carry q^(2m+1), so it converges formally even at b = 1.
     """
-    part1 = one_plus(1, order).mul(inv_one_plus(3, order))
-    part2 = _lem21_theta_part(order, b)
-
-    def tail(i: int) -> LaurentSeries:
-        m = i + 1
-        bm = b.pow(m)
-        if bm.is_zero:
-            return zero(order)
-        k = 2 * m + 1 + bm.power
-        if k >= order:
-            return zero(order)
-        w = order - k
-        body = inv_one_plus(2 * m + 1, w).mul(inv_one_plus(2 * m + 3, w))
-        return body.shift_scale((-1) ** m * bm.coeff, k)
-
-    part3 = one_plus(1, order).mul(one_minus(2, order)).mul(sum_terms(tail, order))
-    return part1.add(part2).add(part3)
+    part1 = qprod(QTerm(num=(one_plus(1),), den=(one_plus(3),)), order)
+    # (1+q)(1-q^2) sum_{m>=1} (-b)^m q^(2m+1) / ((1+q^(2m+1))(1+q^(2m+3)))
+    tail = QTerm(
+        exp=(0, 2, 1),
+        num=(one_plus(1), one_minus(2)),
+        den=(one_plus(1, 2), one_plus(3, 2)),
+        ratio=b.times(SIGN),
+        start=1,
+    )
+    return part1.add(qsum(_lem21_theta_part(b), order)).add(qsum(tail, order))
 
 
 def before_ac_rhs(order: int, b: Monomial, cap: int = DEFAULT_TERM_CAP) -> LaurentSeries:
@@ -718,80 +693,38 @@ def before_ac_rhs(order: int, b: Monomial, cap: int = DEFAULT_TERM_CAP) -> Laure
     At b = 1 the final sum has constant-valuation terms and is formally
     divergent; evaluation then raises TruncationStall at the cap.
     """
-    part1 = _lem21_theta_part(order, b)
-
-    def tail(m: int) -> LaurentSeries:
-        bm = b.pow(m)
-        if bm.is_zero:
-            return zero(order)
-        k = bm.power
-        if k >= order:
-            return zero(order)
-        w = order - k
-        return inv_one_plus(2 * m + 3, w).shift_scale((-1) ** m * bm.coeff, k)
-
-    pref = one_plus(1, order).add(
-        b.to_series(order).add(b.to_series(order).shift(1)) if not b.is_zero else zero(order)
-    )
-    part2 = pref.mul(sum_terms(tail, order, cap=cap))
-    return part1.add(part2)
+    part1 = qsum(_lem21_theta_part(b), order)
+    num = (Poch(b.times(SIGN), 1, (0, 1)), one_plus(1))
+    tail = QTerm(num=num, den=(one_plus(3, 2),), ratio=b.times(SIGN))
+    return part1.add(qsum(tail, order, cap=cap))
 
 
 def entry239_lhs(order: int, a: Monomial) -> LaurentSeries:
     """sum (-1)^m q^(m^2) / (-a q^2;q^2)_m."""
-    arg = Monomial(-a.coeff, a.power + 2) if not a.is_zero else MONO_ZERO
-
-    def term(m: int) -> LaurentSeries:
-        k = m * m
-        if k >= order:
-            return zero(order)
-        w = order - k
-        return poch_of_monomial(arg, 2, m, w).invert().shift_scale((-1) ** m, k)
-
-    return sum_terms(term, order)
+    den = (Poch(a.times(mono(-1, 2)), 2, N),)
+    return qsum(QTerm(exp=(1, 0, 0), den=den, ratio=SIGN), order)
 
 
 def entry239_rhs(order: int, a: Monomial) -> LaurentSeries:
     """(1+a) sum (-1)^(m-1) q^(m^2) / (-a q;q^2)_m + phi(-q)/(-a q;q)_inf."""
-    arg = Monomial(-a.coeff, a.power + 1) if not a.is_zero else MONO_ZERO
-
-    def term(i: int) -> LaurentSeries:
-        m = i + 1
-        k = m * m
-        if k >= order:
-            return zero(order)
-        w = order - k
-        return poch_of_monomial(arg, 2, m, w).invert().shift_scale((-1) ** (m - 1), k)
-
-    s = sum_terms(term, order)
-    pref = one(order).add(a.to_series(order)) if not a.is_zero else one(order)
-    t = theta_phi_neg_prod(order).mul(poch_of_monomial(arg, 1, None, order).invert())
-    return pref.mul(s).add(t)
+    arg = a.times(mono(-1, 1))
+    num = (Poch(a.times(SIGN), 1, (0, 1)),)
+    s = QTerm(exp=(1, 0, 0), num=num, den=(Poch(arg, 2, N),), scale=-1, ratio=SIGN, start=1)
+    theta = QTerm(num=(EULER,), den=(NEG_EULER, Poch(arg)))
+    return qsum(s, order).add(qprod(theta, order))
 
 
-def _z_pad(z: Monomial) -> int:
-    # total Laurent depth of (z^{-1};q^2)_inf for z = q^j, j odd positive
-    j = z.power
-    return ((j + 1) // 2) ** 2
+def _z_inv(z: Monomial) -> Monomial:
+    if z.is_zero:
+        raise UnsupportedParameter("z must be a nonzero monomial")
+    return z.inv()
 
 
 def z_identity_lhs(order: int, z: Monomial) -> LaurentSeries:
     """sum (z;q^2)_n (z^{-1};q^2)_n q^(2n) / ((q^2;q^2)_n (-q;q)_{2n})."""
-    pad = _z_pad(z)
-
-    def term(n: int) -> LaurentSeries:
-        k = 2 * n
-        if k - pad >= order:
-            return zero(order)
-        w = order - k + pad
-        num = poch_of_monomial(z, 2, n, w).mul(poch_of_monomial(z.inv(), 2, n, w))
-        den = qpoch(1, 2, 2, n, w).mul(qpoch(-1, 1, 1, 2 * n, w))
-        t = num.mul(den.invert()).shift(k)
-        if t.min_exp >= order:
-            return zero(order)
-        return t
-
-    return sum_terms(term, order)
+    num = (Poch(z, 2, N), Poch(_z_inv(z), 2, N))
+    den = (Poch(mono(1, 2), 2, N), Poch(mono(-1, 1), 1, (2, 0)))
+    return qsum(QTerm(exp=(0, 2, 0), num=num, den=den), order)
 
 
 def z_identity_rhs(order: int, z: Monomial) -> LaurentSeries:
@@ -801,26 +734,16 @@ def z_identity_rhs(order: int, z: Monomial) -> LaurentSeries:
       + sum_{n>=1} (-1)^n (1+q^n) (z^{-1};q^2)_inf (z;q^2)_inf
           q^(3n(n+1)/2) / ((1-z q^(2n)) (1-q^(2n)/z)) ]
     """
-    pad = 3 * _z_pad(z) + 4
-    w = order + pad
-    inv_sq = inv_qpoch(1, 2, 2, None, w).pow(2)
-    head = poch_of_monomial(z.inv().times_q(2), 2, None, w).mul(
-        poch_of_monomial(z.times_q(2), 2, None, w)
+    zi = _z_inv(z)
+    head = QTerm(num=(Poch(zi.times_q(2), 2), Poch(z.times_q(2), 2)), den=(EULER_Q2,) * 2)
+    tail = QTerm(
+        exp=(3 * HALF, 3 * HALF, 0),
+        num=(one_plus(0, 1), Poch(zi, 2), Poch(z, 2)),
+        den=(Poch(z, 1, (0, 1), 2), Poch(zi, 1, (0, 1), 2), EULER_Q2, EULER_Q2),
+        ratio=SIGN,
+        start=1,
     )
-    wings = poch_of_monomial(z.inv(), 2, None, w).mul(poch_of_monomial(z, 2, None, w))
-
-    def term(i: int) -> LaurentSeries:
-        n = i + 1
-        k = smallest_part_exponent(n)
-        if k >= order + pad:
-            return zero(w)
-        u = one_minus(2 * n + z.power, w).mul(one_minus(2 * n - z.power, w)).invert()
-        body = wings.mul(u)
-        body = body.add(body.shift(n))
-        return body.shift_scale((-1) ** n, k)
-
-    tail = sum_terms(term, order)
-    return inv_sq.mul(head.add(tail))
+    return qprod(head, order).add(qsum(tail, order))
 
 # ----------------------------------------------------------------------
 # the name catalog
@@ -1052,6 +975,8 @@ def build(
         raise MissingParameter(
             f"{name} takes parameters {list(sdef.params)}, got {sorted(given)}"
         )
+    if not 0 <= form < len(sdef.forms):
+        raise IndexError(f"{name} has forms 0..{len(sdef.forms) - 1}, got {form}")
     key = (name, form, order, tuple(sorted((k, v) for k, v in given.items())))
     hit = _BUILD_MEMO.get(key)
     if hit is not None:

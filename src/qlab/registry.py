@@ -19,8 +19,9 @@ in the first place.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .series import (
@@ -28,28 +29,28 @@ from .series import (
     LaurentSeries,
     Mismatch,
     TruncationStall,
-    monomial,
-    one,
-    sum_terms,
-    zero,
 )
 from . import qfunctions as qf
 from .qfunctions import (
+    EULER,
+    EULER_Q2,
+    HALF,
     MONO_ONE,
     MONO_Q,
     MONO_ZERO,
+    N,
+    NEG_EULER,
+    SIGN,
     Monomial,
+    Poch,
+    QTerm,
     euler_inv,
-    euler_product_direct,
-    inv_one_minus,
-    inv_one_plus,
-    inv_qpoch,
     mono,
     one_minus,
     one_plus,
     phi3_neg,
-    poch_of_monomial,
-    qpoch,
+    qprod,
+    qsum,
     theta_phi_neg_prod,
 )
 
@@ -131,109 +132,35 @@ def _spec_rows(param: str, values: Sequence[Monomial]) -> Tuple[Specialization, 
 # ----------------------------------------------------------------------
 # shared sub-sums (each used by several catalog rows)
 
-
-def _alt_sum(order: int, exponent, denom_builder) -> LaurentSeries:
-    """sum over n >= 0 of sign_n q^(exponent(n)) / denom(n), generic driver."""
-
-    def term(n: int) -> LaurentSeries:
-        sgn, k = exponent(n)
-        if k >= order:
-            return zero(order)
-        return denom_builder(n, order - k).shift_scale(sgn, k)
-
-    return sum_terms(term, order)
-
-
-def _alt_q_odd_over_plus(order: int) -> LaurentSeries:
-    # sum (-1)^n q^(2n+1) / (1 + q^(2n+1))
-    return _alt_sum(
-        order,
-        lambda n: ((-1) ** n, 2 * n + 1),
-        lambda n, w: inv_one_plus(2 * n + 1, w),
-    )
-
-
-def _alt_q2_over_plus(order: int) -> LaurentSeries:
-    # sum (-1)^n q^(2n) / (1 + q^(2n+1))
-    return _alt_sum(
-        order,
-        lambda n: ((-1) ** n, 2 * n),
-        lambda n, w: inv_one_plus(2 * n + 1, w),
-    )
-
-
-def _alt_q_over_plus2(order: int) -> LaurentSeries:
-    # sum (-1)^n q^n / (1 + q^(2n+2))
-    return _alt_sum(
-        order,
-        lambda n: ((-1) ** n, n),
-        lambda n, w: inv_one_plus(2 * n + 2, w),
-    )
-
-
-def _alt_sq_sum_base1(order: int) -> LaurentSeries:
-    # sum_{m>=1} (-1)^(m-1) q^(m^2) / (-q;q^2)_m
-    def term(i: int) -> LaurentSeries:
-        m = i + 1
-        k = m * m
-        if k >= order:
-            return zero(order)
-        return inv_qpoch(-1, 1, 2, m, order - k).shift_scale((-1) ** (m - 1), k)
-
-    return sum_terms(term, order)
-
-
-def _alt_sq_sum_base3(order: int) -> LaurentSeries:
-    # sum_{m>=1} (-1)^m q^(m^2) / (-q^3;q^2)_m
-    def term(i: int) -> LaurentSeries:
-        m = i + 1
-        k = m * m
-        if k >= order:
-            return zero(order)
-        return inv_qpoch(-1, 3, 2, m, order - k).shift_scale((-1) ** m, k)
-
-    return sum_terms(term, order)
-
-
-def _phi3m_sum(order: int) -> LaurentSeries:
-    # sum_{m>=0} (-1)^m q^(m^2) / (-q^2;q^2)_{m+1}
-    return _alt_sum(
-        order,
-        lambda m: ((-1) ** m, m * m),
-        lambda m, w: inv_qpoch(-1, 2, 2, m + 1, w),
-    )
-
-
-def _pair_tail(order: int) -> LaurentSeries:
-    # sum_{n>=1} (-1)^n q^(2n) / ((1+q^(2n+1))(1+q^(2n+3)))
-    def term(i: int) -> LaurentSeries:
-        n = i + 1
-        k = 2 * n
-        if k >= order:
-            return zero(order)
-        w = order - k
-        body = inv_one_plus(2 * n + 1, w).mul(inv_one_plus(2 * n + 3, w))
-        return body.shift_scale((-1) ** n, k)
-
-    return sum_terms(term, order)
-
-
-def _pair_tail_from0(order: int) -> LaurentSeries:
-    # sum_{n>=0} (-1)^n q^(2n) / ((1+q^(2n+1))(1+q^(2n+3)))
-    def term(n: int) -> LaurentSeries:
-        k = 2 * n
-        if k >= order:
-            return zero(order)
-        w = order - k
-        body = inv_one_plus(2 * n + 1, w).mul(inv_one_plus(2 * n + 3, w))
-        return body.shift_scale((-1) ** n, k)
-
-    return sum_terms(term, order)
+# sum (-1)^n q^(2n+1) / (1 + q^(2n+1))
+_ALT_Q_ODD_OVER_PLUS = QTerm(exp=(0, 2, 1), den=(one_plus(1, 2),), ratio=SIGN)
+# sum (-1)^n q^(2n) / (1 + q^(2n+1))
+_ALT_Q2_OVER_PLUS = QTerm(exp=(0, 2, 0), den=(one_plus(1, 2),), ratio=SIGN)
+# sum (-1)^n q^n / (1 + q^(2n+2))
+_ALT_Q_OVER_PLUS2 = QTerm(exp=(0, 1, 0), den=(one_plus(2, 2),), ratio=SIGN)
+# sum_{m>=1} (-1)^(m-1) q^(m^2) / (-q;q^2)_m
+_ALT_SQ_SUM_BASE1 = QTerm(
+    exp=(1, 0, 0), den=(Poch(mono(-1, 1), 2, N),), scale=-1, ratio=SIGN, start=1
+)
+# sum_{m>=1} (-1)^m q^(m^2) / (-q^3;q^2)_m
+_ALT_SQ_SUM_BASE3 = QTerm(exp=(1, 0, 0), den=(Poch(mono(-1, 3), 2, N),), ratio=SIGN, start=1)
+# sum_{m>=0} (-1)^m q^(m^2) / (-q^2;q^2)_{m+1}
+_PHI3M_SUM = QTerm(exp=(1, 0, 0), den=(Poch(mono(-1, 2), 2, (1, 1)),), ratio=SIGN)
+# sum_{n>=0} (-1)^n q^(2n) / ((1+q^(2n+1))(1+q^(2n+3)))
+_PAIR_TAIL_FROM0 = QTerm(exp=(0, 2, 0), den=(one_plus(1, 2), one_plus(3, 2)), ratio=SIGN)
+# the same from n = 1
+_PAIR_TAIL = replace(_PAIR_TAIL_FROM0, start=1)
+# (q;q)_inf^2 / (-q;q)_inf^2
+_THETA_SQ = QTerm(num=(EULER, EULER), den=(NEG_EULER, NEG_EULER))
+# q(1+q) / ((q;q)_inf (1+q^3))
+_ODD_HEAD = QTerm(exp=(0, 0, 1), num=(one_plus(1),), den=(EULER, one_plus(3)))
+# (q(1+q)(1-q^2)/(q;q)_inf) sum_{m>=1} (-1)^m q^(2m+1)/((1+q^(2m+1))(1+q^(2m+3)))
+_ODD_TAIL = _PAIR_TAIL.times(e=2, num=(one_plus(1), one_minus(2)), den=(EULER,))
 
 
 def _theta_over_plus(order: int) -> LaurentSeries:
     # (q;q)_inf / (-q;q)_inf^2
-    return euler_product_direct(order).mul(inv_qpoch(-1, 1, 1, None, order).pow(2))
+    return qprod(QTerm(num=(EULER,), den=(NEG_EULER, NEG_EULER)), order)
 
 
 def _q_one_plus_q(s: LaurentSeries) -> LaurentSeries:
@@ -250,36 +177,17 @@ def _even_rank_lhs(order: int) -> LaurentSeries:
     return qf.build("f3_def", order).add(euler_inv(order)).scale(Fraction(1, 2))
 
 
-def _lem31_lhs(order: int) -> LaurentSeries:
-    return _alt_q_odd_over_plus(order)
-
-
 def _lem31_rhs(order: int) -> LaurentSeries:
     # 1/4 - (1/4) (q;q)_inf^2 / (-q;q)_inf^2
     return (1 - theta_phi_neg_prod(order).pow(2)).scale(Fraction(1, 4))
 
 
-def _neg_shift(m: Monomial, k: int) -> Monomial:
-    if m.is_zero:
-        return MONO_ZERO
-    return Monomial(-m.coeff, m.power + k)
-
-
 def _fourparam_lhs(order: int, B: Monomial, a: Monomial, b: Monomial) -> LaurentSeries:
     # base Q = q^2, vanishing-A limit:
     # sum (B;Q)_n Q^n / ((-aQ;Q)_n (-bQ;Q)_n)
-    na, nb = _neg_shift(a, 2), _neg_shift(b, 2)
-
-    def term(n: int) -> LaurentSeries:
-        k = 2 * n
-        if k >= order:
-            return zero(order)
-        w = order - k
-        num = poch_of_monomial(B, 2, n, w)
-        den = poch_of_monomial(na, 2, n, w).mul(poch_of_monomial(nb, 2, n, w))
-        return num.mul(den.invert()).shift(k)
-
-    return sum_terms(term, order)
+    num = (Poch(B, 2, N),)
+    den = (Poch(a.times(mono(-1, 2)), 2, N), Poch(b.times(mono(-1, 2)), 2, N))
+    return qsum(QTerm(exp=(0, 2, 0), num=num, den=den), order)
 
 
 def _fourparam_rhs(order: int, B: Monomial, a: Monomial, b: Monomial) -> LaurentSeries:
@@ -288,112 +196,69 @@ def _fourparam_rhs(order: int, B: Monomial, a: Monomial, b: Monomial) -> Laurent
     #  -(B;Q)_inf / (a (-bQ;Q)_inf (-aQ;Q)_inf)
     #      * sum (-1)^m Q^(m(m-1)/2) (bQ/a)^m / (-B/a;Q)_{m+1}
     #  + (1+b) sum (-a^{-1};Q)_{m+1} (-b)^m / (-B/a;Q)_{m+1}
-    w = order + 8
-    na, nb = _neg_shift(a, 2), _neg_shift(b, 2)
-    neg_b_over_a = Monomial(-(B.coeff / a.coeff), B.power - a.power)
-    bq_over_a = b.times(Monomial(Fraction(1), 2)).times(a.inv())
-    neg_inv_a = Monomial(-1 / a.coeff, -a.power)
-
-    pref = poch_of_monomial(B, 2, None, w).mul(
-        poch_of_monomial(nb, 2, None, w).mul(poch_of_monomial(na, 2, None, w)).invert()
-    ).shift_scale(-1 / a.coeff, -a.power)
-
-    def s1_term(m: int) -> LaurentSeries:
-        zm = bq_over_a.pow(m)
-        k = m * (m - 1) + zm.power
-        if k >= w:
-            return zero(w)
-        ww = w - k
-        return (
-            poch_of_monomial(neg_b_over_a, 2, m + 1, ww)
-            .invert()
-            .shift_scale((-1) ** m * zm.coeff, k)
-        )
-
-    piece1 = pref.mul(sum_terms(s1_term, w))
-
-    def s2_term(m: int) -> LaurentSeries:
-        bm = b.pow(m)
-        if bm.is_zero:
-            return zero(w)
-        k = bm.power
-        if k >= w:
-            return zero(w)
-        ww = w - k + 2
-        num = poch_of_monomial(neg_inv_a, 2, m + 1, ww)
-        den = poch_of_monomial(neg_b_over_a, 2, m + 1, ww)
-        return num.mul(den.invert()).shift_scale((-1) ** m * bm.coeff, k)
-
-    pref2 = one(w).add(b.to_series(w)) if not b.is_zero else one(w)
-    piece2 = pref2.mul(sum_terms(s2_term, w))
-    return piece1.add(piece2)
+    ia = a.inv()
+    neg_b_over_a = Poch(B.times(ia).times(SIGN), 2, (1, 1))
+    s1 = QTerm(
+        exp=(1, -1, -a.power),
+        num=(Poch(B, 2),),
+        den=(neg_b_over_a, Poch(b.times(mono(-1, 2)), 2), Poch(a.times(mono(-1, 2)), 2)),
+        scale=-ia.coeff,
+        ratio=b.times(ia).times(mono(-1, 2)),
+    )
+    s2 = QTerm(
+        num=(Poch(ia.times(SIGN), 2, (1, 1)), Poch(b.times(SIGN), 1, (0, 1))),
+        den=(neg_b_over_a,),
+        ratio=b.times(SIGN),
+    )
+    return qsum(s1, order).add(qsum(s2, order))
 
 
 def _psi_split_base2_lhs(order: int) -> LaurentSeries:
     # the bilateral quotient sum with base q^2, split into unilateral tails:
     # 2(1+q^2) sum (-1)^n q^n/(1+q^(2n+2)) - (1+q^2)/(2q)
-    w = order + 2
-    part = one_plus(2, w).mul(_alt_q_over_plus2(w)).scale(2)
-    corr = monomial(Fraction(1, 2), -1, w).add(monomial(Fraction(1, 2), 1, w))
+    part = qsum(_ALT_Q_OVER_PLUS2.times(2, num=(one_plus(2),)), order)
+    corr = qprod(QTerm(exp=(0, 0, -1), num=(one_plus(2),), scale=HALF), order)
     return part.sub(corr)
 
 
 def _psi_product_base2_rhs(order: int) -> LaurentSeries:
     # (q^3;q^2)_inf (q^{-1};q^2)_inf (q^2;q^2)_inf^2
     #   / ((-q;q^2)_inf^2 (-q^4;q^2)_inf (-1;q^2)_inf)
-    w = order + 4
-    num = (
-        qpoch(1, 3, 2, None, w)
-        .mul(qpoch(1, -1, 2, None, w))
-        .mul(qpoch(1, 2, 2, None, w).pow(2))
-    )
-    den = (
-        qpoch(-1, 1, 2, None, w)
-        .pow(2)
-        .mul(qpoch(-1, 4, 2, None, w))
-        .mul(qpoch(-1, 0, 2, None, w))
-    )
-    return num.mul(den.invert())
+    num = (Poch(mono(1, 3), 2), Poch(mono(1, -1), 2), EULER_Q2, EULER_Q2)
+    den = (Poch(mono(-1, 1), 2), Poch(mono(-1, 1), 2), Poch(mono(-1, 4), 2), Poch(mono(-1, 0), 2))
+    return qprod(QTerm(num=num, den=den), order)
 
 
 def _final1729_rhs(order: int) -> LaurentSeries:
     # 1/(4q) - (1/(4q)) (q;q)_inf^2/(-q;q)_inf^2
-    w = order + 2
-    return (1 - theta_phi_neg_prod(w).pow(2)).shift_scale(Fraction(1, 4), -1)
+    quarter = Fraction(1, 4)
+    head = qprod(QTerm(exp=(0, 0, -1), scale=quarter), order)
+    return head.sub(qprod(_THETA_SQ.times(quarter, -1), order))
 
 
-def _almost_spt_lhs(order: int) -> LaurentSeries:
-    # sum_{n>=1} (q^2;q^2)_{n-1}^2 q^(2n) / ((q^2;q^2)_n (-q;q)_{2n});
-    # the n=0 term vanishes under the reciprocal negative-index convention
-    def term(i: int) -> LaurentSeries:
-        n = i + 1
-        k = 2 * n
-        if k >= order:
-            return zero(order)
-        w = order - k
-        num = qpoch(1, 2, 2, n - 1, w).pow(2)
-        den = qpoch(1, 2, 2, n, w).mul(qpoch(-1, 1, 1, 2 * n, w))
-        return num.mul(den.invert()).shift(k)
-
-    return sum_terms(term, order)
+# sum_{n>=1} (q^2;q^2)_{n-1}^2 q^(2n) / ((q^2;q^2)_n (-q;q)_{2n});
+# the n=0 term vanishes under the reciprocal negative-index convention
+_ALMOST_SPT = QTerm(
+    exp=(0, 2, 0),
+    num=(Poch(mono(1, 2), 2, (1, -1)),) * 2,
+    den=(Poch(mono(1, 2), 2, N), Poch(mono(-1, 1), 1, (2, 0))),
+    start=1,
+)
 
 
 def _4para1_rhs(order: int) -> LaurentSeries:
     # -(1/q^2) (q^2;q^2)_inf/((-q^4;q^2)_inf (-q^3;q^2)_inf) * S1
     #   + (1+q)(1+q^2)/q * S2
-    w = order + 4
-    pref1 = qpoch(1, 2, 2, None, w).mul(
-        qpoch(-1, 4, 2, None, w).mul(qpoch(-1, 3, 2, None, w)).invert()
-    )
-    piece1 = pref1.mul(_alt_sq_sum_base1(w)).shift_scale(-1, -2)
-    piece2 = one_plus(1, w).mul(one_plus(2, w)).mul(_alt_q2_over_plus(w)).shift(-1)
+    den1 = (Poch(mono(-1, 4), 2), Poch(mono(-1, 3), 2))
+    piece1 = qsum(_ALT_SQ_SUM_BASE1.times(-1, -2, num=(EULER_Q2,), den=den1), order)
+    piece2 = qsum(_ALT_Q2_OVER_PLUS.times(1, -1, num=(one_plus(1), one_plus(2))), order)
     return piece1.add(piece2)
 
 
 def _2sums_rhs(order: int) -> LaurentSeries:
     # -S1 + (1/(q;q)_inf) sum (-1)^m q^(2m+1)/(1+q^(2m+1))
-    return _alt_sq_sum_base1(order).neg().add(
-        euler_inv(order).mul(_alt_q_odd_over_plus(order))
+    return qsum(_ALT_SQ_SUM_BASE1, order).neg().add(
+        euler_inv(order).mul(qsum(_ALT_Q_ODD_OVER_PLUS, order))
     )
 
 
@@ -415,92 +280,59 @@ def _suminf_rhs(order: int) -> LaurentSeries:
 def _phi3m_rhs(order: int) -> LaurentSeries:
     # -q + (1+q) phi(-q)
     phi = phi3_neg(order)
-    return phi.add(phi.shift(1)).sub(monomial(1, 1, order + 1))
+    return phi.add(phi.shift(1)).sub(MONO_Q.to_series(order))
 
 
 def _psi_split_sec6_lhs(order: int) -> LaurentSeries:
     # 2(1+q)(1+q^3) sum_{n>=0} (-1)^n q^(2n)/((1+q^(2n+1))(1+q^(2n+3)))
     #   - (1/q)(1+q^3)/(1+q)
-    w = order + 2
-    part = one_plus(1, w).mul(one_plus(3, w)).mul(_pair_tail_from0(w)).scale(2)
-    corr = one_plus(3, w).mul(inv_one_plus(1, w)).shift(-1)
+    part = qsum(_PAIR_TAIL_FROM0.times(2, num=(one_plus(1), one_plus(3))), order)
+    corr = qprod(QTerm(exp=(0, 0, -1), num=(one_plus(3),), den=(one_plus(1),)), order)
     return part.sub(corr)
 
 
 def _psi_product_sec6_rhs(order: int) -> LaurentSeries:
     # (q^3;q^2)_inf (q^{-1};q^2)_inf (q^2;q^2)_inf (q^4;q^2)_inf
     #   / ((-q^2;q^2)_inf^2 (-q^5;q^2)_inf (-q;q^2)_inf)
-    w = order + 4
-    num = (
-        qpoch(1, 3, 2, None, w)
-        .mul(qpoch(1, -1, 2, None, w))
-        .mul(qpoch(1, 2, 2, None, w))
-        .mul(qpoch(1, 4, 2, None, w))
-    )
-    den = (
-        qpoch(-1, 2, 2, None, w)
-        .pow(2)
-        .mul(qpoch(-1, 5, 2, None, w))
-        .mul(qpoch(-1, 1, 2, None, w))
-    )
-    return num.mul(den.invert())
+    num = (Poch(mono(1, 3), 2), Poch(mono(1, -1), 2), EULER_Q2, Poch(mono(1, 4), 2))
+    den = (Poch(mono(-1, 2), 2), Poch(mono(-1, 2), 2), Poch(mono(-1, 5), 2), Poch(mono(-1, 1), 2))
+    return qprod(QTerm(num=num, den=den), order)
 
 
 def _last1_rhs(order: int) -> LaurentSeries:
     # 1/(2q(1+q)^2) - 1/((1+q)(1+q^3)) - (1/(2q(1-q^2))) (q;q)_inf^2/(-q;q)_inf^2
-    w = order + 4
-    p1 = inv_one_plus(1, w).pow(2).shift_scale(Fraction(1, 2), -1)
-    p2 = inv_one_plus(1, w).mul(inv_one_plus(3, w)).neg()
-    p3 = (
-        theta_phi_neg_prod(w)
-        .pow(2)
-        .mul(inv_one_minus(2, w))
-        .shift_scale(Fraction(-1, 2), -1)
-    )
-    return p1.add(p2).add(p3)
+    p1 = qprod(QTerm(exp=(0, 0, -1), den=(one_plus(1), one_plus(1)), scale=HALF), order)
+    p2 = qprod(QTerm(den=(one_plus(1), one_plus(3))), order)
+    p3 = qprod(_THETA_SQ.times(-HALF, -1, den=(one_minus(2),)), order)
+    return p1.sub(p2).add(p3)
+
+
+def _odd_head_and_tail(order: int) -> LaurentSeries:
+    return qprod(_ODD_HEAD, order).add(qsum(_ODD_TAIL, order))
 
 
 def _last2_rhs(order: int) -> LaurentSeries:
     # q^2 - q(1+q) phi(-q) + q(1+q)(q;q)_inf/(-q;q)_inf^2
     #   + q(1+q)/((q;q)_inf (1+q^3))
     #   + (q(1+q)(1-q^2)/(q;q)_inf) sum (-1)^m q^(2m+1)/((1+q^(2m+1))(1+q^(2m+3)))
-    w = order + 2
-    t1 = monomial(1, 2, w + 2)
-    t2 = _q_one_plus_q(phi3_neg(w)).neg()
-    t3 = _q_one_plus_q(_theta_over_plus(w))
-    t4 = _q_one_plus_q(euler_inv(w).mul(inv_one_plus(3, w)))
-    tail = euler_inv(w).mul(one_plus(1, w)).mul(one_minus(2, w)).mul(
-        _pair_tail(w).shift(1)
-    )
-    return t1.add(t2).add(t3).add(t4).add(tail.shift(1))
+    t1 = mono(1, 2).to_series(order)
+    t2 = _q_one_plus_q(phi3_neg(order)).neg()
+    t3 = _q_one_plus_q(_theta_over_plus(order))
+    return t1.add(t2).add(t3).add(_odd_head_and_tail(order))
 
 
 def _seriesf_rhs(order: int) -> LaurentSeries:
     # q sum_{m>=1} (-1)^m q^(m^2)/(-q^3;q^2)_m + q(1+q)/((q;q)_inf(1+q^3))
     #   + (q(1+q)(1-q^2)/(q;q)_inf) * the paired tail at q^(2m+1)
-    w = order + 2
-    t1 = _alt_sq_sum_base3(w).shift(1)
-    t2 = _q_one_plus_q(euler_inv(w).mul(inv_one_plus(3, w)))
-    tail = euler_inv(w).mul(one_plus(1, w)).mul(one_minus(2, w)).mul(
-        _pair_tail(w).shift(1)
-    )
-    return t1.add(t2).add(tail.shift(1))
+    return qsum(_ALT_SQ_SUM_BASE3.times(e=1), order).add(_odd_head_and_tail(order))
 
 
 def _beforephi_rhs(order: int) -> LaurentSeries:
     # q(q;q)_inf/((-q;q)_inf(-q^2;q)_inf) - q sum (-1)^m q^(m^2)/(-q^2;q^2)_{m+1}
     #   + q(1+q)/((q;q)_inf(1+q^3)) + the paired-tail block
-    w = order + 2
-    head = euler_product_direct(w).mul(
-        qpoch(-1, 1, 1, None, w).mul(qpoch(-1, 2, 1, None, w)).invert()
-    )
-    t1 = head.shift(1)
-    t2 = _phi3m_sum(w).shift(1).neg()
-    t3 = _q_one_plus_q(euler_inv(w).mul(inv_one_plus(3, w)))
-    tail = euler_inv(w).mul(one_plus(1, w)).mul(one_minus(2, w)).mul(
-        _pair_tail(w).shift(1)
-    )
-    return t1.add(t2).add(t3).add(tail.shift(1))
+    head = qprod(QTerm(exp=(0, 0, 1), num=(EULER,), den=(NEG_EULER, Poch(mono(-1, 2)))), order)
+    t2 = qsum(_PHI3M_SUM.times(e=1), order)
+    return head.sub(t2).add(_odd_head_and_tail(order))
 
 
 # ----------------------------------------------------------------------
@@ -620,14 +452,14 @@ def _build_catalog() -> Tuple[IdentityEntry, ...]:
     add(IdentityEntry(
         id="lem-3.1",
         anchor="closed form of sum (-1)^n q^(2n+1)/(1+q^(2n+1))",
-        lhs=_lem31_lhs,
+        lhs=partial(qsum, _ALT_Q_ODD_OVER_PLUS),
         rhs=_lem31_rhs,
     ))
     add(IdentityEntry(
         id="eq-2phi12",
         anchor="reindexing of the alternating quotient sum",
-        lhs=_alt_q2_over_plus,
-        rhs=_alt_q_over_plus2,
+        lhs=partial(qsum, _ALT_Q2_OVER_PLUS),
+        rhs=partial(qsum, _ALT_Q_OVER_PLUS2),
     ))
     add(IdentityEntry(
         id="eq-1psi1-sec3",
@@ -638,7 +470,7 @@ def _build_catalog() -> Tuple[IdentityEntry, ...]:
     add(IdentityEntry(
         id="eq-final1729",
         anchor="evaluation of sum (-1)^n q^n/(1+q^(2n+2))",
-        lhs=_alt_q_over_plus2,
+        lhs=partial(qsum, _ALT_Q_OVER_PLUS2),
         rhs=_final1729_rhs,
     ))
     add(IdentityEntry(
@@ -652,7 +484,7 @@ def _build_catalog() -> Tuple[IdentityEntry, ...]:
     add(IdentityEntry(
         id="eq-almost-spt",
         anchor="the double-derivative limit identity behind thm-1.3",
-        lhs=_almost_spt_lhs,
+        lhs=partial(qsum, _ALMOST_SPT),
         rhs=qf.sptg_bracket,
     ))
     add(IdentityEntry(
@@ -686,7 +518,7 @@ def _build_catalog() -> Tuple[IdentityEntry, ...]:
     add(IdentityEntry(
         id="eq-phi312",
         anchor="the base-1 alternating q^(m^2) sum through phi(-q)",
-        lhs=_alt_sq_sum_base1,
+        lhs=partial(qsum, _ALT_SQ_SUM_BASE1),
         rhs=_phi312_rhs,
     ))
     add(IdentityEntry(
@@ -698,7 +530,7 @@ def _build_catalog() -> Tuple[IdentityEntry, ...]:
     add(IdentityEntry(
         id="eq-suminf",
         anchor="the base-1 alternating q^(m^2) sum through f(q)",
-        lhs=_alt_sq_sum_base1,
+        lhs=partial(qsum, _ALT_SQ_SUM_BASE1),
         rhs=_suminf_rhs,
     ))
     add(IdentityEntry(
@@ -722,7 +554,7 @@ def _build_catalog() -> Tuple[IdentityEntry, ...]:
     add(IdentityEntry(
         id="eq-phi3m",
         anchor="shifted phi(-q) partial-fraction step",
-        lhs=_phi3m_sum,
+        lhs=partial(qsum, _PHI3M_SUM),
         rhs=_phi3m_rhs,
     ))
     add(IdentityEntry(
@@ -734,7 +566,7 @@ def _build_catalog() -> Tuple[IdentityEntry, ...]:
     add(IdentityEntry(
         id="eq-last1",
         anchor="closed form of the paired alternating tail",
-        lhs=_pair_tail,
+        lhs=partial(qsum, _PAIR_TAIL),
         rhs=_last1_rhs,
     ))
     add(IdentityEntry(
@@ -847,6 +679,7 @@ def _rows(
 def _run_row_guarded(
     entry: IdentityEntry, spec: Specialization, order: int
 ) -> VerificationReport:
+    start = time.perf_counter()
     try:
         return _run_row(entry, spec, order)
     except Exception as exc:  # aggregate without aborting the run
@@ -856,7 +689,7 @@ def _run_row_guarded(
             order=order,
             passed=False,
             first_mismatch=None,
-            elapsed_ms=0.0,
+            elapsed_ms=(time.perf_counter() - start) * 1000.0,
             stalled=isinstance(exc, TruncationStall),
             expected_stall=spec.expects_stall,
             error=f"{type(exc).__name__}: {exc}",

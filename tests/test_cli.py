@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -276,3 +279,28 @@ def test_format_rational():
     assert format_rational(Fraction(5)) == "5"
     assert format_rational(Fraction(-1, 2)) == "-1/2"
     assert format_rational(Fraction(4, 2)) == "2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lem21_lhs", "--param", "b=1/0"],
+        ["lem21_lhs", "--param", "b=2*q"],
+        ["lem21_lhs", "--param", "b=q", "--param", "b=q^2"],
+        ["f3_def", "--form", "-1"],
+        ["G_series", "--form", "3"],
+        ["z_identity_lhs", "--param", "z=0"],
+    ],
+)
+def test_compute_malformed_input_is_a_usage_error(argv):
+    src = os.path.dirname(os.path.dirname(qf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlab.cli", "compute", *argv, "--order", "6"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1

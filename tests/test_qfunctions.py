@@ -156,6 +156,15 @@ def test_window_soundness_across_orders():
     assert ok, f"z_identity_rhs: {mismatch}"
 
 
+def test_z_identity_negative_powers_of_z():
+    """Both sides are symmetric under z <-> 1/z, so z = q^-j must work as z = q^j."""
+    q_inv = build("z_identity_lhs", 30, {"z": mono(1, -1)})
+    assert q_inv.equal_up_to(build("z_identity_lhs", 30, {"z": MONO_Q}), 30) == (True, None)
+    z = mono(1, -3)
+    lhs = build("z_identity_lhs", 30, {"z": z})
+    assert lhs.equal_up_to(build("z_identity_rhs", 30, {"z": z}), 30) == (True, None)
+
+
 def test_builders_honor_requested_order():
     for name in names():
         sdef_params = {

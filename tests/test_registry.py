@@ -1,6 +1,7 @@
 """Tests for the identity catalog and the verification engine."""
 
 import dataclasses
+import time
 
 import pytest
 
@@ -145,17 +146,24 @@ def test_verify_all_small_orders():
         assert not failed, f"order {order}: {failed}"
 
 
+def _slow_stalling_side(order):
+    time.sleep(0.01)
+    raise TruncationStall("synthetic divergence")
+
+
 def test_verify_all_aggregates_errors_without_aborting():
     broken = IdentityEntry(
         id="zz-broken",
         anchor="synthetic",
         lhs=lambda order: one(order),
-        rhs=_stalling_side,
+        rhs=_slow_stalling_side,
     )
     reports = verify_all(order=5, entries=list(catalog()) + [broken])
     by_id = {r.row_id: r for r in reports}
     assert not by_id["zz-broken"].passed
     assert by_id["zz-broken"].error is not None
+    # the error report keeps the time spent before the failure
+    assert by_id["zz-broken"].elapsed_ms >= 10.0
     others = [r for r in reports if r.id != "zz-broken"]
     assert all(r.passed for r in others)
 
