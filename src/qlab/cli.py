@@ -7,8 +7,8 @@ Subcommands:
   slash).
 * ``verify`` -- check one identity row, one identity, the whole catalog
   (``all``), or the pure-oracle equality ``thm-1.2-combinatorial``; writes a
-  report array.  Exit code 0 means everything passed, 1 means a mismatch,
-  2 means a usage error.
+  report array.  Exit code 0 means everything passed, 1 means a mismatch
+  or a builder failure, 2 means a usage error.
 * ``stats`` -- dump the enumeration-oracle table next to the matching series
   coefficients with a match flag per column.
 * ``list`` -- print the identity catalog.
@@ -30,7 +30,7 @@ from . import partitions as pt
 from . import qfunctions as qf
 from . import registry as rg
 from .qfunctions import Monomial
-from .series import LaurentSeries, SeriesError, TruncationStall
+from .series import LaurentSeries, SeriesError
 
 USAGE_ERROR = 2
 MISMATCH_ERROR = 1
@@ -50,9 +50,13 @@ def _default_order() -> int:
     try:
         value = int(env)
     except ValueError:
-        raise SystemExit(f"QLAB_ORDER_DEFAULT must be an integer, got {env!r}")
+        value = 0
     if value < 1:
-        raise SystemExit("QLAB_ORDER_DEFAULT must be positive")
+        print(
+            f"error: QLAB_ORDER_DEFAULT must be a positive integer, got {env!r}",
+            file=sys.stderr,
+        )
+        raise SystemExit(USAGE_ERROR)
     return value
 
 
@@ -188,34 +192,18 @@ def _verify_combinatorial(max_n: int) -> rg.VerificationReport:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    selector = args.selector
-    if selector == "all":
-        reports = rg.verify_all(order=args.order, jobs=args.jobs)
-    elif selector == "thm-1.2-combinatorial":
+    if args.selector == "thm-1.2-combinatorial":
         if args.max_n > pt.DEFAULT_CAP:
             print(f"error: --max-n beyond enumeration cap {pt.DEFAULT_CAP}", file=sys.stderr)
             return USAGE_ERROR
         reports = [_verify_combinatorial(args.max_n)]
     else:
-        entry_id, _, label = selector.partition("@")
         try:
-            entry = rg.get_entry(entry_id)
-            if label:
-                reports = [rg.verify(entry_id, label, args.order)]
-            else:
-                order = args.order
-                reports = [
-                    rg.verify(entry_id, spec.label,
-                              order if order is not None else entry.default_order)
-                    for spec in entry.specializations
-                ]
+            entries = rg.select(args.selector)
         except (rg.UnknownIdentity, rg.UnknownSpecialization) as exc:
             print(f"error: unknown identity selector: {exc}", file=sys.stderr)
             return USAGE_ERROR
-        except TruncationStall as exc:
-            print(f"error: unexpected divergence: {exc}", file=sys.stderr)
-            return MISMATCH_ERROR
-        reports.sort(key=lambda r: (r.id, r.specialization or ""))
+        reports = rg.verify_all(order=args.order, entries=entries, jobs=args.jobs)
     if args.format == "json":
         _write(_json([_report_dict(r) for r in reports]), args.report)
     else:
@@ -406,6 +394,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--order must be positive")
     if getattr(args, "max_n", 1) < 1:
         parser.error("--max-n must be positive")
+    if getattr(args, "jobs", 1) < 1:
+        parser.error("--jobs must be positive")
     return args.func(args)
 
 

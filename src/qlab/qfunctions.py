@@ -41,7 +41,6 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .series import (
-    DEFAULT_TERM_CAP,
     LaurentSeries,
     NotInvertible,
     PochhammerSpec,
@@ -162,20 +161,6 @@ def qpoch(sign: int, offset: int, step: int, length: Optional[int], order: int) 
 @lru_cache(maxsize=None)
 def inv_qpoch(sign: int, offset: int, step: int, length: Optional[int], order: int) -> LaurentSeries:
     return qpoch(sign, offset, step, length, order).invert()
-
-
-def smallest_part_exponent(n: int) -> int:
-    """Exponent 3n(n+1)/2 of the theta-like tail terms; always integral."""
-    prod = 3 * n * (n + 1)
-    assert prod % 2 == 0, f"non-integral exponent at n={n}"
-    return prod // 2
-
-
-def fine_exponent(n: int) -> int:
-    """Exponent n(3n+1)/2 of Fine's number sum; always integral."""
-    prod = n * (3 * n + 1)
-    assert prod % 2 == 0, f"non-integral exponent at n={n}"
-    return prod // 2
 
 
 # ----------------------------------------------------------------------
@@ -364,15 +349,17 @@ def _term(
     return _product(scale, int(e), _at(num, n), _at(den, n), order)
 
 
+@lru_cache(maxsize=None)
 def qprod(spec: QTerm, order: int) -> LaurentSeries:
     """The single term of ``spec`` at n = ``spec.start``, exact below ``order``.
 
-    Closed product sides are stated this way.
+    Closed product sides are stated this way.  Memoized by (spec, order).
     """
     return _term(spec, spec.num, spec.den, spec.start, order)
 
 
-def qsum(spec: QTerm, order: int, cap: int = DEFAULT_TERM_CAP) -> LaurentSeries:
+@lru_cache(maxsize=None)
+def qsum(spec: QTerm, order: int) -> LaurentSeries:
     """Sum ``spec`` over n >= ``spec.start``, exact below ``order``.
 
     Factors that do not depend on n are pulled out of the sum and multiplied
@@ -380,6 +367,9 @@ def qsum(spec: QTerm, order: int, cap: int = DEFAULT_TERM_CAP) -> LaurentSeries:
     the window top, or that vanishes exactly (a zero ratio, or a numerator
     factor 1 - q^0); :func:`~qlab.series.sum_terms` does the summing, so its
     term cap and :class:`~qlab.series.TruncationStall` apply unchanged.
+
+    Results are memoized by (spec, order), so every builder and catalog side
+    that states the same sum shares one evaluation.
     """
     outer_num = _at(tuple(f for f in spec.num if f.fixed), 0)
     outer_den = _at(tuple(f for f in spec.den if f.fixed), 0)
@@ -393,7 +383,7 @@ def qsum(spec: QTerm, order: int, cap: int = DEFAULT_TERM_CAP) -> LaurentSeries:
     # order - mu.  When it vanishes the sum still runs, so that a pole or a
     # stall in it is reported rather than multiplied by zero.
     w = order - sum(v or 0 for v in mu_num) + sum(mu_den)
-    total = sum_terms(lambda i: _term(spec, num, den, spec.start + i, w), w, cap)
+    total = sum_terms(lambda i: _term(spec, num, den, spec.start + i, w), w)
     if not (outer_num or outer_den):
         return total
     if total.is_zero or None in mu_num:
@@ -420,7 +410,6 @@ def euler_product_pentagonal(order: int) -> LaurentSeries:
     return qsum(_PENTAGONAL, order).add(qsum(other, order))
 
 
-@lru_cache(maxsize=None)
 def euler_inv(order: int) -> LaurentSeries:
     """1/(q;q)_inf, the partition generating function (pentagonal fast path)."""
     return euler_product_pentagonal(order).invert()
@@ -435,7 +424,6 @@ def theta_phi_neg_sum(order: int) -> LaurentSeries:
     return qsum(QTerm(exp=(1, 0, 0), scale=2, ratio=SIGN, start=1), order) + 1
 
 
-@lru_cache(maxsize=None)
 def theta_phi_neg_prod(order: int) -> LaurentSeries:
     """(q;q)_inf / (-q;q)_inf."""
     return qprod(QTerm(num=(EULER,), den=(NEG_EULER,)), order)
@@ -473,7 +461,6 @@ def phi3_def(order: int) -> LaurentSeries:
     return qsum(_PHI3, order)
 
 
-@lru_cache(maxsize=None)
 def phi3_neg(order: int) -> LaurentSeries:
     """phi(-q) = sum (-1)^n q^(n^2) / (-q^2;q^2)_n."""
     return qsum(replace(_PHI3, ratio=SIGN), order)
@@ -687,16 +674,16 @@ def lem21_rhs(order: int, b: Monomial) -> LaurentSeries:
     return part1.add(qsum(_lem21_theta_part(b), order)).add(qsum(tail, order))
 
 
-def before_ac_rhs(order: int, b: Monomial, cap: int = DEFAULT_TERM_CAP) -> LaurentSeries:
+def before_ac_rhs(order: int, b: Monomial) -> LaurentSeries:
     """The pre-continuation form: theta part + (1+b)(1+q) sum (-b)^m/(1+q^{2m+3}).
 
     At b = 1 the final sum has constant-valuation terms and is formally
-    divergent; evaluation then raises TruncationStall at the cap.
+    divergent; evaluation then raises TruncationStall at the term cap.
     """
     part1 = qsum(_lem21_theta_part(b), order)
     num = (Poch(b.times(SIGN), 1, (0, 1)), one_plus(1))
     tail = QTerm(num=num, den=(one_plus(3, 2),), ratio=b.times(SIGN))
-    return part1.add(qsum(tail, order, cap=cap))
+    return part1.add(qsum(tail, order))
 
 
 def entry239_lhs(order: int, a: Monomial) -> LaurentSeries:
@@ -733,8 +720,17 @@ def z_identity_rhs(order: int, z: Monomial) -> LaurentSeries:
     (1/(q^2;q^2)_inf^2) [ (z^{-1}q^2;q^2)_inf (z q^2;q^2)_inf
       + sum_{n>=1} (-1)^n (1+q^n) (z^{-1};q^2)_inf (z;q^2)_inf
           q^(3n(n+1)/2) / ((1-z q^(2n)) (1-q^(2n)/z)) ]
+
+    At z = q^(2j), j != 0, the term n = |j| is 0/0: a zero factor of
+    (z^{-1};q^2)_inf (z;q^2)_inf cancels the vanishing denominator.  The
+    product form cannot take that limit, so such z are rejected.
     """
     zi = _z_inv(z)
+    if z.coeff == 1 and z.power and z.power % 2 == 0:
+        raise UnsupportedParameter(
+            f"z_identity_rhs has a removable singularity at z={z} "
+            f"(0/0 in the term n={abs(z.power) // 2}); z_identity_lhs evaluates there"
+        )
     head = QTerm(num=(Poch(zi.times_q(2), 2), Poch(z.times_q(2), 2)), den=(EULER_Q2,) * 2)
     tail = QTerm(
         exp=(3 * HALF, 3 * HALF, 0),
@@ -950,9 +946,6 @@ def builder_forms(name: str) -> Tuple[Callable[..., LaurentSeries], ...]:
     return series_def(name).forms
 
 
-_BUILD_MEMO: Dict[tuple, LaurentSeries] = {}
-
-
 def build(
     name: str,
     order: int,
@@ -977,14 +970,9 @@ def build(
         )
     if not 0 <= form < len(sdef.forms):
         raise IndexError(f"{name} has forms 0..{len(sdef.forms) - 1}, got {form}")
-    key = (name, form, order, tuple(sorted((k, v) for k, v in given.items())))
-    hit = _BUILD_MEMO.get(key)
-    if hit is not None:
-        return hit
     result = sdef.forms[form](order, **given)
     if result.order < order:
         raise InvalidWindowContract(name, result.order, order)
-    _BUILD_MEMO.setdefault(key, result)
     return result
 
 

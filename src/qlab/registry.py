@@ -2,10 +2,12 @@
 
 Each :class:`IdentityEntry` pairs two independent series builders (left and
 right side of one identity) with the monomial specializations at which the
-identity is checked and a default truncation order.  :func:`verify` builds
-both sides and compares them coefficient by coefficient through
-:meth:`LaurentSeries.equal_up_to`; :func:`verify_all` runs the whole catalog
-and aggregates per-row results without aborting on failures.
+identity is checked and a default truncation order.  :func:`verify_all`
+runs a set of rows (the whole catalog, or the entries :func:`select` resolves
+from a selector): it builds both sides of each row, compares them coefficient
+by coefficient through :meth:`LaurentSeries.equal_up_to`, and turns a failing
+row into a failed report without aborting the run.  :func:`verify` checks one
+row the same way.
 
 Parameterized identities are checked at finitely many monomial
 specializations with distinct exponents rather than through a bivariate
@@ -24,12 +26,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .series import (
-    DEFAULT_TERM_CAP,
-    LaurentSeries,
-    Mismatch,
-    TruncationStall,
-)
+from .series import LaurentSeries, Mismatch, TruncationStall
 from . import qfunctions as qf
 from .qfunctions import (
     EULER,
@@ -73,7 +70,6 @@ class Specialization:
     label: Optional[str]
     params: Tuple[Tuple[str, Monomial], ...] = ()
     expects_stall: bool = False
-    term_cap: Optional[int] = None
 
     def param_dict(self) -> Dict[str, Monomial]:
         return dict(self.params)
@@ -92,7 +88,6 @@ class IdentityEntry:
     rhs: SideBuilder
     specializations: Tuple[Specialization, ...] = UNSPECIALIZED
     default_order: int = 100
-    takes_cap: bool = False
 
     def specialization(self, label: Optional[str]) -> Specialization:
         for spec in self.specializations:
@@ -355,10 +350,6 @@ def _named_form(name: str, form: int) -> SideBuilder:
     return side
 
 
-def _before_ac_side(order: int, b: Monomial, cap: int = DEFAULT_TERM_CAP) -> LaurentSeries:
-    return qf.before_ac_rhs(order, b, cap=cap)
-
-
 _B_VALUES = (MONO_ZERO, MONO_Q, mono(1, 2), MONO_ONE)
 _Z_VALUES = (MONO_Q, mono(1, 3), mono(1, 5))
 _A_VALUES = (MONO_ONE, MONO_Q, mono(1, 2))
@@ -419,18 +410,12 @@ def _build_catalog() -> Tuple[IdentityEntry, ...]:
         id="eq-before-ac",
         anchor="pre-continuation evaluation; b=1 is the divergence control",
         lhs=_named("lem21_lhs"),
-        rhs=_before_ac_side,
+        rhs=_named("before_ac_rhs"),
         specializations=tuple(
-            Specialization(
-                label=f"b={v}",
-                params=(("b", v),),
-                expects_stall=(v == MONO_ONE),
-                term_cap=20_000 if v == MONO_ONE else None,
-            )
+            Specialization(label=f"b={v}", params=(("b", v),), expects_stall=(v == MONO_ONE))
             for v in _B_VALUES
         ),
         default_order=60,
-        takes_cap=True,
     ))
     add(IdentityEntry(
         id="eq-4parameter",
@@ -606,6 +591,26 @@ def get_entry(entry_id: str) -> IdentityEntry:
         raise UnknownIdentity(entry_id) from None
 
 
+def _one_row(entry_id: str, label: Optional[str]) -> IdentityEntry:
+    entry = get_entry(entry_id)
+    return replace(entry, specializations=(entry.specialization(label),))
+
+
+def select(selector: str) -> Tuple[IdentityEntry, ...]:
+    """The catalog rows a selector names, as entries for :func:`verify_all`.
+
+    ``all`` is the whole catalog, an id is that entry with every
+    specialization, and ``id@label`` is the entry cut down to that one row.
+    Raises :class:`UnknownIdentity` or :class:`UnknownSpecialization`.
+    """
+    if selector == "all":
+        return _CATALOG
+    entry_id, at, label = selector.partition("@")
+    if at:
+        return (_one_row(entry_id, label),)
+    return (get_entry(entry_id),)
+
+
 # ----------------------------------------------------------------------
 # verification
 
@@ -613,8 +618,7 @@ def get_entry(entry_id: str) -> IdentityEntry:
 def _run_row(
     entry: IdentityEntry, spec: Specialization, order: int
 ) -> VerificationReport:
-    params = spec.param_dict()
-    kwargs = dict(params)
+    kwargs = spec.param_dict()
     start = time.perf_counter()
 
     def report(**kw) -> VerificationReport:
@@ -630,10 +634,7 @@ def _run_row(
 
     try:
         lhs = entry.lhs(order, **kwargs)
-        if entry.takes_cap and spec.term_cap is not None:
-            rhs = entry.rhs(order, cap=spec.term_cap, **kwargs)
-        else:
-            rhs = entry.rhs(order, **kwargs)
+        rhs = entry.rhs(order, **kwargs)
     except TruncationStall as stall:
         if spec.expects_stall:
             return report(passed=True, first_mismatch=None, stalled=True)
@@ -654,26 +655,9 @@ def verify(
     specialization: Optional[str] = None,
     order: Optional[int] = None,
 ) -> VerificationReport:
-    """Verify one catalog row; raises on unknown ids or unexpected stalls."""
-    entry = get_entry(entry_id)
-    spec = entry.specialization(specialization)
-    return _run_row(entry, spec, order if order is not None else entry.default_order)
-
-
-def _row_order(entry: IdentityEntry, order: Optional[int]) -> int:
-    if order is None:
-        return entry.default_order
-    return min(order, entry.default_order)
-
-
-def _rows(
-    entries: Sequence[IdentityEntry], order: Optional[int]
-) -> List[Tuple[IdentityEntry, Specialization, int]]:
-    return [
-        (entry, spec, _row_order(entry, order))
-        for entry in entries
-        for spec in entry.specializations
-    ]
+    """Verify one catalog row; raises only on unknown ids or specializations."""
+    (report,) = verify_all(order, (_one_row(entry_id, specialization),))
+    return report
 
 
 def _run_row_guarded(
@@ -707,15 +691,22 @@ def verify_all(
     entries: Optional[Sequence[IdentityEntry]] = None,
     jobs: int = 1,
 ) -> List[VerificationReport]:
-    """Verify every catalog row; never raises, failures become failed reports.
+    """Verify every row of ``entries`` (default: the whole catalog).
 
-    ``order`` caps each row at its default order (specialized rows keep their
-    smaller default), so ``verify_all(100)`` runs unparameterized entries at
-    100 and specialized ones at 60.  Results are sorted by row id regardless
-    of execution order.
+    Never raises: a row whose sides fail to build becomes a failed report.
+    Every row runs at ``order``, or at its entry's default order when
+    ``order`` is None.  With ``jobs > 1`` and several catalog rows, the rows
+    run in a process pool.  Results are sorted by row id regardless of
+    execution order.
     """
-    rows = _rows(entries if entries is not None else _CATALOG, order)
-    if jobs > 1 and entries is None and len(rows) > 1:
+    entries = _CATALOG if entries is None else entries
+    rows = [
+        (entry, spec, order if order is not None else entry.default_order)
+        for entry in entries
+        for spec in entry.specializations
+    ]
+    # workers rebuild each row from its catalog id
+    if jobs > 1 and len(rows) > 1 and all(_BY_ID.get(e.id) is e for e in entries):
         import concurrent.futures
 
         args = [(e.id, s.label, o) for e, s, o in rows]

@@ -33,8 +33,10 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 Rational = Union[int, Fraction]
 
 #: Default bound on term evaluations in :func:`sum_terms` before a formally
-#: divergent sum is reported via :class:`TruncationStall`.
-DEFAULT_TERM_CAP = 100_000
+#: divergent sum is reported via :class:`TruncationStall`.  The catalog's
+#: convergent sums stop within order + 1 terms, so below order 20,000 the cap
+#: only bounds how long a divergent sum runs.
+DEFAULT_TERM_CAP = 20_000
 
 
 class SeriesError(Exception):

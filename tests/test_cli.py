@@ -123,6 +123,24 @@ def test_verify_bare_id_covers_all_specializations(capsys):
     assert [r["specialization"] for r in reports] == ["a=1", "a=q", "a=q^2"]
 
 
+def test_verify_builder_failure_is_a_failed_report(capsys, monkeypatch):
+    import dataclasses
+
+    import qlab.registry as rg
+    from qlab.series import NotInvertible
+
+    def broken(order):
+        raise NotInvertible("synthetic builder failure")
+
+    entry = dataclasses.replace(rg.get_entry("thm-1.1"), rhs=broken)
+    monkeypatch.setitem(rg._BY_ID, "thm-1.1", entry)
+    code, out, err = run(capsys, "verify", "thm-1.1", "--order", "10", "--jobs", "1")
+    assert code == 1
+    (report,) = json.loads(out)
+    assert report["id"] == "thm-1.1" and not report["pass"]
+    assert "Traceback" not in err
+
+
 def test_verify_unknown_id_usage_error(capsys):
     code, _, err = run(capsys, "verify", "unknown-id")
     assert code == 2
@@ -248,9 +266,27 @@ def test_env_var_overrides_default_order(capsys, monkeypatch):
 
 
 def test_invalid_env_var_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("QLAB_ORDER_DEFAULT", "zero")
-    with pytest.raises(SystemExit):
-        main(["compute", "euler_inverse"])
+    for value in ("zero", "abc", "0"):
+        monkeypatch.setenv("QLAB_ORDER_DEFAULT", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["list"])
+        assert exc.value.code == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "thm-1.1", "--jobs", "0"],
+        ["verify", "all", "--jobs", "-3"],
+        ["stats", "--jobs", "0"],
+    ],
+)
+def test_jobs_below_one_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1].endswith("--jobs must be positive")
 
 
 def test_compute_output_bytes_deterministic(tmp_path, capsys):
@@ -290,6 +326,7 @@ def test_format_rational():
         ["f3_def", "--form", "-1"],
         ["G_series", "--form", "3"],
         ["z_identity_lhs", "--param", "z=0"],
+        ["z_identity_rhs", "--param", "z=q^2"],
     ],
 )
 def test_compute_malformed_input_is_a_usage_error(argv):

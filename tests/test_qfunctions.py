@@ -14,10 +14,8 @@ from qlab.qfunctions import (
     UnknownName,
     build,
     builder_forms,
-    fine_exponent,
     mono,
     names,
-    smallest_part_exponent,
 )
 from qlab.series import TruncationStall
 
@@ -122,12 +120,6 @@ def test_shifted_omega_counts_partitions():
         assert shifted.coefficient(n) == pt.count_omega_interpretation(n), f"n={n}"
 
 
-def test_exponent_helpers_integral():
-    for n in range(1, 200):
-        assert smallest_part_exponent(n) * 2 == 3 * n * (n + 1)
-        assert fine_exponent(n) * 2 == n * (3 * n + 1)
-
-
 def test_rank_parity_matches_f3():
     f3 = build("f3_def", 21)
     for n in range(1, 21):
@@ -163,6 +155,13 @@ def test_z_identity_negative_powers_of_z():
     z = mono(1, -3)
     lhs = build("z_identity_lhs", 30, {"z": z})
     assert lhs.equal_up_to(build("z_identity_rhs", 30, {"z": z}), 30) == (True, None)
+
+
+def test_z_identity_rhs_evaluates_next_to_its_removable_singularities():
+    """Only z = q^(2j), j != 0, is rejected; these z keep both sides equal."""
+    for z in (mono(-1, 2), MONO_ONE, mono(-1), mono(1, 3)):
+        lhs = build("z_identity_lhs", 20, {"z": z})
+        assert lhs.equal_up_to(build("z_identity_rhs", 20, {"z": z}), 20) == (True, None), z
 
 
 def test_builders_honor_requested_order():

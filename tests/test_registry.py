@@ -206,11 +206,12 @@ def test_monotonicity_spot_check():
             assert verify(entry_id, order=low).passed, f"{entry_id}@{low}"
 
 
-def test_verify_all_order_caps_specialized_rows():
-    reports = verify_all(order=100)
-    by_row = {r.row_id: r for r in reports}
-    assert by_row["thm-1.1"].order == 100
-    assert by_row["lem-2.1@b=q"].order == 60
+def test_verify_all_order_applies_to_every_row():
+    reports = verify_all(order=80)
+    assert sorted(r.row_id for r in reports) == sorted(all_row_ids())
+    assert all(r.order == 80 for r in reports)
+    failed = [r.row_id for r in reports if not r.passed]
+    assert not failed, failed
 
 
 def test_parallel_fanout_matches_serial():
