@@ -45,6 +45,10 @@ from .series import (
     NotInvertible,
     PochhammerSpec,
     Rational,
+    TruncationStall,
+    _binomial_divide_inplace,
+    _binomial_factor_inplace,
+    _make,
     monomial,
     pochhammer,
     sum_terms,
@@ -349,6 +353,135 @@ def _term(
     return _product(scale, int(e), _at(num, n), _at(den, n), order)
 
 
+# binomials 1 - sign*q^e at e = first, first + step, ... below end (None: no end)
+_Run = Tuple[int, Optional[int]]
+
+
+def _moves(p: Poch, n: int) -> Optional[Tuple[List[_Run], List[_Run]]]:
+    """The binomials of ``p`` that leave and that enter going from n to n + 1.
+
+    Binomial j of the factor at n has exponent off + j*step.  When the slope
+    is m steps, the factor at n + 1 holds the binomials m <= j < m + length
+    of the same progression, so each way the change is at most two runs;
+    otherwise every binomial leaves and the whole factor at n + 1 enters.
+    ``None`` when the length at n + 1 is negative.
+    """
+    step, off = p.step, p.arg.power + p.slope * n
+    if p.length is None:
+        old = new = None
+    else:
+        a, b = p.length
+        old, new = a * n + b, a * (n + 1) + b
+        if new < 0:
+            return None
+
+    def run(base: int, lo: int, hi: Optional[int]) -> _Run:
+        return base + lo * step, None if hi is None else base + hi * step
+
+    m, r = divmod(p.slope, step)
+    if r:
+        leave, enter = [run(off, 0, old)], [run(off + p.slope, 0, new)]
+    elif old is None:
+        leave, enter = [run(off, 0, m)], [run(off, m, 0)]
+    else:
+        leave = [run(off, 0, min(old, m)), run(off, max(0, m + new), old)]
+        enter = [run(off, m, min(m + new, 0)), run(off, max(m, old), m + new)]
+    return (
+        [(f, e) for f, e in leave if e is None or f < e],
+        [(f, e) for f, e in enter if e is None or f < e],
+    )
+
+
+def _stepped_terms(
+    spec: QTerm, num: Tuple[Poch, ...], den: Tuple[Poch, ...], order: int
+) -> Callable[[int], LaurentSeries]:
+    """Term ``spec.start + i`` of the sum of ``spec`` over ``num``/``den``, for each i.
+
+    Term n is scale_n * q^(e_n) * P_n, P_n = prod(num) / prod(den) at n, and
+    must be exact below ``order``.  P_n is kept as integer numerators over
+    one denominator on [val, val + width), width = order - (the term's
+    valuation), and stepped to n + 1 in place: the window is cut to the new
+    width and each binomial that leaves or enters below it costs one O(width)
+    pass.  :func:`_product` builds P afresh for the first term, for a step
+    that changes a binomial at exponent <= 0 (the valuation may move, or the
+    factor vanish), for a negative length and for a width that grows.
+
+    When the exponent is constant in n and no factor's slope or length slope
+    is negative, a step that changes no binomial below the width is a fixed
+    point: every later change lies further up, and the ratio is nonzero (a
+    zero scale ends the sum before any step), so every later term is a
+    nonzero multiple of this one with the same valuation.  No term can clear
+    the window, and :class:`TruncationStall` is raised at once.  Calls must
+    come in order of i; any other call rebuilds.
+    """
+    e2, e1, e0 = spec.exp
+    e1 += spec.ratio.power
+    factors = [
+        (p, 1 if p.arg.coeff == 1 else -1, on_num)
+        for ps, on_num in ((num, True), (den, False))
+        for p in ps
+        if not p.arg.is_zero
+    ]
+    steady = e2 == 0 and e1 == 0 and all(
+        p.slope >= 0 and (p.length is None or p.length[0] >= 0) for p, _, _ in factors
+    )
+    state: list = []  # [n, numerators of P_n, their denominator, val]; [] after a zero term
+
+    def advance(n: int, top: int) -> bool:
+        # P_n -> P_(n+1), whose window must reach ``top``; False when P must be rebuilt
+        _, arr, _, val = state
+        passes = []
+        for p, sign, on_num in factors:
+            moves = _moves(p, n)
+            if moves is None:
+                return False
+            for runs, multiply in zip(moves, (not on_num, on_num)):
+                for first, end in runs:
+                    if first <= 0:
+                        return False
+                    if first < len(arr):
+                        passes.append((first, end, p.step, sign, multiply))
+        if steady and not passes:
+            raise TruncationStall(
+                f"from term n={n} on every term has valuation {order - len(arr)} "
+                f"below order {order}, so no term can clear the window"
+            )
+        width = top - val
+        if width > len(arr):
+            return False
+        if width <= 0:
+            state.clear()
+            return True
+        del arr[width:]
+        for first, end, step, sign, multiply in passes:
+            apply = _binomial_factor_inplace if multiply else _binomial_divide_inplace
+            for e in range(first, width if end is None else min(end, width), step):
+                apply(arr, sign, e)
+        state[0] = n + 1
+        return True
+
+    def term(i: int) -> LaurentSeries:
+        n = spec.start + i
+        e = e2 * n * n + e1 * n + e0
+        if e != int(e):
+            raise ValueError(f"non-integral exponent {e} at n={n}")
+        e = int(e)
+        scale = Fraction(spec.scale * spec.ratio.coeff**n * (n if spec.times_n else 1))
+        if not scale:
+            return _product(0, e, _at(num, n), _at(den, n), order)
+        if not (state and state[0] == n - 1 and advance(n - 1, order - e)):
+            p = _product(1, 0, _at(num, n), _at(den, n), order - e)
+            state[:] = [n, list(p.nums), p.den, p.min_exp] if p.nums else []
+        if not state:
+            return zero(order)
+        _, arr, den_p, val = state
+        c = scale.numerator
+        nums = arr if c == 1 else [x * c for x in arr]
+        return _make(val + e, nums, den_p * scale.denominator, order)
+
+    return term
+
+
 @lru_cache(maxsize=None)
 def qprod(spec: QTerm, order: int) -> LaurentSeries:
     """The single term of ``spec`` at n = ``spec.start``, exact below ``order``.
@@ -363,10 +496,16 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
     """Sum ``spec`` over n >= ``spec.start``, exact below ``order``.
 
     Factors that do not depend on n are pulled out of the sum and multiplied
-    in once.  The sum stops at the first term whose exact valuation reaches
+    in once.  Each term is stepped from the one before by the binomials that
+    leave or enter its factors (:func:`_stepped_terms`), so a sum to order N
+    costs O(N) per changed binomial instead of an O(N^2) product and inverse
+    per term.  The sum stops at the first term whose exact valuation reaches
     the window top, or that vanishes exactly (a zero ratio, or a numerator
     factor 1 - q^0); :func:`~qlab.series.sum_terms` does the summing, so its
-    term cap and :class:`~qlab.series.TruncationStall` apply unchanged.
+    term cap and :class:`~qlab.series.TruncationStall` apply unchanged.  A
+    sum whose terms reach a fixed point below the window raises
+    :class:`~qlab.series.TruncationStall` at once, naming the term and its
+    valuation.
 
     Results are memoized by (spec, order), so every builder and catalog side
     that states the same sum shares one evaluation.
@@ -383,7 +522,7 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
     # order - mu.  When it vanishes the sum still runs, so that a pole or a
     # stall in it is reported rather than multiplied by zero.
     w = order - sum(v or 0 for v in mu_num) + sum(mu_den)
-    total = sum_terms(lambda i: _term(spec, num, den, spec.start + i, w), w)
+    total = sum_terms(_stepped_terms(spec, num, den, w), w)
     if not (outer_num or outer_den):
         return total
     if total.is_zero or None in mu_num:

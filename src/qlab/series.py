@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -476,6 +477,27 @@ def _binomial_factor_inplace(arr: list, sign: int, e: int) -> None:
             arr[: length - m] = [x - y for x, y in zip(arr[: length - m], arr[m:])]
         else:
             arr[: length - m] = [x + y for x, y in zip(arr[: length - m], arr[m:])]
+
+
+def _binomial_divide_inplace(arr: list, sign: int, e: int) -> None:
+    """Divide the dense window ``arr`` by (1 - sign*q^e), e >= 1, in place.
+
+    This is ``arr[k] += sign*arr[k - e]`` for rising k, which stays exact in
+    integers.  Dividing by 1 + q^e is multiplying by 1 - q^e and dividing by
+    1 - q^(2e), so only running sums remain: along each residue class mod e
+    when there are few of them, else block by block, each block of e adding
+    the finished block before it.
+    """
+    if sign == -1:
+        _binomial_factor_inplace(arr, 1, e)
+        e *= 2
+    length = len(arr)
+    if e * e < length:
+        for r in range(e):
+            arr[r::e] = accumulate(arr[r::e])
+    else:
+        for i in range(e, length, e):
+            arr[i : i + e] = [x + y for x, y in zip(arr[i : i + e], arr[i - e : i])]
 
 
 def pochhammer(spec: PochhammerSpec, order: int) -> LaurentSeries:

@@ -1,10 +1,14 @@
 """Tests for the named series builders and their cross-form invariants."""
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qlab import partitions as pt
+from qlab import qfunctions as qf
 from qlab.qfunctions import (
     MONO_ONE,
     MONO_Q,
@@ -17,7 +21,7 @@ from qlab.qfunctions import (
     mono,
     names,
 )
-from qlab.series import TruncationStall
+from qlab.series import DEFAULT_TERM_CAP, TruncationStall, sum_terms
 
 
 def coeffs(series, lo, hi):
@@ -179,8 +183,21 @@ def test_builders_honor_requested_order():
 
 
 def test_before_ac_stalls_at_one():
-    with pytest.raises(TruncationStall):
-        build("before_ac_rhs", 20, {"b": MONO_ONE})
+    """The divergent tail is caught at its fixed point, long before the cap."""
+    terms = 0
+
+    def counted_sum(term, order, *rest):
+        def counted_term(i):
+            nonlocal terms
+            terms += 1
+            return term(i)
+
+        return sum_terms(counted_term, order, *rest)
+
+    with patch.object(qf, "sum_terms", counted_sum):
+        with pytest.raises(TruncationStall, match=r"term n=\d+ on every term has valuation -?\d+ "):
+            build("before_ac_rhs", 20, {"b": MONO_ONE})
+    assert 0 < terms < DEFAULT_TERM_CAP // 100
 
 
 def test_monomial_parse():
@@ -196,6 +213,17 @@ def test_monomial_parse():
         Monomial.parse("x+1")
 
 
-def test_monomial_str_roundtrip():
-    for m in (MONO_ZERO, MONO_ONE, MONO_Q, mono(1, -1), mono(-1, 2), Monomial(Fraction(1, 2), 3)):
-        assert Monomial.parse(str(m)) == m
+@example(m=MONO_ZERO)
+@example(m=MONO_ONE)
+@example(m=MONO_Q)
+@example(m=mono(1, -1))
+@example(m=mono(-1, 2))
+@example(m=Monomial(Fraction(1, 2), 3))
+@given(
+    m=st.one_of(
+        st.just(MONO_ZERO),
+        st.builds(Monomial, st.fractions().filter(bool), st.integers()),
+    )
+)
+def test_monomial_str_roundtrip(m):
+    assert Monomial.parse(str(m)) == m

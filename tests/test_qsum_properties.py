@@ -8,12 +8,19 @@ the ``builder_forms`` cross-checks stay the independent witnesses of the
 catalog's values.
 """
 
+from collections import Counter
+from contextlib import ExitStack
 from fractions import Fraction
+from functools import partial
+from unittest.mock import patch
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlab.qfunctions import MONO_ONE, MONO_ZERO, N, SIGN, Monomial, Poch, QTerm, mono, qprod, qsum
+from qlab import qfunctions as qf
+from qlab.qfunctions import MONO_ONE, MONO_ZERO, N, SIGN, Monomial, Poch, QTerm, build, mono, qprod, qsum
+from qlab.series import sum_terms
 
 # first exponents go down to -3, so a factor's valuation is at least -6
 MAX_NEG_VALUATION = 6
@@ -73,3 +80,114 @@ def test_qprod_is_exact_below_its_order(spec, order):
     small = qprod(spec, order)
     assert small.order >= order
     assert small.equal_up_to(qprod(spec, order + 40), order) == (True, None)
+
+
+# ----------------------------------------------------------------------
+# stepped qsum against terms built afresh
+
+# Both routes run under this cap.  A steady draw (below) keeps one window,
+# at most 66 wide; within some 70 steps each factor has moved its binomials
+# above it (or, moving down, ended the sum), and from then on every step is
+# a fixed point.  So a sum that has not closed by 200 terms never closes, and
+# the cap keeps the rebuilt route quick.
+CAP = 200
+
+
+def rebuilt_terms(spec, num, den, order):
+    """Every term built afresh by ``_product``, as qsum summed before it stepped."""
+    return lambda i: qf._term(spec, num, den, spec.start + i, order)
+
+
+def outcome(spec, order, stepped):
+    """``qsum(spec, order)`` without its memo, or the name of the exception it raised."""
+    with ExitStack() as stack:
+        stack.enter_context(patch.object(qf, "sum_terms", partial(sum_terms, cap=CAP)))
+        if not stepped:
+            stack.enter_context(patch.object(qf, "_stepped_terms", rebuilt_terms))
+        try:
+            return qf.qsum.__wrapped__(spec, order)
+        except Exception as exc:
+            return type(exc).__name__
+
+
+@st.composite
+def stepper_qterms(draw, steady):
+    """Terms that exercise every kind of step.
+
+    Steps 2 and 3 with slopes 1, 2 move a factor by part of a step; (0, 0)
+    and N lengths give empty factors; 1 - q^0 and 1 + q^0 occur on both
+    sides.  Numerator slopes are >= 0, so with offsets >= -3 each numerator
+    has valuation >= -6 and a denominator's valuation only raises the
+    term's.  Non-steady terms then close: e2 = 1 with e1 down to -4 makes
+    the valuations dip and the window grow before they rise, and e2 = 0
+    comes with e1 + ratio.power >= 1.  Steady terms have e2 = 0,
+    e1 = -ratio.power and a nonzero ratio; a denominator that moves down
+    makes one close after all, so it must not be taken for a fixed point.
+    """
+    ratios = [MONO_ONE, SIGN, Monomial(Fraction(1, 2), 1), mono(-1, 2), mono(1, -1)]
+    ratio = draw(st.sampled_from(ratios + ([] if steady else [MONO_ZERO])))
+    if steady:
+        exp = (0, -ratio.power, draw(st.integers(-8, 3)))
+    elif draw(st.booleans()):
+        exp = (1, draw(st.integers(-4, 8)), draw(st.integers(-8, 3)))
+    else:
+        exp = (0, draw(st.integers(1, 8)) - ratio.power, draw(st.integers(-8, 3)))
+    args = st.builds(mono, st.sampled_from([1, -1]), st.integers(-3, 3))
+    steps = st.sampled_from([1, 2, 3])
+    num = st.builds(Poch, args, steps, lengths, st.integers(0, 3))
+    den = st.builds(Poch, args, steps, lengths, st.integers(-1, 3))
+    start = draw(st.integers(0, 2))
+    return QTerm(
+        exp,
+        tuple(draw(st.lists(num, max_size=3))),
+        tuple(draw(st.lists(den, max_size=3))),
+        scale=draw(st.sampled_from([1, -1, Fraction(-1, 3)])),
+        ratio=ratio,
+        times_n=start > 0 and draw(st.booleans()),
+        start=start,
+    )
+
+
+# a length that turns negative at n = 4 raises on both routes
+@example(spec=QTerm((1, 0, 0), (Poch(mono(-1, 1), 1, (-1, 3)),)), order=30)
+@settings(max_examples=200, deadline=None)
+@given(spec=stepper_qterms(steady=False), order=st.integers(1, 40))
+def test_stepped_qsum_equals_rebuilt_terms(spec, order):
+    assert outcome(spec, order, stepped=True) == outcome(spec, order, stepped=False)
+
+
+# changes above the window of width 2 that later come down into it: a
+# falling exponent ends in NotInvertible, a falling length in ValueError
+@example(spec=QTerm(den=(Poch(mono(1, 4), 1, (0, 1), -1),)), order=2)
+@example(spec=QTerm(num=(Poch(mono(-1, 1), 1, (-1, 6)),)), order=3)
+@settings(max_examples=100, deadline=None)
+@given(spec=stepper_qterms(steady=True), order=st.integers(1, 40))
+def test_steady_terms_give_equal_series_or_both_stall(spec, order):
+    assert outcome(spec, order, stepped=True) == outcome(spec, order, stepped=False)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("f3_def", None), ("spt_lhs", None), ("No_plus_series", None), ("z_identity_lhs", {"z": mono(1, 3)})],
+)
+def test_catalog_sums_step_instead_of_rebuilding(name, params):
+    """A silent fall-back to a rebuild per term fails here, not only runs slowly."""
+    counts = Counter()
+    product = qf._product
+
+    def counted_product(*args):
+        counts["rebuilds"] += 1
+        return product(*args)
+
+    def counted_sum(term, order, *rest):
+        def counted_term(i):
+            counts["terms"] += 1
+            return term(i)
+
+        return sum_terms(counted_term, order, *rest)
+
+    qf.qsum.cache_clear()
+    with patch.object(qf, "_product", counted_product), patch.object(qf, "sum_terms", counted_sum):
+        build(name, 200, params)
+    assert counts["terms"] > 10, counts
+    assert counts["rebuilds"] <= 3, counts
