@@ -192,11 +192,17 @@ def _verify_combinatorial(max_n: int) -> rg.VerificationReport:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.selector == "thm-1.2-combinatorial":
-        if args.max_n > pt.DEFAULT_CAP:
+    combinatorial = args.selector == "thm-1.2-combinatorial"
+    if (args.order if combinatorial else args.max_n) is not None:
+        option = "--order" if combinatorial else "--max-n"
+        print(f"error: {option} does not apply to selector {args.selector}", file=sys.stderr)
+        return USAGE_ERROR
+    if combinatorial:
+        max_n = 40 if args.max_n is None else args.max_n
+        if max_n > pt.DEFAULT_CAP:
             print(f"error: --max-n beyond enumeration cap {pt.DEFAULT_CAP}", file=sys.stderr)
             return USAGE_ERROR
-        reports = [_verify_combinatorial(args.max_n)]
+        reports = [_verify_combinatorial(max_n)]
     else:
         try:
             entries = rg.select(args.selector)
@@ -367,7 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify identities")
     p.add_argument("selector", help="'all', an id, id@specialization, or thm-1.2-combinatorial")
     p.add_argument("--order", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=40, dest="max_n")
+    p.add_argument(
+        "--max-n", type=int, default=None, dest="max_n", help="thm-1.2-combinatorial only (default 40)"
+    )
     p.add_argument("--jobs", type=int, default=cpus)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--report", default=None, help="write the report to this path")
@@ -390,9 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "order", 1) is not None and getattr(args, "order", 1) < 1:
+    if getattr(args, "order", None) is not None and args.order < 1:
         parser.error("--order must be positive")
-    if getattr(args, "max_n", 1) < 1:
+    if getattr(args, "max_n", None) is not None and args.max_n < 1:
         parser.error("--max-n must be positive")
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be positive")

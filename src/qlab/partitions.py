@@ -4,23 +4,21 @@ Every quantity here is computed by direct enumeration of the objects being
 counted, with no series machinery involved, so this module serves as the
 independent oracle for the generating-function side of the package.
 
-Covered statistics, per weight n:
-
-* p(n) and the rank classification (rank = largest part minus number of
-  parts): counts of partitions with even rank, odd rank, and positive odd
-  rank.
-* spt(n): total number of smallest parts over all partitions of n.
-* Two-color (red/blue) partitions with an even smallest part 2m where red
-  parts are even and confined to the interval (2m, 4m], their count, their
-  explicit lists, and their smallest-part count; plus the odd-smallest-part
-  variant.
-* Partitions in which every odd part is less than twice the smallest part.
+Per weight n, one walk over the partitions of n gives p(n), the rank
+classification (rank = largest part minus number of parts; even, odd and
+positive odd counts), spt(n) (the total number of smallest parts) and the
+number of partitions whose odd parts are all below twice the smallest part.
+One generator walks the two-color (red/blue) partitions with a blue smallest
+part 2m (even) or 2m+1 (odd) and red parts even in (2m, 4m]: it gives both
+counts, the smallest-part total of the even family and the explicit lists.
+Every weight must lie in 1..DEFAULT_CAP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import starmap
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 #: Largest weight accepted by the enumerators (about 1e6 partitions at 60).
 DEFAULT_CAP = 60
@@ -132,27 +130,29 @@ class StatRow:
     odd_part_bounded: int
 
 
-def _check_cap(n: int, cap: int) -> None:
+def _check_cap(n: int) -> None:
     if n < 1:
         raise ValueError(f"weight must be positive, got {n}")
-    if n > cap:
-        raise CapExceeded(f"weight {n} exceeds enumeration cap {cap}")
+    if n > DEFAULT_CAP:
+        raise CapExceeded(f"weight {n} exceeds enumeration cap {DEFAULT_CAP}")
 
 
-def iter_partitions(n: int, max_part: Optional[int] = None) -> Iterator[Partition]:
-    """Yield all partitions of n with parts <= max_part, largest-first order."""
+def iter_partitions(
+    n: int, max_part: Optional[int] = None, min_part: int = 1
+) -> Iterator[Partition]:
+    """Yield all partitions of n with parts in [min_part, max_part], largest-first order."""
     if n == 0:
         yield ()
         return
     top = n if max_part is None else min(max_part, n)
-    for first in range(top, 0, -1):
-        for rest in iter_partitions(n - first, first):
+    for first in range(top, min_part - 1, -1):
+        for rest in iter_partitions(n - first, first, min_part):
             yield (first,) + rest
 
 
-def enumerate_partitions(n: int, cap: int = DEFAULT_CAP) -> List[Partition]:
+def enumerate_partitions(n: int) -> List[Partition]:
     """All partitions of n, each exactly once, in deterministic order."""
-    _check_cap(n, cap)
+    _check_cap(n)
     return list(iter_partitions(n))
 
 
@@ -165,54 +165,61 @@ def rank(parts: Sequence[int]) -> int:
     return max(parts) - len(parts)
 
 
-def rank_stats(n: int, cap: int = DEFAULT_CAP) -> RankStats:
+def _walk(n: int) -> Tuple[Dict[int, int], int, int]:
+    """One pass over the partitions of n: rank histogram, spt(n), odd-part-bounded count.
+
+    Each partition is built as runs of equal parts, largest value first,
+    so its last run is its smallest part with that part's multiplicity.
+    ``r`` is the largest part minus the parts placed so far, and the first
+    odd value placed is the largest odd part.
+    """
+    _check_cap(n)
+    ranks: Dict[int, int] = {}
+    spt_total = bounded = 0
+
+    def visit(rest: int, below: int, r: Optional[int], odd: int) -> None:
+        nonlocal spt_total, bounded
+        for v in range(min(below - 1, rest), 0, -1):
+            odd_v = odd or v % 2 and v
+            # a run of ones must use up the rest
+            for k in range(rest // v, 0 if v > 1 else rest - 1, -1):
+                r_k = (v if r is None else r) - k
+                if rest > k * v:
+                    visit(rest - k * v, v, r_k, odd_v)
+                else:
+                    ranks[r_k] = ranks.get(r_k, 0) + 1
+                    spt_total += k
+                    bounded += odd_v < 2 * v
+
+    visit(n, n + 1, None, 0)
+    return ranks, spt_total, bounded
+
+
+def _rank_stats(ranks: Dict[int, int]) -> RankStats:
+    total = sum(ranks.values())
+    odd = sum(c for r, c in ranks.items() if r % 2)
+    odd_positive = sum(c for r, c in ranks.items() if r % 2 and r > 0)
+    return RankStats(total, total - odd, odd, odd_positive)
+
+
+def rank_stats(n: int) -> RankStats:
     """Classify all partitions of n by rank parity and sign."""
-    _check_cap(n, cap)
-    total = even = odd = odd_pos = 0
-    for parts in iter_partitions(n):
-        total += 1
-        r = parts[0] - len(parts)
-        if r % 2 == 0:
-            even += 1
-        else:
-            odd += 1
-            if r > 0:
-                odd_pos += 1
-    return RankStats(total, even, odd, odd_pos)
+    return _rank_stats(_walk(n)[0])
 
 
-def rank_histogram(n: int, cap: int = DEFAULT_CAP) -> dict:
+def rank_histogram(n: int) -> dict:
     """Map rank value -> number of partitions of n with that rank."""
-    _check_cap(n, cap)
-    hist: dict = {}
-    for parts in iter_partitions(n):
-        r = parts[0] - len(parts)
-        hist[r] = hist.get(r, 0) + 1
-    return hist
+    return _walk(n)[0]
 
 
-def spt(n: int, cap: int = DEFAULT_CAP) -> int:
+def spt(n: int) -> int:
     """Total multiplicity of the smallest part over all partitions of n."""
-    _check_cap(n, cap)
-    total = 0
-    for parts in iter_partitions(n):
-        smallest = parts[-1]
-        i = len(parts) - 1
-        while i >= 0 and parts[i] == smallest:
-            total += 1
-            i -= 1
-    return total
+    return _walk(n)[1]
 
 
-def count_omega_interpretation(n: int, cap: int = DEFAULT_CAP) -> int:
+def count_omega_interpretation(n: int) -> int:
     """Partitions of n in which each odd part is less than twice the smallest part."""
-    _check_cap(n, cap)
-    count = 0
-    for parts in iter_partitions(n):
-        bound = 2 * parts[-1]
-        if all(v % 2 == 0 or v < bound for v in parts):
-            count += 1
-    return count
+    return _walk(n)[2]
 
 
 # ----------------------------------------------------------------------
@@ -231,93 +238,85 @@ def _iter_red_multisets(values: Sequence[int], budget: int) -> Iterator[Tuple[in
             yield (head,) * copies + rest
 
 
-def _iter_blue_min(
-    rest: int, smallest: int, max_part: Optional[int] = None
-) -> Iterator[Partition]:
-    # partitions of rest with all parts in [smallest, max_part]
-    if rest == 0:
-        yield ()
-        return
-    top = rest if max_part is None else min(max_part, rest)
-    for first in range(top, smallest - 1, -1):
-        for tail in _iter_blue_min(rest - first, smallest, first):
-            yield (first,) + tail
+def _two_color(n: int, odd: bool) -> Iterator[Tuple[int, Partition, Partition]]:
+    """``(smallest, reds, blues)`` per two-color partition of n, smallest part ascending.
+
+    The smallest part is a blue 2m (``odd=False``) or 2m+1 (``odd=True``),
+    ``reds`` (even, in (2m, 4m]) and the other ``blues`` descend.  No red part
+    equals the smallest, so it occurs ``1 + blues.count(smallest)`` times.
+    """
+    _check_cap(n)
+    for smallest in range(1 if odd else 2, n + 1, 2):
+        m = smallest // 2
+        for reds in _iter_red_multisets(tuple(range(4 * m, 2 * m, -2)), n - smallest):
+            for blues in iter_partitions(n - smallest - sum(reds), min_part=smallest):
+                yield smallest, reds, blues
 
 
-def iter_g_partitions(n: int, cap: int = DEFAULT_CAP) -> Iterator[TwoColorPartition]:
+def _colored(smallest: int, reds: Partition, blues: Partition) -> TwoColorPartition:
+    return TwoColorPartition.of(
+        [(v, RED) for v in reds] + [(v, BLUE) for v in blues] + [(smallest, BLUE)]
+    )
+
+
+def iter_g_partitions(n: int) -> Iterator[TwoColorPartition]:
     """Two-color partitions of n with even smallest part, canonical order per m."""
-    _check_cap(n, cap)
-    for m in range(1, n // 2 + 1):
-        smallest = 2 * m
-        red_values = tuple(range(4 * m, 2 * m, -2))
-        for reds in _iter_red_multisets(red_values, n - smallest):
-            rest = n - smallest - sum(reds)
-            for blues in _iter_blue_min(rest, smallest):
-                parts = (
-                    [(v, RED) for v in reds]
-                    + [(v, BLUE) for v in blues]
-                    + [(smallest, BLUE)]
-                )
-                yield TwoColorPartition.of(parts)
+    return starmap(_colored, _two_color(n, odd=False))
 
 
-def iter_gprime_partitions(n: int, cap: int = DEFAULT_CAP) -> Iterator[TwoColorPartition]:
+def iter_gprime_partitions(n: int) -> Iterator[TwoColorPartition]:
     """Two-color partitions of n with odd smallest part 2m+1, red even in (2m, 4m]."""
-    _check_cap(n, cap)
-    for m in range((n - 1) // 2 + 1):
-        smallest = 2 * m + 1
-        red_values = tuple(range(4 * m, 2 * m, -2))
-        for reds in _iter_red_multisets(red_values, n - smallest):
-            rest = n - smallest - sum(reds)
-            for blues in _iter_blue_min(rest, smallest):
-                parts = (
-                    [(v, RED) for v in reds]
-                    + [(v, BLUE) for v in blues]
-                    + [(smallest, BLUE)]
-                )
-                yield TwoColorPartition.of(parts)
+    return starmap(_colored, _two_color(n, odd=True))
 
 
-def count_G(n: int, cap: int = DEFAULT_CAP) -> int:
+def _g_stats(n: int) -> Tuple[int, int]:
+    """The number of G(n) partitions and their total smallest-part multiplicity."""
+    multiplicities = [1 + blues.count(s) for s, _, blues in _two_color(n, odd=False)]
+    return len(multiplicities), sum(multiplicities)
+
+
+def count_G(n: int) -> int:
     """Number of two-color partitions of n with even smallest part."""
-    return sum(1 for _ in iter_g_partitions(n, cap))
+    return _g_stats(n)[0]
 
 
-def list_G(n: int, cap: int = DEFAULT_CAP) -> List[TwoColorPartition]:
+def list_G(n: int) -> List[TwoColorPartition]:
     """Explicit sorted list of the partitions counted by count_G."""
-    found = list(iter_g_partitions(n, cap))
+    found = list(iter_g_partitions(n))
     found.sort(key=lambda t: tuple((-p.value, p.color) for p in t.parts))
     return found
 
 
-def count_Gprime(n: int, cap: int = DEFAULT_CAP) -> int:
+def count_Gprime(n: int) -> int:
     """Number of two-color partitions of n with odd smallest part."""
-    return sum(1 for _ in iter_gprime_partitions(n, cap))
+    return sum(1 for _ in _two_color(n, odd=True))
 
 
-def sptG(n: int, cap: int = DEFAULT_CAP) -> int:
+def sptG(n: int) -> int:
     """Total smallest-part multiplicity over the partitions counted by count_G."""
-    return sum(t.smallest_multiplicity() for t in iter_g_partitions(n, cap))
+    return _g_stats(n)[1]
 
 
 # ----------------------------------------------------------------------
 # aggregated table
 
 
-def stat_row(n: int, cap: int = DEFAULT_CAP) -> StatRow:
-    """Compute every oracle statistic for weight n and assert the tautologies."""
-    stats = rank_stats(n, cap)
+def stat_row(n: int) -> StatRow:
+    """Every oracle statistic for weight n from one walk per family; asserts the tautologies."""
+    ranks, spt_total, odd_part_bounded = _walk(n)
+    stats = _rank_stats(ranks)
+    two_color, spt_two_color = _g_stats(n)
     row = StatRow(
         n=n,
         p=stats.total,
         even_rank=stats.even,
         odd_rank=stats.odd,
         odd_positive_rank=stats.odd_positive,
-        two_color=count_G(n, cap),
-        two_color_odd=count_Gprime(n, cap),
-        spt=spt(n, cap),
-        spt_two_color=sptG(n, cap),
-        odd_part_bounded=count_omega_interpretation(n, cap),
+        two_color=two_color,
+        two_color_odd=count_Gprime(n),
+        spt=spt_total,
+        spt_two_color=spt_two_color,
+        odd_part_bounded=odd_part_bounded,
     )
     if row.p != row.even_rank + row.odd_rank:
         raise InvalidPartition(f"rank parity classes do not add up at n={n}")
@@ -326,6 +325,6 @@ def stat_row(n: int, cap: int = DEFAULT_CAP) -> StatRow:
     return row
 
 
-def stat_table(max_n: int, cap: int = DEFAULT_CAP) -> List[StatRow]:
+def stat_table(max_n: int) -> List[StatRow]:
     """Oracle statistics for every weight 1..max_n."""
-    return [stat_row(n, cap) for n in range(1, max_n + 1)]
+    return [stat_row(n) for n in range(1, max_n + 1)]

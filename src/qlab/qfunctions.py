@@ -411,7 +411,11 @@ def _stepped_terms(
     point: every later change lies further up, and the ratio is nonzero (a
     zero scale ends the sum before any step), so every later term is a
     nonzero multiple of this one with the same valuation.  No term can clear
-    the window, and :class:`TruncationStall` is raised at once.  Calls must
+    the window, and :class:`TruncationStall` is raised at once.  It is also
+    raised at once when e2 <= 0, the exponent falls from n to n + 1, the
+    ratio is nonzero, no slope is negative and every factor's first
+    exponent is positive, even while its length is 0: from n on each P has
+    valuation 0, so every later term sits lower than this one.  Calls must
     come in order of i; any other call rebuilds.
     """
     e2, e1, e0 = spec.exp
@@ -422,9 +426,9 @@ def _stepped_terms(
         for p in ps
         if not p.arg.is_zero
     ]
-    steady = e2 == 0 and e1 == 0 and all(
-        p.slope >= 0 and (p.length is None or p.length[0] >= 0) for p, _, _ in factors
-    )
+    monotone = all(p.slope >= 0 and (p.length is None or p.length[0] >= 0) for p, _, _ in factors)
+    steady = monotone and e2 == 0 and e1 == 0
+    may_fall = monotone and e2 <= 0 and spec.ratio.coeff != 0
     state: list = []  # [n, numerators of P_n, their denominator, val]; [] after a zero term
 
     def advance(n: int, top: int) -> bool:
@@ -475,6 +479,16 @@ def _stepped_terms(
         if not state:
             return zero(order)
         _, arr, den_p, val = state
+        # e_(n+1) < e_n, and from n on no binomial has an exponent <= 0
+        if (
+            may_fall
+            and e2 * (2 * n + 1) + e1 < 0
+            and all(p.arg.power + p.slope * n > 0 for p, _, _ in factors)
+        ):
+            raise TruncationStall(
+                f"from term n={n} on the term valuations fall without bound from "
+                f"{val + e} below order {order}, so no term can clear the window"
+            )
         c = scale.numerator
         nums = arr if c == 1 else [x * c for x in arr]
         return _make(val + e, nums, den_p * scale.denominator, order)

@@ -334,15 +334,7 @@ def _beforephi_rhs(order: int) -> LaurentSeries:
 # catalog
 
 
-def _named(name: str) -> SideBuilder:
-    def side(order: int, **params: Monomial) -> LaurentSeries:
-        return qf.build(name, order, params or None)
-
-    side.__name__ = f"build_{name}"
-    return side
-
-
-def _named_form(name: str, form: int) -> SideBuilder:
+def _named(name: str, form: int = 0) -> SideBuilder:
     def side(order: int, **params: Monomial) -> LaurentSeries:
         return qf.build(name, order, params or None, form=form)
 
@@ -476,8 +468,8 @@ def _build_catalog() -> Tuple[IdentityEntry, ...]:
         id="eq-transf",
         anchor="rewriting chain, first equals last (intermediates are "
                "form-equivalent builders of No_plus_series)",
-        lhs=_named_form("No_plus_series", 0),
-        rhs=_named_form("No_plus_series", 6),
+        lhs=_named("No_plus_series"),
+        rhs=_named("No_plus_series", 6),
     ))
     add(IdentityEntry(
         id="eq-4para1",
@@ -488,7 +480,7 @@ def _build_catalog() -> Tuple[IdentityEntry, ...]:
     add(IdentityEntry(
         id="eq-2sums",
         anchor="positive-odd-rank sum split into the alternating q^(m^2) piece",
-        lhs=_named_form("No_plus_series", 0),
+        lhs=_named("No_plus_series"),
         rhs=_2sums_rhs,
     ))
     add(IdentityEntry(
@@ -521,14 +513,14 @@ def _build_catalog() -> Tuple[IdentityEntry, ...]:
     add(IdentityEntry(
         id="eq-g1",
         anchor="split two-color sum equals its combinatorial product form",
-        lhs=_named_form("G_series", 0),
-        rhs=_named_form("G_series", 2),
+        lhs=_named("G_series"),
+        rhs=_named("G_series", 2),
     ))
     add(IdentityEntry(
         id="eq-g2",
         anchor="positive-odd-rank sum equals the split two-color sum",
-        lhs=_named_form("No_plus_series", 0),
-        rhs=_named_form("G_series", 0),
+        lhs=_named("No_plus_series"),
+        rhs=_named("G_series"),
     ))
     add(IdentityEntry(
         id="thm-6.1",

@@ -152,6 +152,9 @@ def test_verify_combinatorial_delegate(capsys):
     (report,) = json.loads(out)
     assert report["id"] == "thm-1.2-combinatorial"
     assert report["order"] == 12
+    code, out, _ = run(capsys, "verify", "thm-1.2-combinatorial")
+    assert code == 0
+    assert json.loads(out)[0]["order"] == 40
 
 
 def test_verify_mismatch_exit_code(capsys, monkeypatch):
@@ -317,27 +320,42 @@ def test_format_rational():
     assert format_rational(Fraction(4, 2)) == "2"
 
 
+def run_cli(*argv):
+    src = os.path.dirname(os.path.dirname(qf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "qlab.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+# every command line gets "--order 6" appended
 @pytest.mark.parametrize(
     "argv",
     [
-        ["lem21_lhs", "--param", "b=1/0"],
-        ["lem21_lhs", "--param", "b=2*q"],
-        ["lem21_lhs", "--param", "b=q", "--param", "b=q^2"],
-        ["f3_def", "--form", "-1"],
-        ["G_series", "--form", "3"],
-        ["z_identity_lhs", "--param", "z=0"],
-        ["z_identity_rhs", "--param", "z=q^2"],
+        ["compute", "lem21_lhs", "--param", "b=1/0"],
+        ["compute", "lem21_lhs", "--param", "b=2*q"],
+        ["compute", "lem21_lhs", "--param", "b=q", "--param", "b=q^2"],
+        ["compute", "f3_def", "--form", "-1"],
+        ["compute", "G_series", "--form", "3"],
+        ["compute", "z_identity_lhs", "--param", "z=0"],
+        ["compute", "z_identity_rhs", "--param", "z=q^2"],
+        # an option the selector does not use
+        ["verify", "thm-1.2-combinatorial", "--max-n", "12"],
+        ["verify", "thm-1.1", "--max-n", "12"],
+        ["verify", "all", "--max-n", "40"],
     ],
 )
 def test_compute_malformed_input_is_a_usage_error(argv):
-    src = os.path.dirname(os.path.dirname(qf.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "qlab.cli", "compute", *argv, "--order", "6"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = run_cli(*argv, "--order", "6")
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_compute_divergent_sum_stalls_at_once():
+    """The tail of before_ac_rhs at b = q^-1 falls without bound: exit 1 at its first term."""
+    proc = run_cli("compute", "before_ac_rhs", "--param", "b=q^-1", "--order", "20")
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.strip().splitlines()
+    assert "TruncationStall: from term n=0 on the term valuations fall without bound" in line

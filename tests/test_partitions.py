@@ -2,16 +2,21 @@
 
 import pytest
 
+from qlab import partitions
 from qlab.partitions import (
     BLUE,
+    DEFAULT_CAP,
     RED,
     CapExceeded,
     InvalidPartition,
+    StatRow,
     TwoColorPartition,
     count_G,
     count_Gprime,
     count_omega_interpretation,
     enumerate_partitions,
+    iter_g_partitions,
+    iter_gprime_partitions,
     list_G,
     rank,
     rank_histogram,
@@ -42,10 +47,15 @@ def test_enumerate_deterministic_order():
     ]
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
     with pytest.raises(CapExceeded):
-        enumerate_partitions(61)
-    assert len(enumerate_partitions(12, cap=12)) == 77
+        enumerate_partitions(DEFAULT_CAP + 1)
+    # the cap itself is accepted; a lazy generator shows it without listing p(60)
+    assert next(iter_g_partitions(DEFAULT_CAP)).weight == DEFAULT_CAP
+    monkeypatch.setattr(partitions, "DEFAULT_CAP", 12)
+    assert len(enumerate_partitions(12)) == 77
+    with pytest.raises(CapExceeded):
+        enumerate_partitions(13)
 
 
 def test_rank_values():
@@ -189,3 +199,27 @@ def test_stat_table_covers_range():
 def test_weight_must_be_positive():
     with pytest.raises(ValueError):
         rank_stats(0)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_stat_row_equals_a_recount_over_the_objects(n):
+    """The counting walks against the object route: partitions, ranks, colored lists."""
+    parts = enumerate_partitions(n)
+    g, gprime = list_G(n), list(iter_gprime_partitions(n))
+    for objects in (parts, g, gprime):
+        assert len(set(objects)) == len(objects)
+    for obj in gprime:
+        obj.validate(odd_smallest=True)
+    ranks = [rank(p) for p in parts]
+    assert stat_row(n) == StatRow(
+        n=n,
+        p=len(parts),
+        even_rank=sum(1 for r in ranks if r % 2 == 0),
+        odd_rank=sum(1 for r in ranks if r % 2),
+        odd_positive_rank=sum(1 for r in ranks if r % 2 and r > 0),
+        two_color=len(g),
+        two_color_odd=len(gprime),
+        spt=sum(p.count(p[-1]) for p in parts),
+        spt_two_color=sum(t.smallest_multiplicity() for t in g),
+        odd_part_bounded=sum(1 for p in parts if all(v % 2 == 0 or v < 2 * p[-1] for v in p)),
+    )

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from qlab import qfunctions as qf
 from qlab.qfunctions import MONO_ONE, MONO_ZERO, N, SIGN, Monomial, Poch, QTerm, build, mono, qprod, qsum
-from qlab.series import sum_terms
+from qlab.series import TruncationStall, sum_terms
 
 # first exponents go down to -3, so a factor's valuation is at least -6
 MAX_NEG_VALUATION = 6
@@ -91,6 +91,10 @@ def test_qprod_is_exact_below_its_order(spec, order):
 # a fixed point.  So a sum that has not closed by 200 terms never closes, and
 # the cap keeps the rebuilt route quick.
 CAP = 200
+# A falling draw (e1 + ratio.power < 0) widens its window at every step, so
+# both routes rebuild every term; one that closes does so within a few
+# terms, when a numerator's 1 - q^0 enters.
+FALLING_CAP = 30
 
 
 def rebuilt_terms(spec, num, den, order):
@@ -98,10 +102,10 @@ def rebuilt_terms(spec, num, den, order):
     return lambda i: qf._term(spec, num, den, spec.start + i, order)
 
 
-def outcome(spec, order, stepped):
+def outcome(spec, order, stepped, cap=CAP):
     """``qsum(spec, order)`` without its memo, or the name of the exception it raised."""
     with ExitStack() as stack:
-        stack.enter_context(patch.object(qf, "sum_terms", partial(sum_terms, cap=CAP)))
+        stack.enter_context(patch.object(qf, "sum_terms", partial(sum_terms, cap=cap)))
         if not stepped:
             stack.enter_context(patch.object(qf, "_stepped_terms", rebuilt_terms))
         try:
@@ -120,14 +124,15 @@ def stepper_qterms(draw, steady):
     has valuation >= -6 and a denominator's valuation only raises the
     term's.  Non-steady terms then close: e2 = 1 with e1 down to -4 makes
     the valuations dip and the window grow before they rise, and e2 = 0
-    comes with e1 + ratio.power >= 1.  Steady terms have e2 = 0,
-    e1 = -ratio.power and a nonzero ratio; a denominator that moves down
-    makes one close after all, so it must not be taken for a fixed point.
+    comes with e1 + ratio.power >= 1.  Steady terms have e2 = 0 and
+    e1 = -ratio.power - (0, 1 or 2); a zero ratio, a denominator that moves
+    down or a numerator that reaches 1 - q^0 makes one close after all, so
+    none of them must be taken for a stall.
     """
-    ratios = [MONO_ONE, SIGN, Monomial(Fraction(1, 2), 1), mono(-1, 2), mono(1, -1)]
-    ratio = draw(st.sampled_from(ratios + ([] if steady else [MONO_ZERO])))
+    ratios = [MONO_ONE, SIGN, Monomial(Fraction(1, 2), 1), mono(-1, 2), mono(1, -1), MONO_ZERO]
+    ratio = draw(st.sampled_from(ratios))
     if steady:
-        exp = (0, -ratio.power, draw(st.integers(-8, 3)))
+        exp = (0, -ratio.power - draw(st.integers(0, 2)), draw(st.integers(-8, 3)))
     elif draw(st.booleans()):
         exp = (1, draw(st.integers(-4, 8)), draw(st.integers(-8, 3)))
     else:
@@ -160,10 +165,39 @@ def test_stepped_qsum_equals_rebuilt_terms(spec, order):
 # falling exponent ends in NotInvertible, a falling length in ValueError
 @example(spec=QTerm(den=(Poch(mono(1, 4), 1, (0, 1), -1),)), order=2)
 @example(spec=QTerm(num=(Poch(mono(-1, 1), 1, (-1, 6)),)), order=3)
+# falling exponents that are no stall: 1 - q^0 enters the denominator at
+# n = 2 (NotInvertible), or the numerator at n = 1 (the sum closes), or a
+# zero ratio ends the sum at n = 1
+@example(spec=QTerm((0, -1, 0), den=(Poch(mono(1, 2), 1, None, -1),)), order=10)
+@example(spec=QTerm((0, -1, 0), (Poch(mono(1, 0), 1, N),)), order=10)
+@example(spec=QTerm((0, -1, 0), ratio=MONO_ZERO), order=10)
 @settings(max_examples=100, deadline=None)
 @given(spec=stepper_qterms(steady=True), order=st.integers(1, 40))
 def test_steady_terms_give_equal_series_or_both_stall(spec, order):
-    assert outcome(spec, order, stepped=True) == outcome(spec, order, stepped=False)
+    cap = CAP if spec.exp[1] + spec.ratio.power == 0 else FALLING_CAP
+    assert outcome(spec, order, True, cap) == outcome(spec, order, False, cap)
+
+
+def test_falling_valuations_stall_at_once():
+    """The sum of q^-n stalls at its first term instead of at the term cap."""
+    counts = Counter()
+
+    def counted_sum(term, order, *rest):
+        def counted_term(i):
+            counts["terms"] += 1
+            return term(i)
+
+        return sum_terms(counted_term, order, *rest)
+
+    with patch.object(qf, "sum_terms", counted_sum):
+        with pytest.raises(TruncationStall, match=r"term n=0 on .* from 0 below order 10"):
+            qsum.__wrapped__(QTerm(ratio=mono(1, -1)), 10)
+    assert 0 < counts["terms"] < 100
+    # (q^-2;q)_(n-3) is empty at n = 3, so no stall: it enters at exponent
+    # -2, then 1 - q^0 ends the sum at n = 6
+    spec = QTerm(ratio=mono(1, -1), num=(Poch(mono(1, -2), 1, (1, -3)),), start=3)
+    total = qsum(spec, 10)
+    assert [total.coefficient(k) for k in range(-8, 10)] == [1, -1, -2, 1, 1, 1] + [0] * 12
 
 
 @pytest.mark.parametrize(
