@@ -1,8 +1,9 @@
 """qlab: an exact q-series laboratory.
 
 Truncated Laurent series over exact rationals, named builders for mock theta
-functions and partition-statistic generating functions, a brute-force
-partition enumeration oracle, and a catalog of verified q-series identities.
+functions and partition-statistic generating functions, a partition oracle
+(integer counts and enumerated objects), and a catalog of verified q-series
+identities.
 """
 
 from .series import (

@@ -9,7 +9,7 @@ Subcommands:
   (``all``), or the pure-oracle equality ``thm-1.2-combinatorial``; writes a
   report array.  Exit code 0 means everything passed, 1 means a mismatch
   or a builder failure, 2 means a usage error.
-* ``stats`` -- dump the enumeration-oracle table next to the matching series
+* ``stats`` -- dump the counting-oracle table next to the matching series
   coefficients with a match flag per column.
 * ``list`` -- print the identity catalog.
 
@@ -175,11 +175,9 @@ def _verify_combinatorial(max_n: int) -> rg.VerificationReport:
 
     start = time.perf_counter()
     mismatch = None
-    for n in range(1, max_n + 1):
-        g = pt.count_G(n)
-        r = pt.rank_stats(n).odd_positive
-        if g != r:
-            mismatch = rg.Mismatch(n, Fraction(g), Fraction(r))
+    for row in pt.stat_table(max_n):
+        if row.two_color != row.odd_positive_rank:
+            mismatch = rg.Mismatch(row.n, Fraction(row.two_color), Fraction(row.odd_positive_rank))
             break
     return rg.VerificationReport(
         id="thm-1.2-combinatorial",
@@ -191,16 +189,25 @@ def _verify_combinatorial(max_n: int) -> rg.VerificationReport:
     )
 
 
+def _beyond_count_limit(max_n: int) -> bool:
+    if max_n <= pt.COUNT_LIMIT:
+        return False
+    print(f"error: --max-n {max_n} is beyond the counting limit {pt.COUNT_LIMIT}", file=sys.stderr)
+    return True
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     combinatorial = args.selector == "thm-1.2-combinatorial"
-    if (args.order if combinatorial else args.max_n) is not None:
-        option = "--order" if combinatorial else "--max-n"
-        print(f"error: {option} does not apply to selector {args.selector}", file=sys.stderr)
-        return USAGE_ERROR
+    unused = (
+        {"--order": args.order, "--jobs": args.jobs} if combinatorial else {"--max-n": args.max_n}
+    )
+    for option, value in unused.items():
+        if value is not None:
+            print(f"error: {option} does not apply to selector {args.selector}", file=sys.stderr)
+            return USAGE_ERROR
     if combinatorial:
         max_n = 40 if args.max_n is None else args.max_n
-        if max_n > pt.DEFAULT_CAP:
-            print(f"error: --max-n beyond enumeration cap {pt.DEFAULT_CAP}", file=sys.stderr)
+        if _beyond_count_limit(max_n):
             return USAGE_ERROR
         reports = [_verify_combinatorial(max_n)]
     else:
@@ -209,7 +216,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except (rg.UnknownIdentity, rg.UnknownSpecialization) as exc:
             print(f"error: unknown identity selector: {exc}", file=sys.stderr)
             return USAGE_ERROR
-        reports = rg.verify_all(order=args.order, entries=entries, jobs=args.jobs)
+        jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
+        reports = rg.verify_all(order=args.order, entries=entries, jobs=jobs)
     if args.format == "json":
         _write(_json([_report_dict(r) for r in reports]), args.report)
     else:
@@ -254,17 +262,10 @@ def _oracle_columns(row: pt.StatRow) -> Dict[str, int]:
     }
 
 
-def _stat_rows(max_n: int, jobs: int) -> List[dict]:
-    if jobs > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            oracle_rows = list(pool.map(pt.stat_row, range(1, max_n + 1)))
-    else:
-        oracle_rows = [pt.stat_row(n) for n in range(1, max_n + 1)]
+def _stat_rows(max_n: int) -> List[dict]:
     series = _series_columns(max_n + 1)
     out = []
-    for row in oracle_rows:
+    for row in pt.stat_table(max_n):
         oracle = _oracle_columns(row)
         flat: dict = {"n": row.n}
         for col in _STAT_COLUMNS:
@@ -277,10 +278,9 @@ def _stat_rows(max_n: int, jobs: int) -> List[dict]:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    if args.max_n > pt.DEFAULT_CAP:
-        print(f"error: --max-n beyond enumeration cap {pt.DEFAULT_CAP}", file=sys.stderr)
+    if _beyond_count_limit(args.max_n):
         return USAGE_ERROR
-    rows = _stat_rows(args.max_n, args.jobs)
+    rows = _stat_rows(args.max_n)
     header = ["n"]
     for col in _STAT_COLUMNS:
         header.extend((col, f"{col}_series", f"{col}_match"))
@@ -350,11 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlab",
         description="Exact q-series laboratory: compute series, verify identities, "
-        "cross-check against brute-force partition enumeration.",
+        "cross-check against integer partition counts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     default_order = _default_order()
-    cpus = os.cpu_count() or 1
 
     p = sub.add_parser("compute", help="evaluate a named series")
     p.add_argument("name")
@@ -376,14 +375,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-n", type=int, default=None, dest="max_n", help="thm-1.2-combinatorial only (default 40)"
     )
-    p.add_argument("--jobs", type=int, default=cpus)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="worker processes for catalog selectors (default: the CPU count)",
+    )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--report", default=None, help="write the report to this path")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("stats", help="oracle table with series cross-checks")
     p.add_argument("--max-n", type=int, default=20, dest="max_n")
-    p.add_argument("--jobs", type=int, default=cpus)
+    p.add_argument(
+        "--jobs", type=int, default=None, help="accepted for old scripts; it has no effect"
+    )
     _add_common_output(p)
     p.set_defaults(func=cmd_stats)
 
@@ -402,7 +408,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--order must be positive")
     if getattr(args, "max_n", None) is not None and args.max_n < 1:
         parser.error("--max-n must be positive")
-    if getattr(args, "jobs", 1) < 1:
+    if getattr(args, "jobs", None) is not None and args.jobs < 1:
         parser.error("--jobs must be positive")
     return args.func(args)
 

@@ -1,34 +1,42 @@
-"""Brute-force partition enumeration and statistics.
+"""Partition counts by integer dynamic programming, and partition enumeration.
 
-Every quantity here is computed by direct enumeration of the objects being
-counted, with no series machinery involved, so this module serves as the
+Nothing here uses series machinery, so this module serves as the
 independent oracle for the generating-function side of the package.
 
-Per weight n, one walk over the partitions of n gives p(n), the rank
+The counts come from one integer DP, straight from the definitions, that
+fills every ``StatRow`` for the weights 1..max_n in one pass: p(n), the rank
 classification (rank = largest part minus number of parts; even, odd and
-positive odd counts), spt(n) (the total number of smallest parts) and the
-number of partitions whose odd parts are all below twice the smallest part.
-One generator walks the two-color (red/blue) partitions with a blue smallest
-part 2m (even) or 2m+1 (odd) and red parts even in (2m, 4m]: it gives both
-counts, the smallest-part total of the even family and the explicit lists.
-Every weight must lie in 1..DEFAULT_CAP.
+positive odd counts), spt(n) (the total number of smallest parts), the
+number of partitions whose odd parts are all below twice the smallest part,
+and the two-color (red/blue) counts G(n), G'(n) and sptG(n), where the
+smallest part is a blue 2m (G) or 2m+1 (G') and the red parts are even in
+(2m, 4m].  Every count takes a weight in 1..COUNT_LIMIT.
+
+The objects come from the enumerators: ``iter_partitions``,
+``enumerate_partitions``, the two-color generators and ``list_G``, with
+``rank`` and ``TwoColorPartition.validate`` to check them.  They take a
+weight in 1..DEFAULT_CAP and are the reference side of the DP's tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import starmap
+from operator import add
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 #: Largest weight accepted by the enumerators (about 1e6 partitions at 60).
 DEFAULT_CAP = 60
+
+#: Largest weight accepted by the counts (the DP is cubic in it).
+COUNT_LIMIT = 200
 
 BLUE = "blue"
 RED = "red"
 
 
 class CapExceeded(Exception):
-    """The requested weight is beyond the configured enumeration cap."""
+    """The requested weight is beyond the enumeration cap or the counting limit."""
 
 
 class InvalidPartition(Exception):
@@ -116,7 +124,7 @@ class RankStats(NamedTuple):
 
 @dataclass(frozen=True)
 class StatRow:
-    """All enumerated statistics for one weight."""
+    """All oracle statistics for one weight."""
 
     n: int
     p: int
@@ -130,11 +138,165 @@ class StatRow:
     odd_part_bounded: int
 
 
-def _check_cap(n: int) -> None:
+def _check_weight(n: int, limit: int, name: str) -> None:
     if n < 1:
         raise ValueError(f"weight must be positive, got {n}")
-    if n > DEFAULT_CAP:
-        raise CapExceeded(f"weight {n} exceeds enumeration cap {DEFAULT_CAP}")
+    if n > limit:
+        raise CapExceeded(f"weight {n} exceeds the {name} {limit}")
+
+
+def _check_cap(n: int) -> None:
+    _check_weight(n, DEFAULT_CAP, "enumeration cap")
+
+
+# ----------------------------------------------------------------------
+# counts
+
+
+def _add_part(counts: List[int], part: int) -> None:
+    """Allow any number of parts equal to ``part``: counts[k] += counts[k - part], k ascending."""
+    for lo in range(part, len(counts), part):
+        hi = lo + part
+        counts[lo:hi] = map(add, counts[lo:hi], counts[lo - part : hi - part])
+
+
+def _with_smallest(rest: List[int], s: int) -> Tuple[List[int], List[int]]:
+    """Per weight, the ways to take k >= 1 parts s plus one counted by ``rest``.
+
+    Returns the count and the count weighted by k: with ``rest`` counting
+    partitions into parts above s, the partitions whose smallest part is s
+    and their total number of smallest parts.
+    """
+    once = [0] * s + rest[: len(rest) - s]
+    _add_part(once, s)
+    weighted = once[:]
+    _add_part(weighted, s)
+    return once, weighted
+
+
+def _accumulate(total: List[int], counts: List[int]) -> None:
+    total[:] = map(add, total, counts)
+
+
+def _counts(max_n: int) -> Tuple[List[Dict[int, int]], List[StatRow]]:
+    """The rank histogram and the ``StatRow`` of every weight 1..max_n, from one DP."""
+    _check_weight(max_n, COUNT_LIMIT, "counting limit")
+    size = max_n + 1
+
+    # Raise the largest part a from 1 to max_n.  by_parts[s][c] counts the
+    # partitions of s into c parts, each at most a; a partition of n with
+    # largest part a and c further parts has rank a - 1 - c.
+    by_parts = [[1]] + [[0] * (s + 1) for s in range(1, size)]
+    by_rank = [[0] * (2 * n + 1) for n in range(size)]  # by_rank[n][r + n]
+    for a in range(1, size):
+        for s in range(a, size):
+            row, fewer = by_parts[s], by_parts[s - a]
+            row[1 : s - a + 2] = map(add, row[1 : s - a + 2], fewer)
+        for n in range(a, size):
+            ranks = by_rank[n]
+            ranks[2 * a - 1 : n + a] = map(
+                add, ranks[2 * a - 1 : n + a], reversed(by_parts[n - a])
+            )
+
+    # Lower the smallest part s from max_n to 1.  above[k] counts the
+    # partitions of k into parts greater than s.
+    above = [1] + [0] * max_n
+    spt_total, bounded = [0] * size, [0] * size
+    g, g_spt, g_odd = [0] * size, [0] * size, [0] * size
+    for s in range(max_n, 0, -1):
+        _accumulate(spt_total, _with_smallest(above, s)[1])
+        # the other parts may be odd only below 2s
+        allowed = [1] + [0] * max_n
+        for v in range(s + 1, size):
+            if v % 2 == 0 or v < 2 * s:
+                _add_part(allowed, v)
+        _accumulate(bounded, _with_smallest(allowed, s)[0])
+        # a blue smallest part 2m or 2m+1, other blue parts above it, red parts even in (2m, 4m]
+        m = s // 2
+        colored = above[:]
+        for v in range(2 * m + 2, 4 * m + 1, 2):
+            _add_part(colored, v)
+        once, weighted = _with_smallest(colored, s)
+        if s % 2:
+            _accumulate(g_odd, once)
+        else:
+            _accumulate(g, once)
+            _accumulate(g_spt, weighted)
+        _add_part(above, s)
+
+    histograms, rows = [], []
+    for n in range(1, size):
+        hist = {r - n: c for r, c in enumerate(by_rank[n]) if c}
+        odd = sum(c for r, c in hist.items() if r % 2)
+        row = StatRow(
+            n=n,
+            p=above[n],
+            even_rank=sum(hist.values()) - odd,
+            odd_rank=odd,
+            odd_positive_rank=sum(c for r, c in hist.items() if r % 2 and r > 0),
+            two_color=g[n],
+            two_color_odd=g_odd[n],
+            spt=spt_total[n],
+            spt_two_color=g_spt[n],
+            odd_part_bounded=bounded[n],
+        )
+        if row.p != row.even_rank + row.odd_rank:
+            raise InvalidPartition(f"rank counts do not add up to p({n})")
+        if row.odd_rank != 2 * row.odd_positive_rank:
+            raise InvalidPartition(f"odd ranks are not sign-symmetric at n={n}")
+        histograms.append(hist)
+        rows.append(row)
+    return histograms, rows
+
+
+def stat_table(max_n: int) -> List[StatRow]:
+    """Oracle statistics for every weight 1..max_n."""
+    return _counts(max_n)[1]
+
+
+def stat_row(n: int) -> StatRow:
+    """Every oracle statistic for weight n."""
+    return stat_table(n)[-1]
+
+
+def rank_histogram(n: int) -> Dict[int, int]:
+    """Map rank value -> number of partitions of n with that rank."""
+    return _counts(n)[0][-1]
+
+
+def rank_stats(n: int) -> RankStats:
+    """Classify all partitions of n by rank parity and sign."""
+    row = stat_row(n)
+    return RankStats(row.p, row.even_rank, row.odd_rank, row.odd_positive_rank)
+
+
+def spt(n: int) -> int:
+    """Total multiplicity of the smallest part over all partitions of n."""
+    return stat_row(n).spt
+
+
+def count_omega_interpretation(n: int) -> int:
+    """Partitions of n in which each odd part is less than twice the smallest part."""
+    return stat_row(n).odd_part_bounded
+
+
+def count_G(n: int) -> int:
+    """Number of two-color partitions of n with even smallest part."""
+    return stat_row(n).two_color
+
+
+def count_Gprime(n: int) -> int:
+    """Number of two-color partitions of n with odd smallest part."""
+    return stat_row(n).two_color_odd
+
+
+def sptG(n: int) -> int:
+    """Total smallest-part multiplicity over the partitions counted by count_G."""
+    return stat_row(n).spt_two_color
+
+
+# ----------------------------------------------------------------------
+# enumeration
 
 
 def iter_partitions(
@@ -165,67 +327,6 @@ def rank(parts: Sequence[int]) -> int:
     return max(parts) - len(parts)
 
 
-def _walk(n: int) -> Tuple[Dict[int, int], int, int]:
-    """One pass over the partitions of n: rank histogram, spt(n), odd-part-bounded count.
-
-    Each partition is built as runs of equal parts, largest value first,
-    so its last run is its smallest part with that part's multiplicity.
-    ``r`` is the largest part minus the parts placed so far, and the first
-    odd value placed is the largest odd part.
-    """
-    _check_cap(n)
-    ranks: Dict[int, int] = {}
-    spt_total = bounded = 0
-
-    def visit(rest: int, below: int, r: Optional[int], odd: int) -> None:
-        nonlocal spt_total, bounded
-        for v in range(min(below - 1, rest), 0, -1):
-            odd_v = odd or v % 2 and v
-            # a run of ones must use up the rest
-            for k in range(rest // v, 0 if v > 1 else rest - 1, -1):
-                r_k = (v if r is None else r) - k
-                if rest > k * v:
-                    visit(rest - k * v, v, r_k, odd_v)
-                else:
-                    ranks[r_k] = ranks.get(r_k, 0) + 1
-                    spt_total += k
-                    bounded += odd_v < 2 * v
-
-    visit(n, n + 1, None, 0)
-    return ranks, spt_total, bounded
-
-
-def _rank_stats(ranks: Dict[int, int]) -> RankStats:
-    total = sum(ranks.values())
-    odd = sum(c for r, c in ranks.items() if r % 2)
-    odd_positive = sum(c for r, c in ranks.items() if r % 2 and r > 0)
-    return RankStats(total, total - odd, odd, odd_positive)
-
-
-def rank_stats(n: int) -> RankStats:
-    """Classify all partitions of n by rank parity and sign."""
-    return _rank_stats(_walk(n)[0])
-
-
-def rank_histogram(n: int) -> dict:
-    """Map rank value -> number of partitions of n with that rank."""
-    return _walk(n)[0]
-
-
-def spt(n: int) -> int:
-    """Total multiplicity of the smallest part over all partitions of n."""
-    return _walk(n)[1]
-
-
-def count_omega_interpretation(n: int) -> int:
-    """Partitions of n in which each odd part is less than twice the smallest part."""
-    return _walk(n)[2]
-
-
-# ----------------------------------------------------------------------
-# two-color partitions
-
-
 def _iter_red_multisets(values: Sequence[int], budget: int) -> Iterator[Tuple[int, ...]]:
     """Multisets over ``values`` (descending tuples) with sum <= budget."""
     if not values:
@@ -242,8 +343,7 @@ def _two_color(n: int, odd: bool) -> Iterator[Tuple[int, Partition, Partition]]:
     """``(smallest, reds, blues)`` per two-color partition of n, smallest part ascending.
 
     The smallest part is a blue 2m (``odd=False``) or 2m+1 (``odd=True``),
-    ``reds`` (even, in (2m, 4m]) and the other ``blues`` descend.  No red part
-    equals the smallest, so it occurs ``1 + blues.count(smallest)`` times.
+    ``reds`` (even, in (2m, 4m]) and the other ``blues`` descend.
     """
     _check_cap(n)
     for smallest in range(1 if odd else 2, n + 1, 2):
@@ -269,62 +369,8 @@ def iter_gprime_partitions(n: int) -> Iterator[TwoColorPartition]:
     return starmap(_colored, _two_color(n, odd=True))
 
 
-def _g_stats(n: int) -> Tuple[int, int]:
-    """The number of G(n) partitions and their total smallest-part multiplicity."""
-    multiplicities = [1 + blues.count(s) for s, _, blues in _two_color(n, odd=False)]
-    return len(multiplicities), sum(multiplicities)
-
-
-def count_G(n: int) -> int:
-    """Number of two-color partitions of n with even smallest part."""
-    return _g_stats(n)[0]
-
-
 def list_G(n: int) -> List[TwoColorPartition]:
     """Explicit sorted list of the partitions counted by count_G."""
     found = list(iter_g_partitions(n))
     found.sort(key=lambda t: tuple((-p.value, p.color) for p in t.parts))
     return found
-
-
-def count_Gprime(n: int) -> int:
-    """Number of two-color partitions of n with odd smallest part."""
-    return sum(1 for _ in _two_color(n, odd=True))
-
-
-def sptG(n: int) -> int:
-    """Total smallest-part multiplicity over the partitions counted by count_G."""
-    return _g_stats(n)[1]
-
-
-# ----------------------------------------------------------------------
-# aggregated table
-
-
-def stat_row(n: int) -> StatRow:
-    """Every oracle statistic for weight n from one walk per family; asserts the tautologies."""
-    ranks, spt_total, odd_part_bounded = _walk(n)
-    stats = _rank_stats(ranks)
-    two_color, spt_two_color = _g_stats(n)
-    row = StatRow(
-        n=n,
-        p=stats.total,
-        even_rank=stats.even,
-        odd_rank=stats.odd,
-        odd_positive_rank=stats.odd_positive,
-        two_color=two_color,
-        two_color_odd=count_Gprime(n),
-        spt=spt_total,
-        spt_two_color=spt_two_color,
-        odd_part_bounded=odd_part_bounded,
-    )
-    if row.p != row.even_rank + row.odd_rank:
-        raise InvalidPartition(f"rank parity classes do not add up at n={n}")
-    if row.odd_rank != 2 * row.odd_positive_rank:
-        raise InvalidPartition(f"odd ranks are not sign-symmetric at n={n}")
-    return row
-
-
-def stat_table(max_n: int) -> List[StatRow]:
-    """Oracle statistics for every weight 1..max_n."""
-    return [stat_row(n) for n in range(1, max_n + 1)]

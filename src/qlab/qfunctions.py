@@ -642,7 +642,7 @@ def spt_rhs(order: int) -> LaurentSeries:
     """The rank-moment style evaluation of the smallest-part sum.
 
     The theta-like tail carries q^(n(3n+1)/2); the coefficient check against
-    the enumerated smallest-part counts pins that exponent down.
+    the oracle's smallest-part counts pins that exponent down.
     """
     return euler_inv(order).mul(_moment_bracket(order, 1, (3 * HALF, HALF, 0)))
 

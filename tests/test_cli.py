@@ -155,6 +155,9 @@ def test_verify_combinatorial_delegate(capsys):
     code, out, _ = run(capsys, "verify", "thm-1.2-combinatorial")
     assert code == 0
     assert json.loads(out)[0]["order"] == 40
+    code, out, _ = run(capsys, "verify", "thm-1.2-combinatorial", "--max-n", "200")
+    assert code == 0
+    assert json.loads(out)[0]["pass"] is True
 
 
 def test_verify_mismatch_exit_code(capsys, monkeypatch):
@@ -234,8 +237,9 @@ def test_stats_csv_and_json_same_content(capsys):
 
 
 def test_stats_over_cap_usage_error(capsys):
-    code, _, err = run(capsys, "stats", "--max-n", "100", "--jobs", "1")
+    code, _, err = run(capsys, "stats", "--max-n", "201", "--jobs", "1")
     assert code == 2
+    assert err.strip() == "error: --max-n 201 is beyond the counting limit 200"
 
 
 def test_list_contains_stall_row_and_enough_rows(capsys):
@@ -328,28 +332,40 @@ def run_cli(*argv):
     )
 
 
-# every command line gets "--order 6" appended
 @pytest.mark.parametrize(
     "argv",
     [
-        ["compute", "lem21_lhs", "--param", "b=1/0"],
-        ["compute", "lem21_lhs", "--param", "b=2*q"],
-        ["compute", "lem21_lhs", "--param", "b=q", "--param", "b=q^2"],
-        ["compute", "f3_def", "--form", "-1"],
-        ["compute", "G_series", "--form", "3"],
-        ["compute", "z_identity_lhs", "--param", "z=0"],
-        ["compute", "z_identity_rhs", "--param", "z=q^2"],
+        ["compute", "lem21_lhs", "--param", "b=1/0", "--order", "6"],
+        ["compute", "lem21_lhs", "--param", "b=2*q", "--order", "6"],
+        ["compute", "lem21_lhs", "--param", "b=q", "--param", "b=q^2", "--order", "6"],
+        ["compute", "f3_def", "--form", "-1", "--order", "6"],
+        ["compute", "G_series", "--form", "3", "--order", "6"],
+        ["compute", "z_identity_lhs", "--param", "z=0", "--order", "6"],
+        ["compute", "z_identity_rhs", "--param", "z=q^2", "--order", "6"],
         # an option the selector does not use
-        ["verify", "thm-1.2-combinatorial", "--max-n", "12"],
-        ["verify", "thm-1.1", "--max-n", "12"],
-        ["verify", "all", "--max-n", "40"],
+        ["verify", "thm-1.2-combinatorial", "--max-n", "12", "--order", "6"],
+        ["verify", "thm-1.1", "--max-n", "12", "--order", "6"],
+        ["verify", "all", "--max-n", "40", "--order", "6"],
+        # beyond the counting limit
+        ["stats", "--max-n", "201"],
+        ["verify", "thm-1.2-combinatorial", "--max-n", "201"],
+        ["verify", "thm-1.2-combinatorial", "--jobs", "2"],
     ],
 )
 def test_compute_malformed_input_is_a_usage_error(argv):
-    proc = run_cli(*argv, "--order", "6")
+    proc = run_cli(*argv)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_stats_matches_the_series_at_the_counting_limit():
+    proc = run_cli("stats", "--max-n", "200", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    assert [row["n"] for row in rows] == list(range(1, 201))
+    flags = [value for row in rows for key, value in row.items() if key.endswith("_match")]
+    assert len(flags) == 200 * 9 and all(flags)
 
 
 def test_compute_divergent_sum_stalls_at_once():

@@ -1,10 +1,14 @@
-"""Tests for the brute-force partition oracle."""
+"""Tests for the partition oracle: the counting DP against enumeration and the series."""
+
+import ast
+import inspect
 
 import pytest
 
-from qlab import partitions
+from qlab import cli, partitions
 from qlab.partitions import (
     BLUE,
+    COUNT_LIMIT,
     DEFAULT_CAP,
     RED,
     CapExceeded,
@@ -201,9 +205,9 @@ def test_weight_must_be_positive():
         rank_stats(0)
 
 
-@pytest.mark.parametrize("n", range(1, 21))
+@pytest.mark.parametrize("n", range(1, 31))
 def test_stat_row_equals_a_recount_over_the_objects(n):
-    """The counting walks against the object route: partitions, ranks, colored lists."""
+    """The counting DP against the object route: partitions, ranks, colored lists."""
     parts = enumerate_partitions(n)
     g, gprime = list_G(n), list(iter_gprime_partitions(n))
     for objects in (parts, g, gprime):
@@ -223,3 +227,54 @@ def test_stat_row_equals_a_recount_over_the_objects(n):
         spt_two_color=sum(t.smallest_multiplicity() for t in g),
         odd_part_bounded=sum(1 for p in parts if all(v % 2 == 0 or v < 2 * p[-1] for v in p)),
     )
+
+
+def test_stat_table_rows_equal_stat_row():
+    assert stat_table(40) == [stat_row(n) for n in range(1, 41)]
+
+
+def test_partition_number_anchors():
+    assert stat_row(100).p == 190569292
+    assert stat_row(COUNT_LIMIT).p == 3972999029388
+
+
+def test_stat_table_equals_the_series_side_up_to_the_counting_limit():
+    """All nine ``stats`` columns, coefficient by coefficient, at the counting limit."""
+    series = cli._series_columns(COUNT_LIMIT + 1)
+    for row in stat_table(COUNT_LIMIT):
+        oracle = cli._oracle_columns(row)
+        for col in cli._STAT_COLUMNS:
+            assert series[col].coefficient(row.n) == oracle[col], f"{col} at n={row.n}"
+
+
+@pytest.mark.parametrize(
+    "count",
+    [
+        stat_table,
+        stat_row,
+        rank_histogram,
+        rank_stats,
+        spt,
+        sptG,
+        count_G,
+        count_Gprime,
+        count_omega_interpretation,
+    ],
+)
+def test_counts_stop_at_the_counting_limit(count):
+    with pytest.raises(CapExceeded, match=f"counting limit {COUNT_LIMIT}"):
+        count(COUNT_LIMIT + 1)
+    with pytest.raises(ValueError):
+        count(0)
+
+
+def test_partitions_imports_no_series_machinery():
+    tree = ast.parse(inspect.getsource(partitions))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    assert modules
+    assert not [m for m in modules if {"series", "qfunctions"} & set(m.split("."))]
