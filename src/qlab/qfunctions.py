@@ -153,7 +153,7 @@ def mono(c, k: int = 0) -> Monomial:
 
 
 # ----------------------------------------------------------------------
-# cached primitive products
+# literal products for the reference forms of (q;q)_inf and its inverse
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +177,7 @@ HALF = Fraction(1, 2)
 #: The ratio of an alternating sum: (-1)^n.
 SIGN = Monomial(Fraction(-1), 0)
 
-# a factor as qpoch takes it: (sign, offset, step, length)
+# the factor (sign*q^offset; q^step)_length as (sign, offset, step, length)
 _Factor = Tuple[int, int, int, Optional[int]]
 
 
@@ -291,66 +291,65 @@ def _valuation(sign: int, offset: int, step: int, length: Optional[int]) -> Opti
     return v
 
 
-def _mul_all(factors: List[Tuple[_Factor, int]]) -> LaurentSeries:
-    out = None
-    for f, w in factors:
-        p = qpoch(*f, w)
-        out = p if out is None else out.mul(p)
-    return out
+def _passes(arr: List[int], factors: List[_Factor], apply: Callable[[list, int, int], None]) -> int:
+    """Apply each binomial of ``factors`` below the window of ``arr`` to it in place.
+
+    1 - s*q^e with e < 0 is -s * q^e * (1 - s*q^-e) and 1 + q^0 is 2 (no
+    factor may hold 1 - q^0): the window takes 1 - s*q^-e, the q^e are in the
+    factors' valuations, and the product of the constants is returned.
+    """
+    c, width = 1, len(arr)
+    for sign, offset, step, length in factors:
+        end = width if length is None else min(offset + length * step, width)
+        for e in range(offset, end, step):
+            if e < 0:
+                c *= -sign
+            if e == 0:
+                c *= 2
+            else:
+                apply(arr, sign, abs(e))
+    return c
+
+
+def _series(v: int, nums: List[int], c: Fraction, order: int) -> LaurentSeries:
+    """c * q^v * sum nums[i] q^i, known below ``order``."""
+    k = c.numerator
+    return _make(v, nums if k == 1 else [x * k for x in nums], c.denominator, order)
 
 
 def _product(
     scale: Rational, e: int, num: List[_Factor], den: List[_Factor], order: int
-) -> LaurentSeries:
-    """scale * q^e * prod(num) / prod(den), exact below ``order``.
+) -> Tuple[int, List[int], Fraction]:
+    """scale * q^e * prod(num) / prod(den) as (v, nums, c): c * q^v * sum nums[i] q^i.
 
-    The valuation v of the whole product is known before any series is
-    built, so each factor of valuation mu is evaluated on [mu, mu + order - v):
-    products and inverses keep that width, and the result reaches ``order``.
-    A factor whose first exponent is at or above that width equals 1 on its
-    window and is skipped.  The denominator is inverted once.
+    The valuation v is known before any coefficient, so nums is one integer
+    window of width order - v, exact below ``order``, that each binomial
+    below the width multiplies or exactly divides once; it is empty when the
+    product is 0 below ``order``.
     """
     mu_den = [_valuation(*f) for f in den]
     if None in mu_den:
         raise NotInvertible("a denominator factor vanishes")
     mu_num = [_valuation(*f) for f in num]
-    if not scale or None in mu_num:
-        return zero(order)
-    v = e + sum(mu_num) - sum(mu_den)
+    v = order if not scale or None in mu_num else e + sum(mu_num) - sum(mu_den)
     if v >= order:
-        return zero(order)
-    width = order - v
-    num_w = [(f, mu + width) for f, mu in zip(num, mu_num) if f[1] < width]
-    den_w = [(f, mu + width) for f, mu in zip(den, mu_den) if f[1] < width]
-    body = None
-    if len(den_w) == 1:
-        (f, w), = den_w
-        body = inv_qpoch(*f, w)
-    elif den_w:
-        body = _mul_all(den_w).invert()
-    if num_w:
-        p = _mul_all(num_w)
-        body = p if body is None else p.mul(body)
-    if body is None:
-        return monomial(scale, v, order)
-    if scale != 1:
-        body = body.scale(scale)
-    return body.shift(e)
+        return order, [], Fraction(0)
+    nums = [1] + [0] * (order - v - 1)
+    c_num = _passes(nums, num, _binomial_factor_inplace)
+    return v, nums, Fraction(scale) * c_num / _passes(nums, den, _binomial_divide_inplace)
 
 
 def _at(factors: Tuple[Poch, ...], n: int) -> List[_Factor]:
     return [f for f in (p.at(n) for p in factors) if f is not None]
 
 
-def _term(
-    spec: QTerm, num: Tuple[Poch, ...], den: Tuple[Poch, ...], n: int, order: int
-) -> LaurentSeries:
+def _exponent_and_scale(spec: QTerm, n: int) -> Tuple[int, Rational]:
+    """The term of ``spec`` at n is scale * q^exponent times its product."""
     e2, e1, e0 = spec.exp
     e = e2 * n * n + (e1 + spec.ratio.power) * n + e0
     if e != int(e):
         raise ValueError(f"non-integral exponent {e} at n={n}")
-    scale = spec.scale * spec.ratio.coeff**n * (n if spec.times_n else 1)
-    return _product(scale, int(e), _at(num, n), _at(den, n), order)
+    return int(e), spec.scale * spec.ratio.coeff**n * (n if spec.times_n else 1)
 
 
 # binomials 1 - sign*q^e at e = first, first + step, ... below end (None: no end)
@@ -398,11 +397,11 @@ def _stepped_terms(
     """Term ``spec.start + i`` of the sum of ``spec`` over ``num``/``den``, for each i.
 
     Term n is scale_n * q^(e_n) * P_n, P_n = prod(num) / prod(den) at n, and
-    must be exact below ``order``.  P_n is kept as integer numerators over
-    one denominator on [val, val + width), width = order - (the term's
+    must be exact below ``order``.  P_n is kept as a constant times one
+    integer window on [val, val + width), width = order - (the term's
     valuation), and stepped to n + 1 in place: the window is cut to the new
     width and each binomial that leaves or enters below it costs one O(width)
-    pass.  :func:`_product` builds P afresh for the first term, for a step
+    pass.  :func:`_product` gives the first window and rebuilds it for a step
     that changes a binomial at exponent <= 0 (the valuation may move, or the
     factor vanish), for a negative length and for a width that grows.
 
@@ -418,7 +417,7 @@ def _stepped_terms(
     valuation 0, so every later term sits lower than this one.  Calls must
     come in order of i; any other call rebuilds.
     """
-    e2, e1, e0 = spec.exp
+    e2, e1, _ = spec.exp
     e1 += spec.ratio.power
     factors = [
         (p, 1 if p.arg.coeff == 1 else -1, on_num)
@@ -429,7 +428,7 @@ def _stepped_terms(
     monotone = all(p.slope >= 0 and (p.length is None or p.length[0] >= 0) for p, _, _ in factors)
     steady = monotone and e2 == 0 and e1 == 0
     may_fall = monotone and e2 <= 0 and spec.ratio.coeff != 0
-    state: list = []  # [n, numerators of P_n, their denominator, val]; [] after a zero term
+    state: list = []  # [n, window of P_n, its constant, val]; [] after a zero term
 
     def advance(n: int, top: int) -> bool:
         # P_n -> P_(n+1), whose window must reach ``top``; False when P must be rebuilt
@@ -466,19 +465,15 @@ def _stepped_terms(
 
     def term(i: int) -> LaurentSeries:
         n = spec.start + i
-        e = e2 * n * n + e1 * n + e0
-        if e != int(e):
-            raise ValueError(f"non-integral exponent {e} at n={n}")
-        e = int(e)
-        scale = Fraction(spec.scale * spec.ratio.coeff**n * (n if spec.times_n else 1))
+        e, scale = _exponent_and_scale(spec, n)
         if not scale:
-            return _product(0, e, _at(num, n), _at(den, n), order)
+            return _series(*_product(0, e, _at(num, n), _at(den, n), order), order)
         if not (state and state[0] == n - 1 and advance(n - 1, order - e)):
-            p = _product(1, 0, _at(num, n), _at(den, n), order - e)
-            state[:] = [n, list(p.nums), p.den, p.min_exp] if p.nums else []
+            val, arr, c = _product(1, 0, _at(num, n), _at(den, n), order - e)
+            state[:] = [n, arr, c, val] if arr else []
         if not state:
             return zero(order)
-        _, arr, den_p, val = state
+        _, arr, c, val = state
         # e_(n+1) < e_n, and from n on no binomial has an exponent <= 0
         if (
             may_fall
@@ -489,9 +484,7 @@ def _stepped_terms(
                 f"from term n={n} on the term valuations fall without bound from "
                 f"{val + e} below order {order}, so no term can clear the window"
             )
-        c = scale.numerator
-        nums = arr if c == 1 else [x * c for x in arr]
-        return _make(val + e, nums, den_p * scale.denominator, order)
+        return _series(val + e, arr, scale * c, order)
 
     return term
 
@@ -502,18 +495,20 @@ def qprod(spec: QTerm, order: int) -> LaurentSeries:
 
     Closed product sides are stated this way.  Memoized by (spec, order).
     """
-    return _term(spec, spec.num, spec.den, spec.start, order)
+    n = spec.start
+    e, scale = _exponent_and_scale(spec, n)
+    return _series(*_product(scale, e, _at(spec.num, n), _at(spec.den, n), order), order)
 
 
 @lru_cache(maxsize=None)
 def qsum(spec: QTerm, order: int) -> LaurentSeries:
     """Sum ``spec`` over n >= ``spec.start``, exact below ``order``.
 
-    Factors that do not depend on n are pulled out of the sum and multiplied
-    in once.  Each term is stepped from the one before by the binomials that
-    leave or enter its factors (:func:`_stepped_terms`), so a sum to order N
-    costs O(N) per changed binomial instead of an O(N^2) product and inverse
-    per term.  The sum stops at the first term whose exact valuation reaches
+    Factors that do not depend on n are pulled out of the sum and applied to
+    the summed window in place, one pass per binomial.  Each term is stepped
+    from the one before by the binomials that leave or enter its factors
+    (:func:`_stepped_terms`), so a sum to order N costs O(N) per changed
+    binomial instead of a pass per binomial of every term.  The sum stops at the first term whose exact valuation reaches
     the window top, or that vanishes exactly (a zero ratio, or a numerator
     factor 1 - q^0); :func:`~qlab.series.sum_terms` does the summing, so its
     term cap and :class:`~qlab.series.TruncationStall` apply unchanged.  A
@@ -533,15 +528,19 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
         raise NotInvertible("a denominator factor vanishes")
     mu_num = [_valuation(*f) for f in outer_num]
     # The pulled-out product has valuation mu, so the sum must reach
-    # order - mu.  When it vanishes the sum still runs, so that a pole or a
-    # stall in it is reported rather than multiplied by zero.
-    w = order - sum(v or 0 for v in mu_num) + sum(mu_den)
-    total = sum_terms(_stepped_terms(spec, num, den, w), w)
+    # order - mu, and the sum's window moved up by mu takes its passes.
+    # When it vanishes the sum still runs, so that a pole or a stall in it
+    # is reported rather than multiplied by zero.
+    mu = sum(v or 0 for v in mu_num) - sum(mu_den)
+    total = sum_terms(_stepped_terms(spec, num, den, order - mu), order - mu)
     if not (outer_num or outer_den):
         return total
     if total.is_zero or None in mu_num:
         return zero(order)
-    return _product(1, 0, outer_num, outer_den, order - total.min_exp).mul(total)
+    arr = list(total.nums)
+    c_num = _passes(arr, outer_num, _binomial_factor_inplace)
+    c = Fraction(c_num, total.den * _passes(arr, outer_den, _binomial_divide_inplace))
+    return _series(total.min_exp + mu, arr, c, order)
 
 
 # ----------------------------------------------------------------------
@@ -569,7 +568,7 @@ def euler_inv(order: int) -> LaurentSeries:
 
 
 def euler_inverse_direct(order: int) -> LaurentSeries:
-    return euler_product_direct(order).invert()
+    return inv_qpoch(1, 1, 1, None, order)
 
 
 def theta_phi_neg_sum(order: int) -> LaurentSeries:

@@ -153,12 +153,18 @@ def test_window_soundness_across_orders():
 
 
 def test_z_identity_negative_powers_of_z():
-    """Both sides are symmetric under z <-> 1/z, so z = q^-j must work as z = q^j."""
-    q_inv = build("z_identity_lhs", 30, {"z": mono(1, -1)})
-    assert q_inv.equal_up_to(build("z_identity_lhs", 30, {"z": MONO_Q}), 30) == (True, None)
-    z = mono(1, -3)
-    lhs = build("z_identity_lhs", 30, {"z": z})
-    assert lhs.equal_up_to(build("z_identity_rhs", 30, {"z": z}), 30) == (True, None)
+    """Both sides are symmetric under z <-> 1/z, so z = q^-j must work as z = q^j.
+
+    At z = q^-41 the windows of the terms reach hundreds of coefficients
+    below 0.
+    """
+    for j in (1, 41):
+        lhs = build("z_identity_lhs", 30, {"z": mono(1, -j)})
+        assert lhs.equal_up_to(build("z_identity_lhs", 30, {"z": mono(1, j)}), 30) == (True, None), j
+    for j in (3, 41):
+        z = mono(1, -j)
+        lhs = build("z_identity_lhs", 30, {"z": z})
+        assert lhs.equal_up_to(build("z_identity_rhs", 30, {"z": z}), 30) == (True, None), j
 
 
 def test_z_identity_rhs_evaluates_next_to_its_removable_singularities():
