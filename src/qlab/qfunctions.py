@@ -508,11 +508,12 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
     the summed window in place, one pass per binomial.  Each term is stepped
     from the one before by the binomials that leave or enter its factors
     (:func:`_stepped_terms`), so a sum to order N costs O(N) per changed
-    binomial instead of a pass per binomial of every term.  The sum stops at the first term whose exact valuation reaches
-    the window top, or that vanishes exactly (a zero ratio, or a numerator
-    factor 1 - q^0); :func:`~qlab.series.sum_terms` does the summing, so its
-    term cap and :class:`~qlab.series.TruncationStall` apply unchanged.  A
-    sum whose terms reach a fixed point below the window raises
+    binomial instead of a pass per binomial of every term.  The sum stops at
+    the first term whose exact valuation reaches the window top, or that
+    vanishes exactly (a zero ratio, or a numerator factor 1 - q^0);
+    :func:`~qlab.series.sum_terms` does the summing, so its term cap and
+    :class:`~qlab.series.TruncationStall` apply unchanged.  A sum whose
+    terms reach a fixed point below the window raises
     :class:`~qlab.series.TruncationStall` at once, naming the term and its
     valuation.
 

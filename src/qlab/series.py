@@ -172,32 +172,10 @@ class LaurentSeries:
 
     def add(self, other: "LaurentSeries") -> "LaurentSeries":
         mo = min(self.order, other.order)
-        me = min(self.min_exp, other.min_exp, mo)
-        if mo <= me:
-            return _zero(mo)
-        da, db = self.den, other.den
-        if da == db:
-            den, fa, fb = da, 1, 1
-        else:
-            g = gcd(da, db)
-            den = da // g * db
-            fa, fb = den // da, den // db
-        out = [0] * (mo - me)
-        base = self.min_exp - me
-        for i, x in enumerate(self.nums):
-            j = base + i
-            if j >= mo - me:
-                break
-            if x:
-                out[j] += x * fa
-        base = other.min_exp - me
-        for i, x in enumerate(other.nums):
-            j = base + i
-            if j >= mo - me:
-                break
-            if x:
-                out[j] += x * fb
-        return _make(me, out, den, mo)
+        acc: list = []
+        lo, den = _add_into(acc, mo, 1, self, mo)
+        lo, den = _add_into(acc, lo, den, other, mo)
+        return _make(lo, acc, den, mo)
 
     def neg(self) -> "LaurentSeries":
         return _raw(self.min_exp, tuple(-x for x in self.nums), self.den, self.order)
@@ -412,6 +390,34 @@ def _make(min_exp: int, nums: Sequence[int], den: int, order: int) -> LaurentSer
     return _raw(min_exp, tuple(nums), den, order)
 
 
+def _add_into(acc: list, lo: int, den: int, t: LaurentSeries, order: int) -> Tuple[int, int]:
+    """Add ``t`` below ``order`` into ``acc``, numerators over ``den`` on [lo, order).
+
+    One slice pass adds the term's window.  ``acc`` grows downward only for
+    a term below ``lo``, and is rescaled only when ``t.den`` does not divide
+    ``den``.  Returns the new ``(lo, den)``.
+    """
+    m = t.min_exp
+    if m >= order:
+        return lo, den
+    if m < lo:
+        acc[:0] = [0] * (lo - m)
+        lo = m
+    k, r = divmod(den, t.den)
+    if r:
+        f = t.den // gcd(den, t.den)
+        acc[:] = [x * f for x in acc]
+        den *= f
+        k = den // t.den
+    y = t.nums[: order - m]
+    i = m - lo
+    if k == 1:
+        acc[i:] = [x + z for x, z in zip(acc[i:], y)]
+    else:
+        acc[i:] = [x + k * z for x, z in zip(acc[i:], y)]
+    return lo, den
+
+
 def zero(order: int) -> LaurentSeries:
     """The zero series, known to vanish for all exponents below ``order``."""
     return _zero(order)
@@ -550,11 +556,15 @@ def sum_terms(
 
     The sum stops at the first index whose term has no coefficient below
     ``order``; all earlier terms are accumulated.  Terms must be built with
-    a window reaching at least ``order``.  If no closing term appears within
+    a window reaching at least ``order``.  Every term is added in place into
+    one integer window on [lo, order) over one common denominator, and the
+    total is normalised once at the end.  If no closing term appears within
     ``cap`` evaluations the sum is formally divergent at this truncation and
-    :class:`TruncationStall` is raised.
+    :class:`TruncationStall` is raised, naming the last term evaluated and
+    its valuation.
     """
-    total = _zero(order)
+    acc: list = []
+    lo, den = order, 1
     for idx in range(cap):
         t = term(idx)
         if t.order < order:
@@ -562,8 +572,9 @@ def sum_terms(
                 f"term {idx} delivers order {t.order}, sum needs {order}"
             )
         if t.min_exp >= order:
-            return total
-        total = total.add(t)
+            return _make(lo, acc, den, order)
+        lo, den = _add_into(acc, lo, den, t, order)
+    last = f": term {idx} has valuation {t.min_exp}" if cap > 0 else ""
     raise TruncationStall(
-        f"no term cleared order {order} within {cap} evaluations"
+        f"no term cleared order {order} within {cap} evaluations{last}"
     )

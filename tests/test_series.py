@@ -293,6 +293,23 @@ def test_sum_terms_requires_full_windows():
         sum_terms(lambda n: one(3), 5)
 
 
+def test_sum_terms_checks_the_window_of_every_term():
+    # terms 0 and 1 are accumulated before term 2 arrives short
+    def term(n):
+        return monomial(1, n, 5 if n < 2 else 4)
+
+    with pytest.raises(InvalidWindow, match=r"^term 2 delivers order 4, sum needs 5$"):
+        sum_terms(term, 5)
+
+
+def test_sum_terms_cap_names_the_last_term_and_its_valuation():
+    with pytest.raises(
+        TruncationStall,
+        match=r"^no term cleared order 5 within 7 evaluations: term 6 has valuation -6$",
+    ):
+        sum_terms(lambda n: monomial(1, -n, 5), 5, cap=7)
+
+
 # ----------------------------------------------------------------------
 # coefficient
 

@@ -1,6 +1,10 @@
 """Property tests for the series ring, driven by hypothesis."""
 
-from hypothesis import given, settings, strategies as st
+from collections import defaultdict
+from fractions import Fraction
+from math import lcm
+
+from hypothesis import example, given, settings, strategies as st
 
 from qlab.series import (
     LaurentSeries,
@@ -8,6 +12,8 @@ from qlab.series import (
     monomial,
     one,
     pochhammer,
+    sum_terms,
+    zero,
 )
 
 
@@ -136,3 +142,83 @@ def test_canonical_representation(a):
         assert a.nums[0] != 0
     else:
         assert a.min_exp == a.order
+
+
+# ----------------------------------------------------------------------
+# sum_terms, add and sub against a dict-of-Fraction reference
+#
+# The reference reads coefficients through ``coeffs`` and sums them in a
+# dict, so it shares no code with the integer window the engine adds into.
+
+coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+def canonical(s: LaurentSeries) -> tuple:
+    return (s.min_exp, s.order, s.den, s.nums)
+
+
+def reference_canonical(total: dict, order: int) -> tuple:
+    """``canonical`` of the series with coefficients ``total`` below ``order``."""
+    support = [k for k, c in total.items() if c and k < order]
+    if not support:
+        return (order, order, 1, ())
+    lo = min(support)
+    den = lcm(*(total[k].denominator for k in support))
+    return (lo, order, den, tuple(int(total.get(k, 0) * den) for k in range(lo, order)))
+
+
+def reference_sum(terms, order: int) -> tuple:
+    total: dict = defaultdict(Fraction)
+    for t in terms:
+        if t.min_exp >= order:
+            break
+        for i, c in enumerate(t.coeffs):
+            total[t.min_exp + i] += c
+    return reference_canonical(total, order)
+
+
+@st.composite
+def summands(draw):
+    """A target order and terms that close it: each reaches at least the
+    target, some are negations of earlier ones (cancellation), and the
+    last term clears the window."""
+    order = draw(st.integers(-3, 8))
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        m = draw(st.integers(order - 8, order - 1))
+        top = order + draw(st.integers(0, 3))
+        coeffs = draw(st.lists(coefficients, min_size=top - m, max_size=top - m))
+        terms.append(LaurentSeries.from_coeffs(m, coeffs, top))
+    if terms:
+        terms += [terms[i].neg() for i in draw(st.lists(st.integers(0, len(terms) - 1)))]
+    terms.append(zero(order + draw(st.integers(0, 2))))
+    return order, terms
+
+
+_A = LaurentSeries.from_coeffs(0, [1, Fraction(1, 2), Fraction(-2, 3), 5, 0, 7], 6)
+_B = LaurentSeries.from_coeffs(-2, [Fraction(3, 4), 0, 1, Fraction(1, 6), 2, -1, 1, 4, 1, 3], 8)
+
+
+@example((6, [_A, _B, zero(6)]))  # mixed denominators; the later term lies lower
+@example((6, [_A, _B, _A.neg(), _B.neg(), zero(6)]))  # cancels to zero
+@example((6, [_B, _A, monomial(Fraction(-3, 4), -2, 6), zero(6)]))  # leading cancellation
+@example((4, [_A, _B, monomial(1, 5, 6), _A]))  # terms above the target order
+@example((0, [monomial(2, 0, 3), _A]))  # the first term clears the window
+@given(summands())
+def test_sum_terms_matches_the_fraction_reference(drawn):
+    order, terms = drawn
+    assert canonical(sum_terms(terms.__getitem__, order)) == reference_sum(terms, order)
+
+
+@example(_A, _B)
+@example(_A, _A)
+@example(_B, LaurentSeries.from_coeffs(-5, [1, 0, Fraction(-1, 3), 0, 0, 2], 1))
+@given(series(), series())
+def test_add_and_sub_match_the_fraction_reference(a, b):
+    order = min(a.order, b.order)
+    for sign, result in ((1, a.add(b)), (-1, a.sub(b))):
+        total: dict = defaultdict(Fraction)
+        for s, c in ((a, 1), (b, sign)):
+            for i, x in enumerate(s.coeffs):
+                total[s.min_exp + i] += c * x
+        assert canonical(result) == reference_canonical(total, order)
