@@ -7,8 +7,9 @@ Subcommands:
   slash).
 * ``verify`` -- check one identity row, one identity, the whole catalog
   (``all``), or the pure-oracle equality ``thm-1.2-combinatorial``; writes a
-  report array.  Exit code 0 means everything passed, 1 means a mismatch
-  or a builder failure, 2 means a usage error.
+  report array, and names on stderr each row that failed with an error.
+  Exit code 0 means everything passed, 1 means a mismatch or a builder
+  failure, 2 means a usage error.
 * ``stats`` -- dump the counting-oracle table next to the matching series
   coefficients with a match flag per column.
 * ``list`` -- print the identity catalog.
@@ -20,6 +21,7 @@ deterministic: rows are sorted before they are written.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -69,10 +71,13 @@ def _write(text: str, path: Optional[str]) -> None:
 
 
 def _csv(rows: List[Sequence[object]], header: Sequence[str]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if v is None else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    import csv  # loads a shared library, so only CSV output pays for it
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _json(payload: object) -> str:
@@ -218,6 +223,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return USAGE_ERROR
         jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
         reports = rg.verify_all(order=args.order, entries=entries, jobs=jobs)
+        for r in reports:
+            if r.error is not None:
+                print(f"{r.row_id} failed: {r.error}", file=sys.stderr)
     if args.format == "json":
         _write(_json([_report_dict(r) for r in reports]), args.report)
     else:

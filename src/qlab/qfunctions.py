@@ -831,7 +831,7 @@ def before_ac_rhs(order: int, b: Monomial) -> LaurentSeries:
     """The pre-continuation form: theta part + (1+b)(1+q) sum (-b)^m/(1+q^{2m+3}).
 
     At b = 1 the final sum has constant-valuation terms and is formally
-    divergent; evaluation then raises TruncationStall at the term cap.
+    divergent; evaluation then raises TruncationStall at its fixed point.
     """
     part1 = qsum(_lem21_theta_part(b), order)
     num = (Poch(b.times(SIGN), 1, (0, 1)), one_plus(1))

@@ -610,36 +610,34 @@ def select(selector: str) -> Tuple[IdentityEntry, ...]:
 def _run_row(
     entry: IdentityEntry, spec: Specialization, order: int
 ) -> VerificationReport:
+    """Build and compare one row; every outcome, a builder error too, is a report."""
     kwargs = spec.param_dict()
     start = time.perf_counter()
-
-    def report(**kw) -> VerificationReport:
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return VerificationReport(
-            id=entry.id,
-            specialization=spec.label,
-            order=order,
-            elapsed_ms=elapsed,
-            expected_stall=spec.expects_stall,
-            **kw,
-        )
-
+    passed, stalled, mismatch, error = False, False, None, None
     try:
         lhs = entry.lhs(order, **kwargs)
         rhs = entry.rhs(order, **kwargs)
-    except TruncationStall as stall:
         if spec.expects_stall:
-            return report(passed=True, first_mismatch=None, stalled=True)
-        raise stall
-    if spec.expects_stall:
-        # completing without a stall means the negative control failed
-        return report(
-            passed=False,
-            first_mismatch=None,
-            error="expected TruncationStall, but evaluation completed",
-        )
-    ok, mismatch = lhs.equal_up_to(rhs, order)
-    return report(passed=ok, first_mismatch=mismatch)
+            # completing without a stall means the negative control failed
+            error = "expected TruncationStall, but evaluation completed"
+        else:
+            passed, mismatch = lhs.equal_up_to(rhs, order)
+    except Exception as exc:  # aggregate without aborting the run
+        stalled = isinstance(exc, TruncationStall)
+        passed = stalled and spec.expects_stall
+        if not passed:
+            error = f"{type(exc).__name__}: {exc}"
+    return VerificationReport(
+        id=entry.id,
+        specialization=spec.label,
+        order=order,
+        passed=passed,
+        first_mismatch=mismatch,
+        elapsed_ms=(time.perf_counter() - start) * 1000.0,
+        stalled=stalled,
+        expected_stall=spec.expects_stall,
+        error=error,
+    )
 
 
 def verify(
@@ -652,30 +650,10 @@ def verify(
     return report
 
 
-def _run_row_guarded(
-    entry: IdentityEntry, spec: Specialization, order: int
-) -> VerificationReport:
-    start = time.perf_counter()
-    try:
-        return _run_row(entry, spec, order)
-    except Exception as exc:  # aggregate without aborting the run
-        return VerificationReport(
-            id=entry.id,
-            specialization=spec.label,
-            order=order,
-            passed=False,
-            first_mismatch=None,
-            elapsed_ms=(time.perf_counter() - start) * 1000.0,
-            stalled=isinstance(exc, TruncationStall),
-            expected_stall=spec.expects_stall,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-
-
 def _worker(args: Tuple[str, Optional[str], int]) -> VerificationReport:
     entry_id, label, order = args
     entry = get_entry(entry_id)
-    return _run_row_guarded(entry, entry.specialization(label), order)
+    return _run_row(entry, entry.specialization(label), order)
 
 
 def verify_all(
@@ -705,7 +683,7 @@ def verify_all(
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_worker, args))
     else:
-        reports = [_run_row_guarded(e, s, o) for e, s, o in rows]
+        reports = [_run_row(e, s, o) for e, s, o in rows]
     reports.sort(key=lambda r: (r.id, r.specialization or ""))
     return reports
 

@@ -33,10 +33,10 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
 
-#: Default bound on term evaluations in :func:`sum_terms` before a formally
-#: divergent sum is reported via :class:`TruncationStall`.  The catalog's
-#: convergent sums stop within order + 1 terms, so below order 20,000 the cap
-#: only bounds how long a divergent sum runs.
+#: Term evaluations beyond ``order`` that :func:`sum_terms` allows by default
+#: before a formally divergent sum is reported via :class:`TruncationStall`.
+#: The catalog's convergent sums stop within order + 1 terms, so at every
+#: order the cap only bounds how long a divergent sum runs.
 DEFAULT_TERM_CAP = 20_000
 
 
@@ -227,36 +227,25 @@ class LaurentSeries:
         a = self.nums
         lead = a[0]
         n = len(a)
-        sparse = [(i, ai) for i, ai in enumerate(a) if ai and i > 0]
-        if lead == 1 or lead == -1:
-            inv = [0] * n
-            inv[0] = lead
-            for k in range(1, n):
-                s = 0
-                for i, ai in sparse:
-                    if i > k:
-                        break
-                    s += ai * inv[k - i]
-                if s:
-                    inv[k] = -lead * s
-            nums = [self.den * x for x in inv]
-            den = 1
-        else:
-            # scaled recurrence keeps everything integral: c[k] are the inverse
-            # coefficients times lead**(k+1)
-            c = [0] * n
-            c[0] = 1
-            for k in range(1, n):
-                s = 0
-                for i, ai in sparse:
-                    if i > k:
-                        break
-                    s += ai * c[k - i] * lead ** (i - 1)
-                c[k] = -s
-            nums = [self.den * c[k] * lead ** (n - 1 - k) for k in range(n)]
-            den = lead**n
+        # c[k] is the k-th inverse coefficient times lead**(k+1), which keeps
+        # the recurrence integral: c[k] = -sum_i a[i] lead**(i-1) c[k-i]
+        weights = [(i, ai * lead ** (i - 1)) for i, ai in enumerate(a) if ai and i > 0]
+        c = [0] * n
+        c[0] = 1
+        for k in range(1, n):
+            s = 0
+            for i, wi in weights:
+                if i > k:
+                    break
+                s += wi * c[k - i]
+            c[k] = -s
+        # inverse coefficient k is den * c[k] * lead**(n-1-k) / lead**n
+        power = self.den
+        for k in range(n - 1, -1, -1):
+            c[k] *= power
+            power *= lead
         m = self.min_exp
-        return _make(-m, nums, den, self.order - 2 * m)
+        return _make(-m, c, lead**n, self.order - 2 * m)
 
     def substitute_power(self, k: int) -> "LaurentSeries":
         """Replace q by q^k (k >= 1): coefficients move to k-times exponents."""
@@ -550,7 +539,7 @@ def pochhammer(spec: PochhammerSpec, order: int) -> LaurentSeries:
 def sum_terms(
     term: Callable[[int], LaurentSeries],
     order: int,
-    cap: int = DEFAULT_TERM_CAP,
+    cap: Optional[int] = None,
 ) -> LaurentSeries:
     """Sum ``term(0) + term(1) + ...`` until a term clears the window.
 
@@ -559,10 +548,13 @@ def sum_terms(
     a window reaching at least ``order``.  Every term is added in place into
     one integer window on [lo, order) over one common denominator, and the
     total is normalised once at the end.  If no closing term appears within
-    ``cap`` evaluations the sum is formally divergent at this truncation and
+    ``cap`` evaluations (default ``max(order, 0) + DEFAULT_TERM_CAP``) the
+    sum is formally divergent at this truncation and
     :class:`TruncationStall` is raised, naming the last term evaluated and
     its valuation.
     """
+    if cap is None:
+        cap = max(order, 0) + DEFAULT_TERM_CAP
     acc: list = []
     lo, den = order, 1
     for idx in range(cap):

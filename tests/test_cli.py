@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
+import io
 import json
 import os
 import re
@@ -139,6 +141,7 @@ def test_verify_builder_failure_is_a_failed_report(capsys, monkeypatch):
     (report,) = json.loads(out)
     assert report["id"] == "thm-1.1" and not report["pass"]
     assert "Traceback" not in err
+    assert err == "thm-1.1 failed: NotInvertible: synthetic builder failure\n"
 
 
 def test_verify_unknown_id_usage_error(capsys):
@@ -263,6 +266,21 @@ def test_list_csv(capsys):
     code, out, _ = run(capsys, "list", "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == "row,order,expects_stall,anchor"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["list", "--format", "csv"],
+        ["verify", "eq-4parameter", "--order", "6", "--format", "csv", "--jobs", "1"],
+    ],
+)
+def test_csv_fields_with_commas_parse(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert rows and all(len(row) == len(header) for row in rows)
+    assert any("," in field for row in rows for field in row)
 
 
 def test_env_var_overrides_default_order(capsys, monkeypatch):

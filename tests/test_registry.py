@@ -7,6 +7,7 @@ import pytest
 
 from qlab.registry import (
     IdentityEntry,
+    Specialization,
     UnknownIdentity,
     UnknownSpecialization,
     all_row_ids,
@@ -127,15 +128,31 @@ def _stalling_side(order):
     raise TruncationStall("synthetic divergence")
 
 
-def test_unexpected_stall_raises_in_verify():
+def test_unexpected_stall_is_a_failed_report():
     entry = IdentityEntry(
         id="stall-probe",
         anchor="synthetic",
         lhs=lambda order: one(order),
         rhs=_stalling_side,
     )
-    with pytest.raises(TruncationStall):
-        rg._run_row(entry, entry.specializations[0], 5)
+    report = rg._run_row(entry, entry.specializations[0], 5)
+    assert not report.passed
+    assert report.stalled and not report.expected_stall
+    assert report.error.startswith("TruncationStall")
+
+
+def test_negative_control_that_completes_is_a_failed_report():
+    entry = IdentityEntry(
+        id="stall-probe",
+        anchor="synthetic",
+        lhs=lambda order: one(order),
+        rhs=lambda order: one(order),
+        specializations=(Specialization(label=None, expects_stall=True),),
+    )
+    report = rg._run_row(entry, entry.specializations[0], 5)
+    assert not report.passed and not report.stalled
+    assert report.first_mismatch is None
+    assert report.error == "expected TruncationStall, but evaluation completed"
 
 
 def test_verify_all_small_orders():

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from qlab import series as series_module
 from qlab.series import (
     InvalidWindow,
     LaurentSeries,
@@ -300,6 +301,20 @@ def test_sum_terms_checks_the_window_of_every_term():
 
     with pytest.raises(InvalidWindow, match=r"^term 2 delivers order 4, sum needs 5$"):
         sum_terms(term, 5)
+
+
+def test_sum_terms_default_cap_grows_with_the_order(monkeypatch):
+    monkeypatch.setattr(series_module, "DEFAULT_TERM_CAP", 3)
+    # sum of q^n to order 40 takes 41 evaluations, well past the constant
+    geometric = sum_terms(lambda n: monomial(1, n, n + 41), 40)
+    assert geometric.nums == (1,) * 40
+    with pytest.raises(TruncationStall, match=r"within 43 evaluations"):
+        sum_terms(lambda n: one(40), 40)
+    with pytest.raises(TruncationStall, match=r"within 3 evaluations"):
+        sum_terms(lambda n: monomial(1, -3, -2), -2)
+    # an explicit cap is not extended
+    with pytest.raises(TruncationStall, match=r"within 7 evaluations"):
+        sum_terms(lambda n: monomial(1, n, n + 41), 40, cap=7)
 
 
 def test_sum_terms_cap_names_the_last_term_and_its_valuation():

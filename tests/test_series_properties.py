@@ -222,3 +222,39 @@ def test_add_and_sub_match_the_fraction_reference(a, b):
             for i, x in enumerate(s.coeffs):
                 total[s.min_exp + i] += c * x
         assert canonical(result) == reference_canonical(total, order)
+
+
+# ----------------------------------------------------------------------
+# invert against Fraction long division
+
+
+@st.composite
+def invertible_series(draw):
+    """A series whose stored leading numerator is ±1, ±2 or 3; the common
+    denominator is prime to it, so normalising keeps it."""
+    min_exp = draw(st.integers(-5, 5))
+    lead = draw(st.sampled_from([1, -1, 2, -2, 3]))
+    den = draw(st.sampled_from([1, 5, 7]))
+    rest = draw(st.lists(st.integers(-9, 9), max_size=12))
+    coeffs = [Fraction(x, den) for x in [lead, *rest]]
+    return LaurentSeries.from_coeffs(min_exp, coeffs, min_exp + len(coeffs))
+
+
+def reference_inverse(a: LaurentSeries) -> tuple:
+    c = a.coeffs
+    inv = [1 / c[0]]
+    for k in range(1, len(c)):
+        inv.append(-sum(c[i] * inv[k - i] for i in range(1, k + 1)) / c[0])
+    total = {k - a.min_exp: x for k, x in enumerate(inv)}
+    return reference_canonical(total, a.order - 2 * a.min_exp)
+
+
+@example(LaurentSeries.from_coeffs(-3, [1, 2, 0, -1, 4, 0, 1], 4))
+@example(LaurentSeries.from_coeffs(-2, [-1, 1, 1, 0, -3], 3))
+@example(LaurentSeries.from_coeffs(-4, [2, -1, 0, 3, 1, 1, -2], 3))
+@example(LaurentSeries.from_coeffs(-1, [Fraction(-2, 5), Fraction(1, 5), 0, 1], 3))
+@example(LaurentSeries.from_coeffs(-3, [Fraction(3, 7), 1, -1, 2, 0, 5], 3))
+@given(invertible_series())
+def test_invert_matches_fraction_long_division(a):
+    assert abs(a.nums[0]) in (1, 2, 3)
+    assert canonical(a.invert()) == reference_inverse(a)
