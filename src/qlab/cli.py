@@ -65,9 +65,13 @@ def _default_order() -> int:
 def _write(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        raise SystemExit(USAGE_ERROR)
 
 
 def _csv(rows: List[Sequence[object]], header: Sequence[str]) -> str:

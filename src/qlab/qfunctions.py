@@ -122,12 +122,14 @@ class Monomial:
         return f"{self.coeff}*{q}"
 
     _PATTERN = re.compile(
-        r"^\s*(?P<coeff>[+-]?\d+(?:/\d+)?)?\s*\*?\s*(?:(?P<neg>-)?q(?:\^(?P<pow>-?\d+))?)?\s*$"
+        # a '*' may only join a coefficient to q
+        r"^\s*(?:(?P<coeff>[+-]?\d+(?:/\d+)?)\s*(?:\*\s*(?=-?q))?)?"
+        r"(?:(?P<neg>-)?q(?:\^(?P<pow>-?\d+))?)?\s*$"
     )
 
     @classmethod
     def parse(cls, text: str) -> "Monomial":
-        """Parse strings like ``0``, ``1``, ``q``, ``-q``, ``q^-1``, ``1/2*q^3``."""
+        """Parse strings like ``0``, ``1``, ``q``, ``-q``, ``q^-1``, ``1/2*q^3``, ``2*-q``."""
         m = cls._PATTERN.match(text)
         if not m or (m.group("coeff") is None and m.group("neg") is None and "q" not in text):
             raise ValueError(f"cannot parse monomial {text!r}")
@@ -405,17 +407,20 @@ def _stepped_terms(
     that changes a binomial at exponent <= 0 (the valuation may move, or the
     factor vanish), for a negative length and for a width that grows.
 
-    When the exponent is constant in n and no factor's slope or length slope
-    is negative, a step that changes no binomial below the width is a fixed
-    point: every later change lies further up, and the ratio is nonzero (a
-    zero scale ends the sum before any step), so every later term is a
-    nonzero multiple of this one with the same valuation.  No term can clear
-    the window, and :class:`TruncationStall` is raised at once.  It is also
-    raised at once when e2 <= 0, the exponent falls from n to n + 1, the
-    ratio is nonzero, no slope is negative and every factor's first
-    exponent is positive, even while its length is 0: from n on each P has
-    valuation 0, so every later term sits lower than this one.  Calls must
-    come in order of i; any other call rebuilds.
+    A step from n to n + 1 on a spec with e2 <= 0 and no negative slope or
+    length slope, that changes no binomial at exponent <= 0 and whose
+    exponent does not rise, e_(n+1) <= e_n, raises :class:`TruncationStall`
+    at once, naming term n and its valuation.  The rule is exact:
+
+    * from term n on, every binomial that changes sits above exponent 0,
+      so P keeps its valuation;
+    * once the exponent step is <= 0 with e2 <= 0, the exponent never
+      rises again;
+    * a step runs only after a term with a nonzero scale, so every later
+      term is nonzero;
+    * so no later term can clear the window.
+
+    Calls must come in order of i; any other call rebuilds.
     """
     e2, e1, _ = spec.exp
     e1 += spec.ratio.power
@@ -426,27 +431,26 @@ def _stepped_terms(
         if not p.arg.is_zero
     ]
     monotone = all(p.slope >= 0 and (p.length is None or p.length[0] >= 0) for p, _, _ in factors)
-    steady = monotone and e2 == 0 and e1 == 0
-    may_fall = monotone and e2 <= 0 and spec.ratio.coeff != 0
     state: list = []  # [n, window of P_n, its constant, val]; [] after a zero term
 
     def advance(n: int, top: int) -> bool:
         # P_n -> P_(n+1), whose window must reach ``top``; False when P must be rebuilt
         _, arr, _, val = state
-        passes = []
+        mul: List[_Factor] = []
+        div: List[_Factor] = []
         for p, sign, on_num in factors:
             moves = _moves(p, n)
             if moves is None:
                 return False
-            for runs, multiply in zip(moves, (not on_num, on_num)):
+            for runs, out in zip(moves, (div, mul) if on_num else (mul, div)):
                 for first, end in runs:
                     if first <= 0:
                         return False
-                    if first < len(arr):
-                        passes.append((first, end, p.step, sign, multiply))
-        if steady and not passes:
+                    length = None if end is None else (end - first) // p.step
+                    out.append((sign, first, p.step, length))
+        if monotone and e2 <= 0 and e2 * (2 * n + 1) + e1 <= 0:
             raise TruncationStall(
-                f"from term n={n} on every term has valuation {order - len(arr)} "
+                f"from term n={n} on every term has valuation at most {order - len(arr)} "
                 f"below order {order}, so no term can clear the window"
             )
         width = top - val
@@ -456,10 +460,8 @@ def _stepped_terms(
             state.clear()
             return True
         del arr[width:]
-        for first, end, step, sign, multiply in passes:
-            apply = _binomial_factor_inplace if multiply else _binomial_divide_inplace
-            for e in range(first, width if end is None else min(end, width), step):
-                apply(arr, sign, e)
+        _passes(arr, mul, _binomial_factor_inplace)
+        _passes(arr, div, _binomial_divide_inplace)
         state[0] = n + 1
         return True
 
@@ -474,16 +476,6 @@ def _stepped_terms(
         if not state:
             return zero(order)
         _, arr, c, val = state
-        # e_(n+1) < e_n, and from n on no binomial has an exponent <= 0
-        if (
-            may_fall
-            and e2 * (2 * n + 1) + e1 < 0
-            and all(p.arg.power + p.slope * n > 0 for p, _, _ in factors)
-        ):
-            raise TruncationStall(
-                f"from term n={n} on the term valuations fall without bound from "
-                f"{val + e} below order {order}, so no term can clear the window"
-            )
         return _series(val + e, arr, scale * c, order)
 
     return term
@@ -513,9 +505,9 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
     vanishes exactly (a zero ratio, or a numerator factor 1 - q^0);
     :func:`~qlab.series.sum_terms` does the summing, so its term cap and
     :class:`~qlab.series.TruncationStall` apply unchanged.  A sum whose
-    terms reach a fixed point below the window raises
-    :class:`~qlab.series.TruncationStall` at once, naming the term and its
-    valuation.
+    terms can be shown never to clear the window (see :func:`_stepped_terms`)
+    raises :class:`~qlab.series.TruncationStall` at once, naming the term
+    and its valuation.
 
     Results are memoized by (spec, order), so every builder and catalog side
     that states the same sum shares one evaluation.
@@ -831,7 +823,7 @@ def before_ac_rhs(order: int, b: Monomial) -> LaurentSeries:
     """The pre-continuation form: theta part + (1+b)(1+q) sum (-b)^m/(1+q^{2m+3}).
 
     At b = 1 the final sum has constant-valuation terms and is formally
-    divergent; evaluation then raises TruncationStall at its fixed point.
+    divergent; evaluation then raises TruncationStall at its first step.
     """
     part1 = qsum(_lem21_theta_part(b), order)
     num = (Poch(b.times(SIGN), 1, (0, 1)), one_plus(1))

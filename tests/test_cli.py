@@ -368,6 +368,9 @@ def run_cli(*argv):
         ["stats", "--max-n", "201"],
         ["verify", "thm-1.2-combinatorial", "--max-n", "201"],
         ["verify", "thm-1.2-combinatorial", "--jobs", "2"],
+        # a '*' that joins no coefficient to q
+        ["compute", "entry239_lhs", "--param", "a=1*", "--order", "4"],
+        ["compute", "entry239_lhs", "--param", "a=*q", "--order", "4"],
     ],
 )
 def test_compute_malformed_input_is_a_usage_error(argv):
@@ -387,9 +390,31 @@ def test_stats_matches_the_series_at_the_counting_limit():
 
 
 def test_compute_divergent_sum_stalls_at_once():
-    """The tail of before_ac_rhs at b = q^-1 falls without bound: exit 1 at its first term."""
+    """The tail of before_ac_rhs at b = q^-1 falls without bound: exit 1 at its first step.
+
+    The factor 1 + q^-1 is pulled out of the tail, which is summed to order 21.
+    """
     proc = run_cli("compute", "before_ac_rhs", "--param", "b=q^-1", "--order", "20")
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.strip().splitlines()
-    assert "TruncationStall: from term n=0 on the term valuations fall without bound" in line
+    assert "TruncationStall: from term n=0 on every term has valuation at most 0 below order 21" in line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "f3_def", "--order", "5", "--output"],
+        ["verify", "thm-1.1", "--order", "5", "--report"],
+        ["stats", "--max-n", "5", "--output"],
+        ["list", "--output"],
+    ],
+)
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_output_path_is_a_usage_error(tmp_path, argv, where):
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "x"
+    proc = run_cli(*argv, str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.strip().splitlines()
+    assert line.startswith(f"error: cannot write {path}: ")
