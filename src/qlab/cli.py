@@ -39,10 +39,7 @@ MISMATCH_ERROR = 1
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))  # "p/q", or "p" for an integer
 
 
 def _default_order() -> int:
@@ -62,12 +59,12 @@ def _default_order() -> int:
     return value
 
 
-def _write(text: str, path: Optional[str]) -> None:
+def _write(text: str, path: Optional[str], mode: str = "w") -> None:
     if path is None:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(path, mode, encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
@@ -75,12 +72,13 @@ def _write(text: str, path: Optional[str]) -> None:
 
 
 def _csv(rows: List[Sequence[object]], header: Sequence[str]) -> str:
+    """CSV text under a header row; booleans are written ``true``/``false``, as in JSON."""
     import csv  # loads a shared library, so only CSV output pays for it
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([str(c).lower() if isinstance(c, bool) else c for c in row] for row in rows)
     return out.getvalue()
 
 
@@ -158,7 +156,7 @@ def _report_csv_row(r: rg.VerificationReport) -> tuple:
         r.id,
         r.specialization or "",
         r.order,
-        str(r.passed).lower(),
+        r.passed,
         m.exponent if m else None,
         format_rational(m.lhs) if m else None,
         format_rational(m.rhs) if m else None,
@@ -231,9 +229,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if r.error is not None:
                 print(f"{r.row_id} failed: {r.error}", file=sys.stderr)
     if args.format == "json":
-        _write(_json([_report_dict(r) for r in reports]), args.report)
+        _write(_json([_report_dict(r) for r in reports]), args.output)
     else:
-        _write(_csv([_report_csv_row(r) for r in reports], _REPORT_HEADER), args.report)
+        _write(_csv([_report_csv_row(r) for r in reports], _REPORT_HEADER), args.output)
     return 0 if all(r.passed for r in reports) else MISMATCH_ERROR
 
 
@@ -299,16 +297,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.format == "json":
         _write(_json(rows), args.output)
     else:
-        csv_rows = [
-            [row["n"]]
-            + [
-                str(row[key]).lower() if key.endswith("_match") else row[key]
-                for col in _STAT_COLUMNS
-                for key in (col, f"{col}_series", f"{col}_match")
-            ]
-            for row in rows
-        ]
-        _write(_csv(csv_rows, header), args.output)
+        # each row holds the header's keys, in order
+        _write(_csv([list(row.values()) for row in rows], header), args.output)
     ok = all(row[f"{col}_match"] for row in rows for col in _STAT_COLUMNS)
     return 0 if ok else MISMATCH_ERROR
 
@@ -325,7 +315,7 @@ def cmd_list(args: argparse.Namespace) -> int:
                 {
                     "id": entry.id,
                     "specialization": spec.label,
-                    "row": entry.id if spec.label is None else f"{entry.id}@{spec.label}",
+                    "row": rg.row_name(entry.id, spec.label),
                     "order": entry.default_order,
                     "expects_stall": spec.expects_stall,
                     "anchor": entry.anchor,
@@ -334,10 +324,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     if args.format == "json":
         _write(_json(rows), args.output)
     elif args.format == "csv":
-        csv_rows = [
-            (r["row"], r["order"], str(r["expects_stall"]).lower(), r["anchor"])
-            for r in rows
-        ]
+        csv_rows = [(r["row"], r["order"], r["expects_stall"], r["anchor"]) for r in rows]
         _write(_csv(csv_rows, ("row", "order", "expects_stall", "anchor")), args.output)
     else:
         lines = [
@@ -353,9 +340,14 @@ def cmd_list(args: argparse.Namespace) -> int:
 # argument parsing
 
 
-def _add_common_output(p: argparse.ArgumentParser, dest: str = "output") -> None:
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument(f"--{dest}", default=None, help="write to this path instead of stdout")
+def _add_output(
+    p: argparse.ArgumentParser,
+    default: str,
+    formats: Sequence[str] = ("json", "csv"),
+    flag: str = "--output",
+) -> None:
+    p.add_argument("--format", choices=formats, default=default)
+    p.add_argument(flag, dest="output", metavar="PATH", help="write to this path instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=MONOMIAL",
         help="monomial parameter, e.g. b=q^2 (repeatable)",
     )
-    _add_common_output(p)
+    _add_output(p, "csv")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify", help="verify identities")
@@ -393,8 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker processes for catalog selectors (default: the CPU count)",
     )
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--report", default=None, help="write the report to this path")
+    _add_output(p, "json", flag="--report")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("stats", help="oracle table with series cross-checks")
@@ -402,12 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs", type=int, default=None, help="accepted for old scripts; it has no effect"
     )
-    _add_common_output(p)
+    _add_output(p, "csv")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("list", help="print the identity catalog")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--output", default=None)
+    _add_output(p, "text", ("text", "json", "csv"))
     p.set_defaults(func=cmd_list)
 
     return parser
@@ -422,6 +412,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--max-n must be positive")
     if getattr(args, "jobs", None) is not None and args.jobs < 1:
         parser.error("--jobs must be positive")
+    if args.output is not None:  # every command writes here; fail now, before any work
+        created = not os.path.lexists(args.output)
+        _write("", args.output, "a")  # appending nothing truncates nothing
+        if created:
+            os.remove(args.output)
     return args.func(args)
 
 

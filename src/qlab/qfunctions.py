@@ -293,24 +293,37 @@ def _valuation(sign: int, offset: int, step: int, length: Optional[int]) -> Opti
     return v
 
 
-def _passes(arr: List[int], factors: List[_Factor], apply: Callable[[list, int, int], None]) -> int:
-    """Apply each binomial of ``factors`` below the window of ``arr`` to it in place.
+def _shift(num: List[_Factor], den: List[_Factor]) -> Optional[int]:
+    """Exact valuation of prod(num) / prod(den), or ``None`` when a numerator vanishes.
+
+    Raises :class:`NotInvertible` when a denominator factor vanishes.
+    """
+    mu_den = [_valuation(*f) for f in den]
+    if None in mu_den:
+        raise NotInvertible("a denominator factor vanishes")
+    mu_num = [_valuation(*f) for f in num]
+    return None if None in mu_num else sum(mu_num) - sum(mu_den)
+
+
+def _apply(arr: List[int], num: List[_Factor], den: List[_Factor]) -> Fraction:
+    """One in-place pass on ``arr`` per binomial below its width: ``num`` multiply, ``den`` divide.
 
     1 - s*q^e with e < 0 is -s * q^e * (1 - s*q^-e) and 1 + q^0 is 2 (no
-    factor may hold 1 - q^0): the window takes 1 - s*q^-e, the q^e are in the
-    factors' valuations, and the product of the constants is returned.
+    factor may hold 1 - q^0): the window takes 1 - s*q^-e, the q^e are in
+    :func:`_shift`, and the quotient of the constants is returned.
     """
-    c, width = 1, len(arr)
-    for sign, offset, step, length in factors:
-        end = width if length is None else min(offset + length * step, width)
-        for e in range(offset, end, step):
-            if e < 0:
-                c *= -sign
-            if e == 0:
-                c *= 2
-            else:
-                apply(arr, sign, abs(e))
-    return c
+    c, width = [1, 1], len(arr)
+    for i, factors, apply in ((0, num, _binomial_factor_inplace), (1, den, _binomial_divide_inplace)):
+        for sign, offset, step, length in factors:
+            end = width if length is None else min(offset + length * step, width)
+            for e in range(offset, end, step):
+                if e < 0:
+                    c[i] *= -sign
+                if e == 0:
+                    c[i] *= 2
+                else:
+                    apply(arr, sign, abs(e))
+    return Fraction(*c)
 
 
 def _series(v: int, nums: List[int], c: Fraction, order: int) -> LaurentSeries:
@@ -329,16 +342,12 @@ def _product(
     below the width multiplies or exactly divides once; it is empty when the
     product is 0 below ``order``.
     """
-    mu_den = [_valuation(*f) for f in den]
-    if None in mu_den:
-        raise NotInvertible("a denominator factor vanishes")
-    mu_num = [_valuation(*f) for f in num]
-    v = order if not scale or None in mu_num else e + sum(mu_num) - sum(mu_den)
+    mu = _shift(num, den)
+    v = order if not scale or mu is None else e + mu
     if v >= order:
         return order, [], Fraction(0)
     nums = [1] + [0] * (order - v - 1)
-    c_num = _passes(nums, num, _binomial_factor_inplace)
-    return v, nums, Fraction(scale) * c_num / _passes(nums, den, _binomial_divide_inplace)
+    return v, nums, Fraction(scale) * _apply(nums, num, den)
 
 
 def _at(factors: Tuple[Poch, ...], n: int) -> List[_Factor]:
@@ -399,7 +408,9 @@ def _stepped_terms(
     """Term ``spec.start + i`` of the sum of ``spec`` over ``num``/``den``, for each i.
 
     Term n is scale_n * q^(e_n) * P_n, P_n = prod(num) / prod(den) at n, and
-    must be exact below ``order``.  P_n is kept as a constant times one
+    must be exact below ``order``.  Both are the caller's: e_n holds the
+    valuation of the factors :func:`qsum` pulls out, so windows and stall
+    messages are in the caller's frame.  P_n is kept as a constant times one
     integer window on [val, val + width), width = order - (the term's
     valuation), and stepped to n + 1 in place: the window is cut to the new
     width and each binomial that leaves or enters below it costs one O(width)
@@ -460,8 +471,7 @@ def _stepped_terms(
             state.clear()
             return True
         del arr[width:]
-        _passes(arr, mul, _binomial_factor_inplace)
-        _passes(arr, div, _binomial_divide_inplace)
+        _apply(arr, mul, div)
         state[0] = n + 1
         return True
 
@@ -469,7 +479,8 @@ def _stepped_terms(
         n = spec.start + i
         e, scale = _exponent_and_scale(spec, n)
         if not scale:
-            return _series(*_product(0, e, _at(num, n), _at(den, n), order), order)
+            _shift(_at(num, n), _at(den, n))  # a pole is an error even in a zero term
+            return zero(order)
         if not (state and state[0] == n - 1 and advance(n - 1, order - e)):
             val, arr, c = _product(1, 0, _at(num, n), _at(den, n), order - e)
             state[:] = [n, arr, c, val] if arr else []
@@ -496,8 +507,10 @@ def qprod(spec: QTerm, order: int) -> LaurentSeries:
 def qsum(spec: QTerm, order: int) -> LaurentSeries:
     """Sum ``spec`` over n >= ``spec.start``, exact below ``order``.
 
-    Factors that do not depend on n are pulled out of the sum and applied to
-    the summed window in place, one pass per binomial.  Each term is stepped
+    Factors that do not depend on n are pulled out of the sum: their
+    valuation joins every term's exponent, and the rest is applied to the
+    summed window in place, one pass per binomial.  So the sum, its windows
+    and its stall messages are in the caller's frame.  Each term is stepped
     from the one before by the binomials that leave or enter its factors
     (:func:`_stepped_terms`), so a sum to order N costs O(N) per changed
     binomial instead of a pass per binomial of every term.  The sum stops at
@@ -516,24 +529,14 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
     outer_den = _at(tuple(f for f in spec.den if f.fixed), 0)
     num = tuple(f for f in spec.num if not f.fixed)
     den = tuple(f for f in spec.den if not f.fixed)
-    mu_den = [_valuation(*f) for f in outer_den]
-    if None in mu_den:
-        raise NotInvertible("a denominator factor vanishes")
-    mu_num = [_valuation(*f) for f in outer_num]
-    # The pulled-out product has valuation mu, so the sum must reach
-    # order - mu, and the sum's window moved up by mu takes its passes.
-    # When it vanishes the sum still runs, so that a pole or a stall in it
-    # is reported rather than multiplied by zero.
-    mu = sum(v or 0 for v in mu_num) - sum(mu_den)
-    total = sum_terms(_stepped_terms(spec, num, den, order - mu), order - mu)
-    if not (outer_num or outer_den):
-        return total
-    if total.is_zero or None in mu_num:
+    # When the pulled-out product vanishes the sum still runs, so that a
+    # pole or a stall in it is reported rather than multiplied by zero.
+    mu = _shift(outer_num, outer_den)
+    total = sum_terms(_stepped_terms(spec.times(e=mu or 0), num, den, order), order)
+    if mu is None:
         return zero(order)
     arr = list(total.nums)
-    c_num = _passes(arr, outer_num, _binomial_factor_inplace)
-    c = Fraction(c_num, total.den * _passes(arr, outer_den, _binomial_divide_inplace))
-    return _series(total.min_exp + mu, arr, c, order)
+    return _series(total.min_exp, arr, _apply(arr, outer_num, outer_den) / total.den, order)
 
 
 # ----------------------------------------------------------------------

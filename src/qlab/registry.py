@@ -115,7 +115,12 @@ class VerificationReport:
 
     @property
     def row_id(self) -> str:
-        return self.id if self.specialization is None else f"{self.id}@{self.specialization}"
+        return row_name(self.id, self.specialization)
+
+
+def row_name(entry_id: str, label: Optional[str]) -> str:
+    """The name of one catalog row: ``id``, or ``id@label`` for a specialization."""
+    return entry_id if label is None else f"{entry_id}@{label}"
 
 
 def _spec_rows(param: str, values: Sequence[Monomial]) -> Tuple[Specialization, ...]:
@@ -690,8 +695,4 @@ def verify_all(
 
 def all_row_ids() -> List[str]:
     """Every id@specialization row name, in catalog order."""
-    out = []
-    for entry in _CATALOG:
-        for spec in entry.specializations:
-            out.append(entry.id if spec.label is None else f"{entry.id}@{spec.label}")
-    return out
+    return [row_name(e.id, s.label) for e in _CATALOG for s in e.specializations]

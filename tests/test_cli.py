@@ -392,13 +392,14 @@ def test_stats_matches_the_series_at_the_counting_limit():
 def test_compute_divergent_sum_stalls_at_once():
     """The tail of before_ac_rhs at b = q^-1 falls without bound: exit 1 at its first step.
 
-    The factor 1 + q^-1 is pulled out of the tail, which is summed to order 21.
+    The factor 1 + q^-1 is pulled out of the tail, and the stall still names
+    the order asked for and the valuation of the whole term.
     """
     proc = run_cli("compute", "before_ac_rhs", "--param", "b=q^-1", "--order", "20")
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.strip().splitlines()
-    assert "TruncationStall: from term n=0 on every term has valuation at most 0 below order 21" in line
+    assert "TruncationStall: from term n=0 on every term has valuation at most -1 below order 20" in line
 
 
 @pytest.mark.parametrize(
@@ -418,3 +419,34 @@ def test_unwritable_output_path_is_a_usage_error(tmp_path, argv, where):
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.strip().splitlines()
     assert line.startswith(f"error: cannot write {path}: ")
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("computed before the output path was checked")
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "all", "--jobs", "1", "--report"], ["compute", "f3_def", "--output"]]
+)
+def test_unwritable_path_fails_before_any_series_is_built(tmp_path, monkeypatch, capsys, argv):
+    from qlab import registry as rg
+
+    monkeypatch.setattr(qf, "build", _must_not_run)
+    monkeypatch.setattr(rg, "verify_all", _must_not_run)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+def test_output_file_is_untouched_until_the_result_is_written(tmp_path, capsys):
+    """A failing compute keeps an existing file as it was and leaves no new one."""
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("kept\n")
+    stall = ["compute", "before_ac_rhs", "--param", "b=1", "--order", "20", "--output"]
+    for path in (old, new):
+        assert main([*stall, str(path)]) == 1
+    assert old.read_text() == "kept\n"
+    assert not new.exists()
+    assert main(["compute", "f3_def", "--order", "3", "--output", str(old)]) == 0
+    assert old.read_text().splitlines()[1:] == ["0,1", "1,1", "2,-2"]

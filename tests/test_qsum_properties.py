@@ -32,6 +32,7 @@ from qlab.qfunctions import (
     QTerm,
     build,
     mono,
+    one_minus,
     one_plus,
     qprod,
     qsum,
@@ -317,6 +318,27 @@ def test_falling_valuations_stall_at_once():
     spec = QTerm(ratio=mono(1, -1), num=(Poch(mono(1, -2), 1, (1, -3)),), start=3)
     total = qsum(spec, 10)
     assert [total.coefficient(k) for k in range(-8, 10)] == [1, -1, -2, 1, 1, 1] + [0] * 12
+
+
+@pytest.mark.parametrize(
+    "spec, valuation",
+    [
+        # 1 + q^-1 is pulled out with valuation -1
+        (QTerm(num=(one_plus(-1),), ratio=mono(1, -1)), -1),
+        # 1 / (1 + q^-2) is pulled out with valuation 2
+        (QTerm(den=(one_plus(-2),), ratio=mono(1, -1)), 2),
+    ],
+)
+def test_stalls_name_the_callers_order_and_valuation(spec, valuation):
+    """A pulled-out factor moves the valuation in a stall message, never the order."""
+    with pytest.raises(TruncationStall, match=f"valuation at most {valuation} below order 10,"):
+        qsum.__wrapped__(spec, 10)
+
+
+def test_vanishing_pulled_out_factor_still_stalls():
+    """1 - q^0 makes every term 0, but the divergent sum it multiplies is still reported."""
+    with pytest.raises(TruncationStall, match="below order 10,"):
+        qsum.__wrapped__(QTerm(num=(one_minus(0),), ratio=mono(1, -1)), 10)
 
 
 @pytest.mark.parametrize(
