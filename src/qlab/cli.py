@@ -239,7 +239,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # stats
 
 
-_STAT_COLUMNS = ("p", "N_e", "N_o", "N_o_plus", "G", "G_prime", "spt", "sptG", "omega")
+# each stats column and the StatRow field that the oracle fills it from
+_STAT_COLUMNS = {
+    "p": "p",
+    "N_e": "even_rank",
+    "N_o": "odd_rank",
+    "N_o_plus": "odd_positive_rank",
+    "G": "two_color",
+    "G_prime": "two_color_odd",
+    "spt": "spt",
+    "sptG": "spt_two_color",
+    "omega": "odd_part_bounded",
+}
 
 
 def _series_columns(order: int) -> Dict[str, LaurentSeries]:
@@ -258,31 +269,17 @@ def _series_columns(order: int) -> Dict[str, LaurentSeries]:
     }
 
 
-def _oracle_columns(row: pt.StatRow) -> Dict[str, int]:
-    return {
-        "p": row.p,
-        "N_e": row.even_rank,
-        "N_o": row.odd_rank,
-        "N_o_plus": row.odd_positive_rank,
-        "G": row.two_color,
-        "G_prime": row.two_color_odd,
-        "spt": row.spt,
-        "sptG": row.spt_two_color,
-        "omega": row.odd_part_bounded,
-    }
-
-
 def _stat_rows(max_n: int) -> List[dict]:
     series = _series_columns(max_n + 1)
     out = []
     for row in pt.stat_table(max_n):
-        oracle = _oracle_columns(row)
         flat: dict = {"n": row.n}
-        for col in _STAT_COLUMNS:
+        for col, field in _STAT_COLUMNS.items():
+            oracle = getattr(row, field)
             sval = series[col].coefficient(row.n)
-            flat[col] = str(oracle[col])
+            flat[col] = str(oracle)
             flat[f"{col}_series"] = format_rational(sval)
-            flat[f"{col}_match"] = sval == oracle[col]
+            flat[f"{col}_match"] = sval == oracle
         out.append(flat)
     return out
 

@@ -363,43 +363,30 @@ def _exponent_and_scale(spec: QTerm, n: int) -> Tuple[int, Rational]:
     return int(e), spec.scale * spec.ratio.coeff**n * (n if spec.times_n else 1)
 
 
-# binomials 1 - sign*q^e at e = first, first + step, ... below end (None: no end)
-_Run = Tuple[int, Optional[int]]
+def _minus(a: Optional[_Factor], b: Optional[_Factor]) -> List[_Factor]:
+    """The binomials of ``a`` that ``b`` lacks, as at most two runs of ``a``'s progression.
 
-
-def _moves(p: Poch, n: int) -> Optional[Tuple[List[_Run], List[_Run]]]:
-    """The binomials of ``p`` that leave and that enter going from n to n + 1.
-
-    Binomial j of the factor at n has exponent off + j*step.  When the slope
-    is m steps, the factor at n + 1 holds the binomials m <= j < m + length
-    of the same progression, so each way the change is at most two runs;
-    otherwise every binomial leaves and the whole factor at n + 1 enters.
-    ``None`` when the length at n + 1 is negative.
+    ``a`` and ``b`` share their sign and step; ``None`` is the factor 1.
+    Binomial j of ``a`` has exponent offset + j*step.  When ``b`` starts k
+    steps along the same progression it holds the binomials
+    k <= j < k + length(b), so ``a`` keeps j < k and j >= k + length(b);
+    when the two start on different residues mod the step ``a`` keeps all.
     """
-    step, off = p.step, p.arg.power + p.slope * n
-    if p.length is None:
-        old = new = None
-    else:
-        a, b = p.length
-        old, new = a * n + b, a * (n + 1) + b
-        if new < 0:
-            return None
-
-    def run(base: int, lo: int, hi: Optional[int]) -> _Run:
-        return base + lo * step, None if hi is None else base + hi * step
-
-    m, r = divmod(p.slope, step)
-    if r:
-        leave, enter = [run(off, 0, old)], [run(off + p.slope, 0, new)]
-    elif old is None:
-        leave, enter = [run(off, 0, m)], [run(off, m, 0)]
-    else:
-        leave = [run(off, 0, min(old, m)), run(off, max(0, m + new), old)]
-        enter = [run(off, m, min(m + new, 0)), run(off, max(m, old), m + new)]
-    return (
-        [(f, e) for f, e in leave if e is None or f < e],
-        [(f, e) for f, e in enter if e is None or f < e],
-    )
+    if a is None:
+        return []
+    sign, off, step, length = a
+    if b is None or (b[1] - off) % step:
+        return [a]
+    k = (b[1] - off) // step
+    runs = []
+    head = k if length is None else min(k, length)  # the binomials j < k
+    if head > 0:
+        runs.append((sign, off, step, head))
+    if b[3] is not None:  # the binomials j >= k + length(b)
+        lo = max(0, k + b[3])
+        if length is None or lo < length:
+            runs.append((sign, off + lo * step, step, None if length is None else length - lo))
+    return runs
 
 
 def _stepped_terms(
@@ -412,11 +399,13 @@ def _stepped_terms(
     valuation of the factors :func:`qsum` pulls out, so windows and stall
     messages are in the caller's frame.  P_n is kept as a constant times one
     integer window on [val, val + width), width = order - (the term's
-    valuation), and stepped to n + 1 in place: the window is cut to the new
-    width and each binomial that leaves or enters below it costs one O(width)
-    pass.  :func:`_product` gives the first window and rebuilds it for a step
-    that changes a binomial at exponent <= 0 (the valuation may move, or the
-    factor vanish), for a negative length and for a width that grows.
+    valuation), and stepped to n + 1 in place.  Each factor's step is the
+    difference of its instances at n and at n + 1 (:func:`_minus` both
+    ways): the binomials that leave it and the ones that enter it.  The
+    window is cut to the new width, and each such binomial below it costs
+    one O(width) pass.  :func:`_product` gives the first window and rebuilds
+    it for a step that changes a binomial at exponent <= 0 (the valuation
+    may move, or the factor vanish) and for a width that grows.
 
     A step from n to n + 1 on a spec with e2 <= 0 and no negative slope or
     length slope, that changes no binomial at exponent <= 0 and whose
@@ -435,30 +424,27 @@ def _stepped_terms(
     """
     e2, e1, _ = spec.exp
     e1 += spec.ratio.power
-    factors = [
-        (p, 1 if p.arg.coeff == 1 else -1, on_num)
-        for ps, on_num in ((num, True), (den, False))
-        for p in ps
-        if not p.arg.is_zero
-    ]
-    monotone = all(p.slope >= 0 and (p.length is None or p.length[0] >= 0) for p, _, _ in factors)
-    state: list = []  # [n, window of P_n, its constant, val]; [] after a zero term
+    monotone = all(
+        p.arg.is_zero or (p.slope >= 0 and (p.length is None or p.length[0] >= 0))
+        for p in num + den
+    )
+    state: list = []  # [n, window of P_n, its constant, val, factors at n]; [] after a zero term
+
+    def at(n: int) -> Tuple[List[Optional[_Factor]], List[Optional[_Factor]]]:
+        return [p.at(n) for p in num], [p.at(n) for p in den]
 
     def advance(n: int, top: int) -> bool:
         # P_n -> P_(n+1), whose window must reach ``top``; False when P must be rebuilt
-        _, arr, _, val = state
+        _, arr, _, val, (num_n, den_n) = state
+        num_m, den_m = at(n + 1)
         mul: List[_Factor] = []
         div: List[_Factor] = []
-        for p, sign, on_num in factors:
-            moves = _moves(p, n)
-            if moves is None:
-                return False
-            for runs, out in zip(moves, (div, mul) if on_num else (mul, div)):
-                for first, end in runs:
-                    if first <= 0:
-                        return False
-                    length = None if end is None else (end - first) // p.step
-                    out.append((sign, first, p.step, length))
+        for olds, news, enter, leave in ((num_n, num_m, mul, div), (den_n, den_m, div, mul)):
+            for a, b in zip(olds, news):
+                leave += _minus(a, b)
+                enter += _minus(b, a)
+        if any(f[1] <= 0 for f in mul + div):
+            return False
         if monotone and e2 <= 0 and e2 * (2 * n + 1) + e1 <= 0:
             raise TruncationStall(
                 f"from term n={n} on every term has valuation at most {order - len(arr)} "
@@ -473,6 +459,7 @@ def _stepped_terms(
         del arr[width:]
         _apply(arr, mul, div)
         state[0] = n + 1
+        state[4] = num_m, den_m
         return True
 
     def term(i: int) -> LaurentSeries:
@@ -482,11 +469,13 @@ def _stepped_terms(
             _shift(_at(num, n), _at(den, n))  # a pole is an error even in a zero term
             return zero(order)
         if not (state and state[0] == n - 1 and advance(n - 1, order - e)):
-            val, arr, c = _product(1, 0, _at(num, n), _at(den, n), order - e)
-            state[:] = [n, arr, c, val] if arr else []
+            factors = at(n)
+            live = ([f for f in fs if f is not None] for fs in factors)
+            val, arr, c = _product(1, 0, *live, order - e)
+            state[:] = [n, arr, c, val, factors] if arr else []
         if not state:
             return zero(order)
-        _, arr, c, val = state
+        _, arr, c, val, _ = state
         return _series(val + e, arr, scale * c, order)
 
     return term
@@ -511,7 +500,8 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
     valuation joins every term's exponent, and the rest is applied to the
     summed window in place, one pass per binomial.  So the sum, its windows
     and its stall messages are in the caller's frame.  Each term is stepped
-    from the one before by the binomials that leave or enter its factors
+    from the one before by the difference of each factor at n and at n + 1,
+    the binomials that leave it and the ones that enter it
     (:func:`_stepped_terms`), so a sum to order N costs O(N) per changed
     binomial instead of a pass per binomial of every term.  The sum stops at
     the first term whose exact valuation reaches the window top, or that

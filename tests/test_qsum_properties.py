@@ -11,6 +11,7 @@ the denominator.  The enumeration oracle and the ``builder_forms`` cross-checks
 stay the independent witnesses of the catalog's values.
 """
 
+import itertools
 from collections import Counter
 from contextlib import ExitStack
 from fractions import Fraction
@@ -189,6 +190,34 @@ def test_sums_and_products_take_no_series_products(spec, order):
 
 
 # ----------------------------------------------------------------------
+# the stepper's rule: a factor at n minus the factor at n + 1
+
+
+def exponents(factor, below=60):
+    """The exponents of the binomials of an instance ``factor`` below ``below``."""
+    if factor is None:
+        return []
+    _, offset, step, length = factor
+    end = below if length is None else min(below, offset + length * step)
+    return list(range(offset, end, step))
+
+
+def test_minus_is_the_difference_of_the_binomials():
+    """_minus(a, b) holds exactly the binomials of a that b lacks, in at most two runs of a."""
+    lengths = [None, *range(7)]
+    for sign, step, offset in itertools.product((1, -1), (1, 2, 3), range(-4, 5)):
+        # every shift from -3 to 4 steps, and the non-multiples of the step between
+        for shift, la, lb in itertools.product(range(-3 * step, 4 * step + 1), lengths, lengths):
+            a = None if la == 0 else (sign, offset, step, la)
+            b = None if lb == 0 else (sign, offset + shift, step, lb)
+            runs = qf._minus(a, b)
+            assert len(runs) <= 2, (a, b, runs)
+            assert all(f[0] == sign and f[2] == step and f[3] != 0 for f in runs), (a, b, runs)
+            kept = sorted(e for f in runs for e in exponents(f))
+            assert kept == sorted(set(exponents(a)) - set(exponents(b))), (a, b, runs)
+
+
+# ----------------------------------------------------------------------
 # stepped qsum against terms built afresh
 
 # Both routes run under this cap.  A steady draw (below) keeps one window,
@@ -284,7 +313,9 @@ def test_stepped_qsum_equals_rebuilt_terms(spec, order):
 @example(spec=QTerm((0, -1, 0), (Poch(mono(1, 0), 1, N),)), order=10)
 @example(spec=QTerm((0, -1, 0), ratio=MONO_ZERO), order=10)
 # with e2 = -1 the exponents 0, 7, 12 pass order 10 at n = 2 before they
-# fall, so the sum closes as 1 + q^7: no rising step is a stall
+# fall, so the sum closes as 1 + q^7: no rising step is a stall.  Both
+# routes share this cut; the series itself, with exponents 8n - n^2, has
+# unbounded negative exponents and is no Laurent series at all
 @example(spec=QTerm((-1, 8, 0)), order=10)
 @settings(max_examples=100, deadline=None)
 @given(spec=stepper_qterms(steady=True), order=st.integers(1, 40))
