@@ -34,6 +34,7 @@ never pick a window or a cutoff by hand.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -46,9 +47,10 @@ from .series import (
     PochhammerSpec,
     Rational,
     TruncationStall,
-    _binomial_divide_inplace,
-    _binomial_factor_inplace,
+    _Factor,
+    _apply,
     _make,
+    _shift,
     monomial,
     pochhammer,
     sum_terms,
@@ -179,8 +181,6 @@ HALF = Fraction(1, 2)
 #: The ratio of an alternating sum: (-1)^n.
 SIGN = Monomial(Fraction(-1), 0)
 
-# the factor (sign*q^offset; q^step)_length as (sign, offset, step, length)
-_Factor = Tuple[int, int, int, Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -277,55 +277,6 @@ class QTerm:
         )
 
 
-def _valuation(sign: int, offset: int, step: int, length: Optional[int]) -> Optional[int]:
-    """Exact valuation of (sign*q^offset; q^step)_length, or ``None`` if it is 0.
-
-    A binomial 1 - sign*q^e with e < 0 leads with -sign*q^e; at e = 0 it is
-    the constant 1 - sign, which vanishes for sign = 1.
-    """
-    v, k, e = 0, 0, offset
-    while e <= 0 and (length is None or k < length):
-        if e == 0 and sign == 1:
-            return None
-        v += e
-        k += 1
-        e += step
-    return v
-
-
-def _shift(num: List[_Factor], den: List[_Factor]) -> Optional[int]:
-    """Exact valuation of prod(num) / prod(den), or ``None`` when a numerator vanishes.
-
-    Raises :class:`NotInvertible` when a denominator factor vanishes.
-    """
-    mu_den = [_valuation(*f) for f in den]
-    if None in mu_den:
-        raise NotInvertible("a denominator factor vanishes")
-    mu_num = [_valuation(*f) for f in num]
-    return None if None in mu_num else sum(mu_num) - sum(mu_den)
-
-
-def _apply(arr: List[int], num: List[_Factor], den: List[_Factor]) -> Fraction:
-    """One in-place pass on ``arr`` per binomial below its width: ``num`` multiply, ``den`` divide.
-
-    1 - s*q^e with e < 0 is -s * q^e * (1 - s*q^-e) and 1 + q^0 is 2 (no
-    factor may hold 1 - q^0): the window takes 1 - s*q^-e, the q^e are in
-    :func:`_shift`, and the quotient of the constants is returned.
-    """
-    c, width = [1, 1], len(arr)
-    for i, factors, apply in ((0, num, _binomial_factor_inplace), (1, den, _binomial_divide_inplace)):
-        for sign, offset, step, length in factors:
-            end = width if length is None else min(offset + length * step, width)
-            for e in range(offset, end, step):
-                if e < 0:
-                    c[i] *= -sign
-                if e == 0:
-                    c[i] *= 2
-                else:
-                    apply(arr, sign, abs(e))
-    return Fraction(*c)
-
-
 def _series(v: int, nums: List[int], c: Fraction, order: int) -> LaurentSeries:
     """c * q^v * sum nums[i] q^i, known below ``order``."""
     k = c.numerator
@@ -338,9 +289,11 @@ def _product(
     """scale * q^e * prod(num) / prod(den) as (v, nums, c): c * q^v * sum nums[i] q^i.
 
     The valuation v is known before any coefficient, so nums is one integer
-    window of width order - v, exact below ``order``, that each binomial
-    below the width multiplies or exactly divides once; it is empty when the
-    product is 0 below ``order``.
+    window of width order - v, exact below ``order``, that
+    :func:`~qlab.series._apply` multiplies by the factors in place:
+    eta-type infinite factors by the pentagonal number theorem, every other
+    binomial below the width by one multiply or exact divide.  It is empty
+    when the product is 0 below ``order``.
     """
     mu = _shift(num, den)
     v = order if not scale or mu is None else e + mu
@@ -396,38 +349,20 @@ def _stepped_terms(
 
     Term n is scale_n * q^(e_n) * P_n, P_n = prod(num) / prod(den) at n, and
     must be exact below ``order``.  Both are the caller's: e_n holds the
-    valuation of the factors :func:`qsum` pulls out, so windows and stall
-    messages are in the caller's frame.  P_n is kept as a constant times one
+    valuation of the factors :func:`qsum` pulls out, so windows are in the
+    caller's frame.  P_n is kept as a constant times one
     integer window on [val, val + width), width = order - (the term's
     valuation), and stepped to n + 1 in place.  Each factor's step is the
     difference of its instances at n and at n + 1 (:func:`_minus` both
     ways): the binomials that leave it and the ones that enter it.  The
-    window is cut to the new width, and each such binomial below it costs
-    one O(width) pass.  :func:`_product` gives the first window and rebuilds
-    it for a step that changes a binomial at exponent <= 0 (the valuation
-    may move, or the factor vanish) and for a width that grows.
-
-    A step from n to n + 1 on a spec with e2 <= 0 and no negative slope or
-    length slope, that changes no binomial at exponent <= 0 and whose
-    exponent does not rise, e_(n+1) <= e_n, raises :class:`TruncationStall`
-    at once, naming term n and its valuation.  The rule is exact:
-
-    * from term n on, every binomial that changes sits above exponent 0,
-      so P keeps its valuation;
-    * once the exponent step is <= 0 with e2 <= 0, the exponent never
-      rises again;
-    * a step runs only after a term with a nonzero scale, so every later
-      term is nonzero;
-    * so no later term can clear the window.
+    window is cut to the new width, and the binomials below it go through
+    :func:`~qlab.series._apply`.  :func:`_product` gives the first window
+    and rebuilds it for a step that changes a binomial at exponent <= 0
+    (the valuation may move, or the factor vanish) and for a width that
+    grows.
 
     Calls must come in order of i; any other call rebuilds.
     """
-    e2, e1, _ = spec.exp
-    e1 += spec.ratio.power
-    monotone = all(
-        p.arg.is_zero or (p.slope >= 0 and (p.length is None or p.length[0] >= 0))
-        for p in num + den
-    )
     state: list = []  # [n, window of P_n, its constant, val, factors at n]; [] after a zero term
 
     def at(n: int) -> Tuple[List[Optional[_Factor]], List[Optional[_Factor]]]:
@@ -445,11 +380,6 @@ def _stepped_terms(
                 enter += _minus(b, a)
         if any(f[1] <= 0 for f in mul + div):
             return False
-        if monotone and e2 <= 0 and e2 * (2 * n + 1) + e1 <= 0:
-            raise TruncationStall(
-                f"from term n={n} on every term has valuation at most {order - len(arr)} "
-                f"below order {order}, so no term can clear the window"
-            )
         width = top - val
         if width > len(arr):
             return False
@@ -481,6 +411,57 @@ def _stepped_terms(
     return term
 
 
+def _bounds(spec: QTerm, num: Tuple[Poch, ...], den: Tuple[Poch, ...]) -> Tuple[int, bool, bool]:
+    """(floor, never_falls, never_rises) for the term valuations of the sum of ``spec``.
+
+    From index ``floor`` on the valuation v_n = e_n + (valuation of P_n)
+    never falls, or never rises, as the flags say.  It is bounded from the
+    spec, with E_n = e_(n+1) - e_n = e2*(2n+1) + e1:
+
+    * a factor of slope >= 0 and length slope >= 0 settles: from some n on
+      its binomials at exponents <= 0 stay fixed, so its valuation is
+      constant (and a numerator that vanishes there vanishes for good);
+    * a factor of slope < 0 only gains binomials below 0 as n grows, so its
+      valuation falls, without bound: it lowers v_n in a numerator and
+      raises it in a denominator;
+    * from ``turn`` on, E_n keeps the sign it has for large n.
+
+    A zero scale or ratio or a negative length slope gives (start, True,
+    False): the first term that clears the window ends the sum.  A factor
+    of slope < 0 and sign 1 (its 1 - q^0 comes and goes), or valuations
+    pushed both ways, give no bound and raise :class:`UnsupportedParameter`.
+    """
+    start = spec.start
+    live = [
+        (p, p_den)
+        for ps, p_den in ((num, False), (den, True))
+        for p in ps
+        if not p.arg.is_zero and p.length != (0, 0)
+    ]
+    if not spec.scale or spec.ratio.is_zero or any(p.length and p.length[0] < 0 for p, _ in live):
+        return start, True, False
+    e2, e1, _ = spec.exp
+    e1 += spec.ratio.power
+    large = e2 or e1  # the sign of E_n for large n
+    never_falls = large >= 0 and not any(p.slope < 0 and not p_den for p, p_den in live)
+    never_rises = large <= 0 and not any(p.slope < 0 and p_den for p, p_den in live)
+    if any(p.slope < 0 and p.arg.coeff == 1 for p, _ in live) or not (never_falls or never_rises):
+        raise UnsupportedParameter(
+            "no bound on the term valuations follows from this sum: a factor of slope < 0 "
+            "has sign 1, or the valuations are pushed both ways"
+        )
+    settle = [start]
+    for p, _ in live:
+        k = p.arg.power
+        if p.slope > 0:  # the first exponent reaches 1
+            settle.append(-((k - 1) // p.slope))
+        elif p.slope == 0:  # the length reaches the binomials at exponents <= 0
+            a, b = p.length
+            settle.append(-((b - (-k // p.step + 1 if k <= 0 else 0)) // a))
+    turn = math.ceil((Fraction(-e1) / e2 - 1) / 2) if e2 else start
+    return max(*settle, turn), never_falls, never_rises
+
+
 @lru_cache(maxsize=None)
 def qprod(spec: QTerm, order: int) -> LaurentSeries:
     """The single term of ``spec`` at n = ``spec.start``, exact below ``order``.
@@ -498,19 +479,24 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
 
     Factors that do not depend on n are pulled out of the sum: their
     valuation joins every term's exponent, and the rest is applied to the
-    summed window in place, one pass per binomial.  So the sum, its windows
-    and its stall messages are in the caller's frame.  Each term is stepped
-    from the one before by the difference of each factor at n and at n + 1,
-    the binomials that leave it and the ones that enter it
+    summed window in place by :func:`~qlab.series._apply` (so (q;q)_inf
+    and the other eta-type factors go by the pentagonal number theorem).  So the sum, its
+    windows and its stall messages are in the caller's frame.  Each term is
+    stepped from the one before by the difference of each factor at n and
+    at n + 1, the binomials that leave it and the ones that enter it
     (:func:`_stepped_terms`), so a sum to order N costs O(N) per changed
-    binomial instead of a pass per binomial of every term.  The sum stops at
-    the first term whose exact valuation reaches the window top, or that
-    vanishes exactly (a zero ratio, or a numerator factor 1 - q^0);
-    :func:`~qlab.series.sum_terms` does the summing, so its term cap and
-    :class:`~qlab.series.TruncationStall` apply unchanged.  A sum whose
-    terms can be shown never to clear the window (see :func:`_stepped_terms`)
-    raises :class:`~qlab.series.TruncationStall` at once, naming the term
-    and its valuation.
+    binomial instead of a pass per binomial of every term.  :func:`_bounds`
+    gives from the spec an index past which the term valuations never fall
+    or never rise.  From there a term whose exact valuation reaches the
+    window top, or that vanishes exactly (a zero ratio, or a numerator factor
+    1 - q^0), ends the sum when valuations never fall or terms vanish; an
+    earlier one, or one whose successors fall, adds nothing.  From there too,
+    when valuations never rise, a term below the window top raises
+    :class:`~qlab.series.TruncationStall`, naming it and its valuation, as
+    no later term can clear the window.  A spec with no such bound raises
+    :class:`UnsupportedParameter`.  :func:`~qlab.series.sum_terms` does the
+    summing, so its term cap and :class:`~qlab.series.TruncationStall` apply
+    unchanged.
 
     Results are memoized by (spec, order), so every builder and catalog side
     that states the same sum shares one evaluation.
@@ -522,7 +508,26 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
     # When the pulled-out product vanishes the sum still runs, so that a
     # pole or a stall in it is reported rather than multiplied by zero.
     mu = _shift(outer_num, outer_den)
-    total = sum_terms(_stepped_terms(spec.times(e=mu or 0), num, den, order), order)
+    inner = spec.times(e=mu or 0)
+    floor, never_falls, never_rises = _bounds(inner, num, den)
+    terms = _stepped_terms(inner, num, den, order)
+
+    def term(i: int) -> Optional[LaurentSeries]:
+        t, n = terms(i), spec.start + i
+        if t.min_exp < order:
+            if never_rises and n >= floor:
+                raise TruncationStall(
+                    f"from term n={n} on every term has valuation at most {t.min_exp} "
+                    f"below order {order}, so no term can clear the window"
+                )
+            return t
+        # a term that clears the window ends the sum once no later one falls
+        # below it: past the floor, when valuations never fall or terms vanish
+        if n >= floor and (never_falls or _shift(_at(num, n), _at(den, n)) is None):
+            return t
+        return None
+
+    total = sum_terms(term, order)
     if mu is None:
         return zero(order)
     arr = list(total.nums)
@@ -549,8 +554,8 @@ def euler_product_pentagonal(order: int) -> LaurentSeries:
 
 
 def euler_inv(order: int) -> LaurentSeries:
-    """1/(q;q)_inf, the partition generating function (pentagonal fast path)."""
-    return euler_product_pentagonal(order).invert()
+    """1/(q;q)_inf, the partition generating function: one pentagonal recurrence (memoized)."""
+    return qprod(QTerm(den=(EULER,)), order)
 
 
 def euler_inverse_direct(order: int) -> LaurentSeries:

@@ -19,6 +19,10 @@ API boundary.  The leading stored coefficient is nonzero, except that a
 series which is zero on its whole window is stored with an empty coefficient
 block and ``min_exp == order``.
 
+Kernels.  The in-place binomial and pentagonal passes over integer windows,
+and :func:`_apply`, which multiplies a window by a list of q-product factors
+through them, are the engine behind :mod:`qlab.qfunctions`' products and sums.
+
 Everything here is immutable and side-effect free, so series may be shared
 freely across threads.
 """
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -453,6 +457,10 @@ class PochhammerSpec:
             raise ValueError("length must be nonnegative or None")
 
 
+# the factor (sign*q^offset; q^step)_length as (sign, offset, step, length)
+_Factor = Tuple[int, int, int, Optional[int]]
+
+
 def _binomial_factor_inplace(arr: list, sign: int, e: int) -> None:
     """Multiply the dense window ``arr`` by (1 - sign*q^e) in place."""
     length = len(arr)
@@ -493,6 +501,133 @@ def _binomial_divide_inplace(arr: list, sign: int, e: int) -> None:
     else:
         for i in range(e, length, e):
             arr[i : i + e] = [x + y for x, y in zip(arr[i : i + e], arr[i - e : i])]
+
+
+def _pentagonal(top: int) -> Iterator[Tuple[int, int]]:
+    """(g, sign) for each generalized pentagonal g in [1, top): (q;q)_inf = 1 + sum sign*q^g."""
+    k = 1
+    while k * (3 * k - 1) // 2 < top:
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if g < top:
+                yield g, -1 if k % 2 else 1
+        k += 1
+
+
+def _eta(arr: list, t: int, divide: bool) -> None:
+    """Multiply or divide ``arr`` in place by (q^t;q^t)_inf = 1 + sum sign*q^(t*g).
+
+    A multiply is one slice pass per pentagonal exponent t*g below the
+    width.  A divide runs y_k = x_k - sum sign*y_(k - g) along each residue
+    class mod t, which stays exact in integers.
+    """
+    pent = list(_pentagonal(-(-len(arr) // t)))
+    if not divide:
+        src = arr[:]
+        for g, sign in pent:
+            d = g * t
+            if sign == 1:
+                arr[d:] = [x + y for x, y in zip(arr[d:], src)]
+            else:
+                arr[d:] = [x - y for x, y in zip(arr[d:], src)]
+        return
+    for r in range(t):
+        z = arr[r::t]
+        for k in range(1, len(z)):
+            x = z[k]
+            for g, sign in pent:
+                if g > k:
+                    break
+                if sign == 1:
+                    x -= z[k - g]
+                else:
+                    x += z[k - g]
+            z[k] = x
+        arr[r::t] = z
+
+
+def _valuation(sign: int, offset: int, step: int, length: Optional[int]) -> Optional[int]:
+    """Exact valuation of (sign*q^offset; q^step)_length, or ``None`` if it is 0.
+
+    A binomial 1 - sign*q^e with e < 0 leads with -sign*q^e; at e = 0 it is
+    the constant 1 - sign, which vanishes for sign = 1.
+    """
+    v, k, e = 0, 0, offset
+    while e <= 0 and (length is None or k < length):
+        if e == 0 and sign == 1:
+            return None
+        v += e
+        k += 1
+        e += step
+    return v
+
+
+def _shift(num: List[_Factor], den: List[_Factor]) -> Optional[int]:
+    """Exact valuation of prod(num) / prod(den), or ``None`` when a numerator vanishes.
+
+    Raises :class:`NotInvertible` when a denominator factor vanishes.
+    """
+    mu_den = [_valuation(*f) for f in den]
+    if None in mu_den:
+        raise NotInvertible("a denominator factor vanishes")
+    mu_num = [_valuation(*f) for f in num]
+    return None if None in mu_num else sum(mu_num) - sum(mu_den)
+
+
+def _eta_quotient(sign: int, a: int, step: int) -> Optional[Tuple[int, Tuple[Tuple[int, int], ...]]]:
+    """(sign*q^a; q^step)_inf, a >= 1, as (base, powers), or ``None`` unless step | 2a.
+
+    The factor is prod (q^t;q^t)_inf^p over ``powers`` (t, p), divided by
+    the finite (sign*q^base; q^step) run of the binomials below q^a:
+
+    * (q^s;q^s)_inf is the base case;
+    * (-q^s;q^s)_inf = (q^2s;q^2s)_inf / (q^s;q^s)_inf;
+    * (q^t;q^2t)_inf = (q^t;q^t)_inf / (q^2t;q^2t)_inf;
+    * (-q^t;q^2t)_inf = (q^2t;q^2t)_inf^2 / ((q^t;q^t)_inf (q^4t;q^4t)_inf).
+    """
+    if 2 * a % step:
+        return None
+    if a % step == 0:
+        return step, ((step, 1),) if sign == 1 else ((2 * step, 1), (step, -1))
+    t = step // 2
+    return t, ((t, 1), (step, -1)) if sign == 1 else ((step, 2), (t, -1), (2 * step, -1))
+
+
+def _apply(arr: List[int], num: List[_Factor], den: List[_Factor]) -> Fraction:
+    """Multiply ``arr`` in place by prod(num) / prod(den), up to the returned constant.
+
+    1 - s*q^e with e < 0 is -s * q^e * (1 - s*q^-e) and 1 + q^0 is 2 (no
+    factor may hold 1 - q^0): the window takes 1 - s*q^-e, the q^e are in
+    :func:`_shift`, and the quotient of the constants is returned.  An
+    infinite factor's binomials from q^a on, a >= 1, go by the pentagonal
+    number theorem when step | 2a (:func:`_eta_quotient` and
+    :func:`_eta`) and that takes fewer passes over the window:
+    the finite run below q^a plus one per pentagonal exponent, against one
+    per binomial from q^a.  Every other binomial below the width is one
+    literal multiply or exact divide.
+    """
+    c, width = [1, 1], len(arr)
+    passes = (_binomial_factor_inplace, _binomial_divide_inplace)
+    for i, factors in enumerate((num, den)):
+        for sign, offset, step, length in factors:
+            end = width if length is None else min(offset + length * step, width)
+            a = offset if offset > 0 else offset % step or step  # the first exponent >= 1
+            for e in range(offset, min(a, end), step):
+                c[i] *= 2 if e == 0 else -sign
+                if e < 0:
+                    passes[i](arr, sign, -e)
+            eta = length is None and a < end and _eta_quotient(sign, a, step)
+            base, powers = eta or (a, ())
+            pent = sum(abs(p) * len(list(_pentagonal(-(-width // t)))) for t, p in powers)
+            if not eta or (a - base) // step + pent >= len(range(a, end, step)):
+                for e in range(a, end, step):
+                    passes[i](arr, sign, e)
+                continue
+            for t, p in powers:
+                for _ in range(abs(p)):
+                    _eta(arr, t, (p < 0) != (i == 1))
+            for e in range(base, a, step):  # the finite run undoes the binomials below q^a
+                passes[1 - i](arr, sign, e)
+    return Fraction(*c)
 
 
 def pochhammer(spec: PochhammerSpec, order: int) -> LaurentSeries:
@@ -537,15 +672,17 @@ def pochhammer(spec: PochhammerSpec, order: int) -> LaurentSeries:
 
 
 def sum_terms(
-    term: Callable[[int], LaurentSeries],
+    term: Callable[[int], Optional[LaurentSeries]],
     order: int,
     cap: Optional[int] = None,
 ) -> LaurentSeries:
     """Sum ``term(0) + term(1) + ...`` until a term clears the window.
 
     The sum stops at the first index whose term has no coefficient below
-    ``order``; all earlier terms are accumulated.  Terms must be built with
-    a window reaching at least ``order``.  Every term is added in place into
+    ``order``; all earlier terms are accumulated.  A term may be ``None``:
+    it adds nothing and does not stop the sum (a term that is 0 below
+    ``order`` while later ones need not be).  Terms must be built with a
+    window reaching at least ``order``.  Every term is added in place into
     one integer window on [lo, order) over one common denominator, and the
     total is normalised once at the end.  If no closing term appears within
     ``cap`` evaluations (default ``max(order, 0) + DEFAULT_TERM_CAP``) the
@@ -559,6 +696,8 @@ def sum_terms(
     lo, den = order, 1
     for idx in range(cap):
         t = term(idx)
+        if t is None:
+            continue
         if t.order < order:
             raise InvalidWindow(
                 f"term {idx} delivers order {t.order}, sum needs {order}"
@@ -566,7 +705,7 @@ def sum_terms(
         if t.min_exp >= order:
             return _make(lo, acc, den, order)
         lo, den = _add_into(acc, lo, den, t, order)
-    last = f": term {idx} has valuation {t.min_exp}" if cap > 0 else ""
+    last = f": term {idx} has valuation {t.min_exp}" if cap > 0 and t is not None else ""
     raise TruncationStall(
         f"no term cleared order {order} within {cap} evaluations{last}"
     )

@@ -7,13 +7,18 @@ disagreement (or an ``InvalidWindow``) here.  ``qsum`` and ``qprod`` build
 each product as one integer window of binomial passes; the stepped sums and
 the products are also checked against a literal route that they do not
 take: one ``pochhammer`` series per factor, ``mul``, and one ``invert`` of
-the denominator.  The enumeration oracle and the ``builder_forms`` cross-checks
-stay the independent witnesses of the catalog's values.
+the denominator.  The eta route of the factor-list rule ``_apply`` is checked
+against the literal binomial passes it replaces, and sums whose valuations
+dip or fall against references that do not share ``qsum``'s cutoff.  The
+enumeration oracle and the ``builder_forms`` cross-checks stay the
+independent witnesses of the catalog's values.
 """
 
 import itertools
+import re
 from collections import Counter
 from contextlib import ExitStack
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from unittest.mock import patch
@@ -23,6 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlab import qfunctions as qf
+from qlab import series as qs
 from qlab.qfunctions import (
     MONO_ONE,
     MONO_ZERO,
@@ -190,6 +196,105 @@ def test_sums_and_products_take_no_series_products(spec, order):
 
 
 # ----------------------------------------------------------------------
+# the factor-list rule: eta quotients against the literal binomial passes
+
+
+@st.composite
+def factor_lists(draw):
+    """Factors (sign, offset, step, length) that hold no 1 - q^0.
+
+    Offsets run from -4 (a Laurent head of binomials below 0) to 3*step,
+    so the first binomial above 0 lands on every residue, the half step
+    among them, and most factors are infinite.
+    """
+
+    def factor(d):
+        step = d(st.integers(1, 6))
+        length = d(st.one_of(st.none(), st.none(), st.integers(0, 8)))
+        return (d(st.sampled_from([1, -1])), d(st.integers(-4, 3 * step)), step, length)
+
+    drawn = [factor(draw) for _ in range(draw(st.integers(0, 4)))]
+    return [f for f in drawn if qs._valuation(*f) is not None]
+
+
+@example(width=800, num=[(1, 1, 1, None)], den=[(-1, 3, 2, None), (-1, -4, 4, None)])
+@settings(max_examples=100, deadline=None)
+@given(width=st.integers(0, 400), num=factor_lists(), den=factor_lists())
+def test_eta_route_equals_the_literal_passes(width, num, den):
+    """_apply's window and constant equal the literal passes' and the pochhammer products'.
+
+    Widths reach past the pentagonal exponents 51, 57, 70, ..., where a
+    wrong sign would first show.  The literal route is _apply with the eta
+    quotients switched off; the second reference multiplies the window by one
+    ``pochhammer`` series per factor and inverts the denominator.
+    """
+    arr = [(7 * k * k + 3 * k + 1) % 19 - 9 for k in range(width)]
+    got = arr[:]
+    c = qs._apply(got, num, den)
+    literal = arr[:]
+    with patch.object(qs, "_eta_quotient", return_value=None):
+        assert (got, c) == (literal, qs._apply(literal, num, den))
+    if width:
+        mu = qs._shift(num, den)
+        window = LaurentSeries(0, arr, width).mul(reference_product(1, 0, num, den, mu + width))
+        assert qf._series(mu, got, c, mu + width).equal_up_to(window, mu + width) == (True, None)
+
+
+def counted_apply(width, num, den):
+    """_apply on the window 1 of ``width``: the window, and the literal and pentagonal passes it took.
+
+    Each ``_eta`` call by (q^t;q^t)_inf counts one pass per pentagonal
+    exponent below the width.
+    """
+    counts = Counter()
+
+    def counted(name, fn):
+        def pass_(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return pass_
+
+    def eta(arr, t, divide):
+        counts["pentagonal"] += len(list(qs._pentagonal(-(-len(arr) // t))))
+        return original_eta(arr, t, divide)
+
+    original_eta = qs._eta
+    with ExitStack() as stack:
+        for name in ("_binomial_factor_inplace", "_binomial_divide_inplace"):
+            stack.enter_context(patch.object(qs, name, counted(name, getattr(qs, name))))
+        stack.enter_context(patch.object(qs, "_eta", eta))
+        arr = [1] + [0] * (width - 1)
+        qs._apply(arr, num, den)
+    return arr, counts
+
+
+@pytest.mark.parametrize("divide", [False, True])
+def test_euler_factor_takes_pentagonal_passes(divide):
+    """(q;q)_inf on a window of width 800 takes no literal pass and one slice pass per pentagonal exponent.
+
+    A silent fall-back to the W literal passes fails here, not only runs slowly.
+    """
+    width, euler = 800, [(1, 1, 1, None)]
+    arr, counts = counted_apply(width, [] if divide else euler, euler if divide else [])
+    assert counts["_binomial_factor_inplace"] + counts["_binomial_divide_inplace"] == 0, counts
+    assert 0 < counts["pentagonal"] <= 2 * (2 * width / 3) ** 0.5 + 2, counts
+    expected = build("euler_inverse" if divide else "euler_product", width, form=1)
+    assert [expected.coefficient(k) for k in range(width)] == arr
+
+
+def test_far_factor_takes_the_literal_passes():
+    """(q^700;q)_inf at width 800 takes its 100 literal passes.
+
+    The eta route would undo the 699 binomials below q^700 after its
+    pentagonal passes.
+    """
+    arr, counts = counted_apply(800, [(1, 700, 1, None)], [])
+    assert counts == {"_binomial_factor_inplace": 100}, counts
+    assert arr == [1] + [0] * 699 + [-1] * 100
+
+
+# ----------------------------------------------------------------------
 # the stepper's rule: a factor at n minus the factor at n + 1
 
 
@@ -220,20 +325,15 @@ def test_minus_is_the_difference_of_the_binomials():
 # ----------------------------------------------------------------------
 # stepped qsum against terms built afresh
 
-# Both routes run under this cap.  A steady draw (below) keeps one window,
-# at most 66 wide; within some 70 steps each factor has moved its binomials
-# above it (or, moving down, ended the sum), and from then on every step is
-# a fixed point.  So a sum that has not closed by 200 terms never closes, and
-# the cap keeps the rebuilt route quick.
+# Sums in the tests below run under this cap.  A steady draw (below) keeps
+# one window, at most 66 wide; within some 70 steps each factor has moved its
+# binomials above it (or, moving down, ended the sum), and from then on every
+# step is a fixed point.  So a sum that has not closed by 200 terms never
+# closes, and the cap keeps the rebuilt route quick.
 CAP = 200
-# A falling draw (e1 + ratio.power < 0) widens its window at every step, so
-# both routes rebuild every term; one that closes does so within a few
-# terms, when a numerator's 1 - q^0 enters.
-FALLING_CAP = 30
-# A draw with e2 = -1 widens its window by about 2n at step n once its
-# exponent turns; one that closes does so while its exponent still rises
-# (n <= 5) or when a numerator's 1 - q^0 enters.
-QUADRATIC_CAP = 12
+# Literal terms of a steady draw looked at past its first index, or past the
+# term a stall names: by then every exponent has fallen, or risen, for good.
+LOOK = 60
 
 
 def rebuilt_terms(spec, num, den, order):
@@ -258,15 +358,18 @@ def stepper_qterms(draw, steady):
     and N lengths give empty factors; 1 - q^0 and 1 + q^0 occur on both
     sides.  Numerator slopes are >= 0, so with offsets >= -3 each numerator
     has valuation >= -6 and a denominator's valuation only raises the
-    term's.  Non-steady terms then close: e2 = 1 with e1 down to -4 makes
+    term's.  Non-steady terms then close, unless a denominator of slope < 0
+    has sign 1, which both routes refuse: e2 = 1 with e1 down to -4 makes
     the valuations dip and the window grow before they rise, and e2 = 0
     comes with e1 + ratio.power >= 1.  Steady terms have e2 = 0 and
     e1 = -ratio.power - (0, 1 or 2), or e2 = -1 and e1 + ratio.power from -2
     to 8, so that the exponent rises for up to four steps before it falls
-    for good; a zero ratio, a denominator that moves down, a numerator that
-    reaches 1 - q^0 or a term that clears the window while the exponent
-    still rises makes one close after all, so none of them must be taken
-    for a stall.
+    for good.  Such a sum stalls, unless a zero ratio or a numerator's
+    1 - q^0 ends it, a pole stops it, or a denominator that moves down keeps
+    its valuations from falling: that closes it when e2 = 0 and
+    e1 + ratio.power = 0, and is a usage error otherwise, as is any factor of
+    slope < 0 and sign 1.  A term that clears the window while the exponent
+    still rises ends no sum.
     """
     ratios = [MONO_ONE, SIGN, Monomial(Fraction(1, 2), 1), mono(-1, 2), mono(1, -1), MONO_ZERO]
     ratio = draw(st.sampled_from(ratios))
@@ -303,29 +406,146 @@ def test_stepped_qsum_equals_rebuilt_terms(spec, order):
 
 
 # changes above the window of width 2 that later come down into it: a
-# falling exponent ends in NotInvertible, a falling length in ValueError
-@example(spec=QTerm(den=(Poch(mono(1, 4), 1, (0, 1), -1),)), order=2)
+# falling exponent crosses 1 + q^0 and then lifts the valuation until the
+# sum closes; a falling length ends in ValueError
+@example(spec=QTerm(den=(Poch(mono(-1, 4), 1, (0, 1), -1),)), order=2)
 @example(spec=QTerm(num=(Poch(mono(-1, 1), 1, (-1, 6)),)), order=3)
-# falling exponents that are no stall: 1 - q^0 enters the denominator at
-# n = 2 (NotInvertible), or the numerator at n = 1 (the sum closes), or a
-# zero ratio ends the sum at n = 1
+# falling exponents that are no stall: a denominator that moves down gives no
+# bound (UnsupportedParameter), 1 - q^0 enters the numerator at n = 1 (the
+# sum closes), or a zero ratio ends the sum at n = 1
 @example(spec=QTerm((0, -1, 0), den=(Poch(mono(1, 2), 1, None, -1),)), order=10)
 @example(spec=QTerm((0, -1, 0), (Poch(mono(1, 0), 1, N),)), order=10)
 @example(spec=QTerm((0, -1, 0), ratio=MONO_ZERO), order=10)
-# with e2 = -1 the exponents 0, 7, 12 pass order 10 at n = 2 before they
-# fall, so the sum closes as 1 + q^7: no rising step is a stall.  Both
-# routes share this cut; the series itself, with exponents 8n - n^2, has
-# unbounded negative exponents and is no Laurent series at all
+# exponents 8n - n^2 clear order 10 at n = 2..6 and then fall for good: a
+# stall at n = 7, not the sum 1 + q^7
 @example(spec=QTerm((-1, 8, 0)), order=10)
 @settings(max_examples=100, deadline=None)
 @given(spec=stepper_qterms(steady=True), order=st.integers(1, 40))
 def test_steady_terms_give_equal_series_or_both_stall(spec, order):
-    e2, e1, _ = spec.exp
-    if e2:
-        cap = QUADRATIC_CAP
+    """qsum equals the literal terms' sum, or stalls or fails where their valuations say.
+
+    The reference shares no cutoff with qsum: a series must equal the
+    literal terms summed over the first LOOK indices (one for a zero
+    ratio); a stall must name a term below the order whose literal
+    valuation none of the next LOOK terms exceeds; any other error must
+    come from a literal term in that range, or be the usage error of a
+    factor of slope < 0.
+    """
+    with patch.object(qf, "sum_terms", partial(sum_terms, cap=CAP)):
+        try:
+            got = qf.qsum.__wrapped__(spec, order)
+        except Exception as exc:
+            got = exc
+    first = range(spec.start, spec.start + LOOK)
+    if isinstance(got, LaurentSeries):
+        expected = zero(order)
+        # a zero ratio makes every term past n = 0 zero, poles or not
+        for n in first[: 1 if spec.ratio.is_zero else LOOK]:
+            expected = expected.add(reference_term(spec, spec.num, spec.den, n, order))
+        assert got.equal_up_to(expected, order) == (True, None)
+    elif isinstance(got, TruncationStall):
+        named = re.match(r"from term n=(\d+) on every term has valuation at most (-?\d+) below", str(got))
+        assert named, got
+        n, valuation = int(named[1]), int(named[2])
+        # when the factors that do not depend on n vanish, the stall of the
+        # sum they multiply is reported without them
+        fixed = QTerm(num=tuple(p for p in spec.num if p.fixed), den=tuple(p for p in spec.den if p.fixed))
+        if reference_valuation(fixed, 0) is None:
+            num, den = (tuple(p for p in ps if not p.fixed) for ps in (spec.num, spec.den))
+            spec = replace(spec, num=num, den=den)
+        vals = [reference_valuation(spec, k) for k in range(n, n + LOOK)]
+        assert vals[0] == valuation < order
+        assert None not in vals and max(vals) == valuation
+    elif isinstance(got, qf.UnsupportedParameter):
+        assert any(p.slope < 0 for p in spec.num + spec.den)
     else:
-        cap = CAP if e1 + spec.ratio.power == 0 else FALLING_CAP
-    assert outcome(spec, order, True, cap) == outcome(spec, order, False, cap)
+        assert type(got).__name__ in [result(reference_valuation, spec, n) for n in first]
+
+
+def reference_valuation(spec, n):
+    """The exact valuation of term n of ``spec``, from one ``pochhammer`` series per factor.
+
+    ``None`` when the term is 0; a pole raises ``NotInvertible``.
+    """
+    lead = [[pochhammer(PochhammerSpec(*f), 1) for f in qf._at(fs, n)] for fs in (spec.num, spec.den)]
+    if any(s.is_zero for s in lead[1]):
+        raise NotInvertible("a denominator factor vanishes")
+    if not spec.scale or spec.ratio.is_zero and n or any(s.is_zero for s in lead[0]):
+        return None
+    e2, e1, e0 = spec.exp
+    mu = sum(s.min_exp for s in lead[0]) - sum(s.min_exp for s in lead[1])
+    return e2 * n * n + (e1 + spec.ratio.power) * n + e0 + mu
+
+
+@pytest.mark.parametrize(
+    "spec, order, n, valuation",
+    [
+        # exponents 8n - n^2: 0, 7, 12, 15, 16, 15, 12, 7, 0, -9, ...; at order
+        # 10 the terms n = 2..6 clear the window before the exponents fall
+        (QTerm((-1, 8, 0)), 10, 7, 7),
+        (QTerm((-1, 8, 0)), 30, 4, 16),
+        # q^(-n^2) (-q^(1-n);q)_inf: the factor moves down and gains a
+        # binomial below 0 at every step
+        (QTerm((-1, 0, 0), num=(Poch(mono(-1, 1), 1, None, -1),)), 10, 0, 0),
+    ],
+)
+def test_falling_valuations_stall_from_the_term_they_stay_below(spec, order, n, valuation):
+    """The stall names the first term below the order that no later term exceeds.
+
+    The reference is each term's valuation from its literal factors, over a
+    range of n that does not depend on ``qsum``'s cutoff.
+    """
+    stall = f"from term n={n} on every term has valuation at most {valuation} below order {order},"
+    with pytest.raises(TruncationStall, match=stall):
+        qsum.__wrapped__(spec, order)
+    vals = [reference_valuation(spec, k) for k in range(n + 30)]
+    assert vals[n] == valuation < order
+    assert max(vals[n:]) == valuation and vals[-1] < valuation - 30
+    assert all(vals[k] >= order or vals[k] < max(vals[k:]) for k in range(n))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # e2 > 0 against a numerator that moves down: valuations 5, 0, -4, ...
+        QTerm((1, -6, 5), num=(Poch(mono(-1, 1), 1, None, -1),)),
+        # slope < 0 and sign 1: 1 - q^(2-n) is 1 - q^0 at n = 2 only
+        QTerm((1, 0, 0), num=(one_minus(2, -1),)),
+        QTerm((1, 0, 0), den=(one_minus(2, -1),)),
+        # factors that move down on both sides
+        QTerm(num=(Poch(mono(-1, 1), 1, None, -1),), den=(Poch(mono(-1, 1), 2, None, -1),)),
+    ],
+)
+def test_unbounded_valuations_are_a_usage_error(spec):
+    """A sum whose valuations no bound from the spec can order is refused, not cut."""
+    with pytest.raises(qf.UnsupportedParameter, match="no bound on the term valuations"):
+        qsum.__wrapped__(spec, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=st.builds(
+        QTerm,
+        st.tuples(st.just(1), st.integers(-8, 0), st.integers(-3, 8)),
+        st.lists(num_factors, max_size=3).map(tuple),
+        st.lists(den_factors, max_size=3).map(tuple),
+        ratio=st.sampled_from([MONO_ONE, SIGN, Monomial(Fraction(1, 2), 1)]),
+        start=st.integers(0, 2),
+    ),
+    order=st.integers(1, 40),
+)
+def test_dipping_valuations_sum_every_term_below_the_order(spec, order):
+    """Terms that clear the window before the valuations turn upward do not end the sum.
+
+    With e2 = 1 and e1 down to -8 the exponents fall for a few steps before
+    they rise, and a numerator of positive slope may vanish at one n only.
+    The reference adds the literal terms n < 40 + start, past which every
+    term clears order 40 (each factor has valuation at least -6).
+    """
+    expected = zero(order)
+    for n in range(spec.start, spec.start + 40):
+        expected = expected.add(reference_term(spec, spec.num, spec.den, n, order))
+    assert qsum.__wrapped__(spec, order).equal_up_to(expected, order) == (True, None)
 
 
 def test_falling_valuations_stall_at_once():
