@@ -1,11 +1,12 @@
 """Named builders for the q-series used throughout the package.
 
-Every catalog name resolves to one or more independent builder functions,
-each of which returns an exact :class:`~qlab.series.LaurentSeries` at a
-requested truncation order.  Names with several algebraically distinct
-computable forms (different arrangements of the same series) expose all of
-them through :func:`builder_forms`; the forms are cross-checked in the test
-suite and must agree coefficient by coefficient.
+Each catalog name is one entry of the catalog mapping, which takes it to
+one or more independent builder functions, each of which returns an exact
+:class:`~qlab.series.LaurentSeries` at a requested truncation order.  Names
+with several algebraically distinct computable forms (different
+arrangements of the same series) expose all of them through
+:func:`builder_forms`; the forms are cross-checked in the test suite and
+must agree coefficient by coefficient.
 
 The catalog covers the third-order mock theta functions f(q), omega(q) and
 phi(q), the theta value phi(-q) = (q;q)_inf/(-q;q)_inf, the partition
@@ -13,8 +14,9 @@ generating function, smallest-part generating functions, the two-color
 partition generating functions (even and odd smallest part), the even-rank
 and positive-odd-rank generating functions, and Fine's numbers.
 
-A few parameterized sums are exposed as well; their parameters are exact
-monomials c*q^k supplied through :class:`Monomial`.
+A few parameterized sums are exposed as well.  A name's parameters are its
+builder's arguments after ``order`` (:func:`param_names`), each an exact
+monomial c*q^k supplied through :class:`Monomial`.
 
 Stating a sum.  Every series here is a q-hypergeometric sum whose summand
 is one q-product, so a builder states that product as a :class:`QTerm` and
@@ -359,7 +361,9 @@ def _stepped_terms(
     :func:`~qlab.series._apply`.  :func:`_product` gives the first window
     and rebuilds it for a step that changes a binomial at exponent <= 0
     (the valuation may move, or the factor vanish) and for a width that
-    grows.
+    grows.  A term of scale 0 (a zero scale, or a zero ratio past n = 0)
+    is exactly 0 and is never built, so a pole among its factors is no
+    error.
 
     Calls must come in order of i; any other call rebuilds.
     """
@@ -396,7 +400,6 @@ def _stepped_terms(
         n = spec.start + i
         e, scale = _exponent_and_scale(spec, n)
         if not scale:
-            _shift(_at(num, n), _at(den, n))  # a pole is an error even in a zero term
             return zero(order)
         if not (state and state[0] == n - 1 and advance(n - 1, order - e)):
             factors = at(n)
@@ -426,10 +429,12 @@ def _bounds(spec: QTerm, num: Tuple[Poch, ...], den: Tuple[Poch, ...]) -> Tuple[
       raises it in a denominator;
     * from ``turn`` on, E_n keeps the sign it has for large n.
 
-    A zero scale or ratio or a negative length slope gives (start, True,
-    False): the first term that clears the window ends the sum.  A factor
-    of slope < 0 and sign 1 (its 1 - q^0 comes and goes), or valuations
-    pushed both ways, give no bound and raise :class:`UnsupportedParameter`.
+    A zero scale or ratio gives (start, True, False): every term past
+    n = 0 (every term, for a zero scale) is exactly 0, so the first term
+    that clears the window ends the sum.  A factor whose length falls with n
+    (it turns negative), a factor of slope < 0 and sign 1 (its 1 - q^0
+    comes and goes), or valuations pushed both ways give no bound and raise
+    :class:`UnsupportedParameter`.
     """
     start = spec.start
     live = [
@@ -438,17 +443,20 @@ def _bounds(spec: QTerm, num: Tuple[Poch, ...], den: Tuple[Poch, ...]) -> Tuple[
         for p in ps
         if not p.arg.is_zero and p.length != (0, 0)
     ]
-    if not spec.scale or spec.ratio.is_zero or any(p.length and p.length[0] < 0 for p, _ in live):
+    if not spec.scale or spec.ratio.is_zero:
         return start, True, False
     e2, e1, _ = spec.exp
     e1 += spec.ratio.power
     large = e2 or e1  # the sign of E_n for large n
     never_falls = large >= 0 and not any(p.slope < 0 and not p_den for p, p_den in live)
     never_rises = large <= 0 and not any(p.slope < 0 and p_den for p, p_den in live)
-    if any(p.slope < 0 and p.arg.coeff == 1 for p, _ in live) or not (never_falls or never_rises):
+    if (
+        any((p.slope < 0 and p.arg.coeff == 1) or (p.length and p.length[0] < 0) for p, _ in live)
+        or not (never_falls or never_rises)
+    ):
         raise UnsupportedParameter(
-            "no bound on the term valuations follows from this sum: a factor of slope < 0 "
-            "has sign 1, or the valuations are pushed both ways"
+            "no bound on the term valuations follows from this sum: a factor's length falls "
+            "with n, a factor of slope < 0 has sign 1, or the valuations are pushed both ways"
         )
     settle = [start]
     for p, _ in live:
@@ -488,12 +496,14 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
     binomial instead of a pass per binomial of every term.  :func:`_bounds`
     gives from the spec an index past which the term valuations never fall
     or never rise.  From there a term whose exact valuation reaches the
-    window top, or that vanishes exactly (a zero ratio, or a numerator factor
-    1 - q^0), ends the sum when valuations never fall or terms vanish; an
-    earlier one, or one whose successors fall, adds nothing.  From there too,
+    window top, or that vanishes exactly (a zero scale or ratio, whose terms
+    are never built, or a numerator factor 1 - q^0), ends the sum when
+    valuations never fall or terms vanish; an earlier one, or one whose
+    successors fall, adds nothing.  From there too,
     when valuations never rise, a term below the window top raises
     :class:`~qlab.series.TruncationStall`, naming it and its valuation, as
-    no later term can clear the window.  A spec with no such bound raises
+    no later term can clear the window.  A spec with no such bound, such as
+    one with a factor whose length falls with n, raises
     :class:`UnsupportedParameter`.  :func:`~qlab.series.sum_terms` does the
     summing, so its term cap and :class:`~qlab.series.TruncationStall` apply
     unchanged.
@@ -888,205 +898,78 @@ def z_identity_rhs(order: int, z: Monomial) -> LaurentSeries:
 # the name catalog
 
 
-@dataclass(frozen=True)
-class SeriesDef:
-    """One catalog row: a name, its builder forms, and its parameter names."""
-
-    name: str
-    summary: str
-    forms: Tuple[Callable[..., LaurentSeries], ...]
-    params: Tuple[str, ...] = ()
+_Forms = Tuple[Callable[..., LaurentSeries], ...]
 
 
-_CATALOG: Dict[str, SeriesDef] = {}
+def _catalog(*rows: tuple) -> Dict[str, _Forms]:
+    catalog: Dict[str, _Forms] = {}
+    for name, *forms in rows:
+        if name in catalog:
+            raise ValueError(f"duplicate series name {name}")
+        catalog[name] = tuple(forms)
+    return catalog
 
 
-def _register(name: str, summary: str, *forms: Callable[..., LaurentSeries], params: Tuple[str, ...] = ()) -> None:
-    if name in _CATALOG:
-        raise ValueError(f"duplicate series name {name}")
-    _CATALOG[name] = SeriesDef(name, summary, tuple(forms), params)
-
-
-_register(
-    "f3_def",
-    "third-order mock theta f(q) = sum q^(n^2)/(-q;q)_n^2",
-    f3_def,
-)
-_register(
-    "f3_newrep_rhs",
-    "partition gf minus four times the positive-odd-rank sum",
-    f3_newrep_rhs,
-)
-_register(
-    "omega3_def",
-    "third-order mock theta omega(q) = sum q^(2n(n+1))/(q;q^2)_{n+1}^2",
-    omega3_def,
-)
-_register(
-    "omega3_rep_rhs",
-    "smallest-part style rewriting of omega(q)",
-    omega3_rep_rhs,
-)
-_register(
-    "phi3_def",
-    "third-order mock theta phi(q) = sum q^(n^2)/(-q^2;q^2)_n",
-    phi3_def,
-)
-_register(
-    "phi3_neg",
-    "phi(-q), the alternating form of phi3_def",
-    phi3_neg,
-)
-_register(
-    "theta_phi_neg",
-    "theta value sum (-1)^n q^(n^2) = (q;q)_inf/(-q;q)_inf",
-    theta_phi_neg_sum,
-    theta_phi_neg_prod,
-)
-_register(
-    "euler_product",
-    "(q;q)_inf: literal product and pentagonal sparse sum",
-    euler_product_direct,
-    euler_product_pentagonal,
-)
-_register(
-    "euler_inverse",
-    "1/(q;q)_inf, the partition generating function",
-    euler_inv,
-    euler_inverse_direct,
-)
-_register(
-    "spt_lhs",
-    "smallest-part counting sum q^n/((1-q^n)^2 (q^{n+1};q)_inf)",
-    spt_lhs,
-)
-_register(
-    "spt_rhs",
-    "evaluated form of the smallest-part sum",
-    spt_rhs,
-)
-_register(
-    "sptG_lhs",
-    "smallest-part counting sum over even-smallest two-color partitions",
-    sptG_lhs,
-)
-_register(
-    "sptG_rhs",
-    "evaluated form of the two-color smallest-part sum",
-    sptG_rhs,
-)
-_register(
-    "G_series",
-    "two-color partitions with even smallest part: three sum forms",
-    _g_form_split,
-    _g_form_merged,
-    _g_form_combinatorial,
-)
-_register(
-    "Gprime_series",
-    "two-color partitions with odd smallest part",
-    gprime_series,
-)
-_register(
-    "No_plus_series",
-    "positive-odd-rank generating function and its rewriting chain",
-    _no_plus_form1,
-    _g_form_split,
-    _no_plus_form3,
-    _no_plus_form4,
-    _no_plus_form5,
-    _no_plus_form6,
-    _no_plus_form7,
-)
-_register(
-    "Ne_series_rhs",
-    "even-rank generating function (constant term counts the empty partition)",
-    ne_series_rhs,
-)
-_register(
-    "fineJ_direct",
-    "Fine's numbers: sum (-1)^n q^(n(3n+1)/2)/(1+q^n)",
-    fineJ_direct,
-)
-_register(
-    "fineJ_rhs",
-    "Fine's numbers as a two-color style sum",
-    fineJ_rhs,
-)
-_register(
-    "fineJ_from_f3",
-    "Fine's numbers extracted from f(q)(q;q)_inf",
-    fineJ_from_f3,
-)
-_register(
-    "thm61_rhs",
-    "closed evaluation of the odd-smallest-part two-color series",
-    thm61_rhs,
-)
-_register(
-    "lem21_lhs",
-    "b-parameterized quotient sum (q^2;q^2)_n q^(2n)/((-q;q^2)_n(-bq^2;q^2)_n)",
-    lem21_lhs,
-    params=("b",),
-)
-_register(
-    "lem21_rhs",
-    "analytically continued evaluation of lem21_lhs (valid at b=1)",
-    lem21_rhs,
-    params=("b",),
-)
-_register(
-    "before_ac_rhs",
-    "pre-continuation evaluation of lem21_lhs (divergent at b=1)",
-    before_ac_rhs,
-    params=("b",),
-)
-_register(
-    "z_identity_lhs",
-    "z-parameterized quotient sum with (z;q^2)_n(z^{-1};q^2)_n",
-    z_identity_lhs,
-    params=("z",),
-)
-_register(
-    "z_identity_rhs",
-    "product-plus-tail evaluation of z_identity_lhs",
-    z_identity_rhs,
-    params=("z",),
-)
-_register(
-    "entry239_lhs",
-    "a-parameterized alternating q^(m^2) sum",
-    entry239_lhs,
-    params=("a",),
-)
-_register(
-    "entry239_rhs",
-    "three-term transformation of entry239_lhs",
-    entry239_rhs,
-    params=("a",),
-)
-_register(
-    "even_base_quotient_sum",
-    "sum (q^2;q^2)_n q^(2n)/((-q^3;q^2)_n(-q^4;q^2)_n)",
-    even_base_quotient_sum,
+#: Each series name with its builder forms; :func:`names` keeps this order.
+_CATALOG = _catalog(
+    ("f3_def", f3_def),
+    ("f3_newrep_rhs", f3_newrep_rhs),
+    ("omega3_def", omega3_def),
+    ("omega3_rep_rhs", omega3_rep_rhs),
+    ("phi3_def", phi3_def),
+    ("phi3_neg", phi3_neg),
+    ("theta_phi_neg", theta_phi_neg_sum, theta_phi_neg_prod),
+    ("euler_product", euler_product_direct, euler_product_pentagonal),
+    ("euler_inverse", euler_inv, euler_inverse_direct),
+    ("spt_lhs", spt_lhs),
+    ("spt_rhs", spt_rhs),
+    ("sptG_lhs", sptG_lhs),
+    ("sptG_rhs", sptG_rhs),
+    ("G_series", _g_form_split, _g_form_merged, _g_form_combinatorial),
+    ("Gprime_series", gprime_series),
+    (
+        "No_plus_series",
+        _no_plus_form1,
+        _g_form_split,
+        _no_plus_form3,
+        _no_plus_form4,
+        _no_plus_form5,
+        _no_plus_form6,
+        _no_plus_form7,
+    ),
+    ("Ne_series_rhs", ne_series_rhs),
+    ("fineJ_direct", fineJ_direct),
+    ("fineJ_rhs", fineJ_rhs),
+    ("fineJ_from_f3", fineJ_from_f3),
+    ("thm61_rhs", thm61_rhs),
+    ("lem21_lhs", lem21_lhs),
+    ("lem21_rhs", lem21_rhs),
+    ("before_ac_rhs", before_ac_rhs),
+    ("z_identity_lhs", z_identity_lhs),
+    ("z_identity_rhs", z_identity_rhs),
+    ("entry239_lhs", entry239_lhs),
+    ("entry239_rhs", entry239_rhs),
+    ("even_base_quotient_sum", even_base_quotient_sum),
 )
 
 
 def names() -> Tuple[str, ...]:
-    """All registered series names, in registration order."""
+    """All series names, in catalog order."""
     return tuple(_CATALOG)
 
 
-def series_def(name: str) -> SeriesDef:
+def builder_forms(name: str) -> _Forms:
+    """Every independent builder form of ``name``."""
     try:
         return _CATALOG[name]
     except KeyError:
         raise UnknownName(name) from None
 
 
-def builder_forms(name: str) -> Tuple[Callable[..., LaurentSeries], ...]:
-    """Every independent builder form registered for ``name``."""
-    return series_def(name).forms
+def param_names(name: str) -> Tuple[str, ...]:
+    """The parameters of ``name``: its first form's arguments after ``order``."""
+    code = builder_forms(name)[0].__code__
+    return code.co_varnames[1 : code.co_argcount]
 
 
 def build(
@@ -1098,22 +981,23 @@ def build(
     """Evaluate a named series at the requested truncation order.
 
     ``params`` supplies monomial values for parameterized names and must
-    match the declared parameter list exactly.
+    name exactly the parameters :func:`param_names` reads from the builder.
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
-    sdef = series_def(name)
+    forms = builder_forms(name)
+    declared = param_names(name)
     given = dict(params or {})
-    if set(given) != set(sdef.params):
-        missing = set(sdef.params) - set(given)
+    if set(given) != set(declared):
+        missing = set(declared) - set(given)
         if missing:
             raise MissingParameter(f"{name} needs parameters {sorted(missing)}")
         raise MissingParameter(
-            f"{name} takes parameters {list(sdef.params)}, got {sorted(given)}"
+            f"{name} takes parameters {list(declared)}, got {sorted(given)}"
         )
-    if not 0 <= form < len(sdef.forms):
-        raise IndexError(f"{name} has forms 0..{len(sdef.forms) - 1}, got {form}")
-    result = sdef.forms[form](order, **given)
+    if not 0 <= form < len(forms):
+        raise IndexError(f"{name} has forms 0..{len(forms) - 1}, got {form}")
+    result = forms[form](order, **given)
     if result.order < order:
         raise InvalidWindowContract(name, result.order, order)
     return result

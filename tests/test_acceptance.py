@@ -13,7 +13,7 @@ import pytest
 
 from qlab import partitions as pt
 from qlab.partitions import BLUE, RED, TwoColorPartition
-from qlab.qfunctions import build, builder_forms, names, series_def
+from qlab.qfunctions import build, builder_forms, names, param_names
 from qlab.registry import verify_all
 from qlab.series import LaurentSeries
 
@@ -191,7 +191,7 @@ def test_criterion_8_engine_properties():
 
     for name in names():
         forms = builder_forms(name)
-        if len(forms) < 2 or series_def(name).params:
+        if len(forms) < 2 or param_names(name):
             continue
         reference = build(name, 100, form=0)
         for i in range(1, len(forms)):

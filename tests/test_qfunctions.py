@@ -1,5 +1,6 @@
 """Tests for the named series builders and their cross-form invariants."""
 
+import inspect
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -20,6 +21,7 @@ from qlab.qfunctions import (
     builder_forms,
     mono,
     names,
+    param_names,
 )
 from qlab.series import TruncationStall, sum_terms
 
@@ -63,6 +65,34 @@ def test_missing_parameter_rejected():
         build("lem21_lhs", 10)
     with pytest.raises(MissingParameter):
         build("f3_def", 10, {"b": MONO_Q})
+
+
+@pytest.mark.parametrize(
+    "name, params, form, error, message",
+    [
+        ("lem21_lhs", None, 0, MissingParameter, "lem21_lhs needs parameters ['b']"),
+        ("f3_def", {"b": MONO_Q}, 0, MissingParameter, "f3_def takes parameters [], got ['b']"),
+        ("G_series", None, 3, IndexError, "G_series has forms 0..2, got 3"),
+    ],
+)
+def test_build_usage_errors_keep_their_messages(name, params, form, error, message):
+    """The messages ``qlab compute`` prints for a usage error (exit 2).
+
+    An unknown name raises :class:`UnknownName` (``test_unknown_name_rejected``).
+    """
+    with pytest.raises(error) as info:
+        build(name, 10, params, form=form)
+    assert str(info.value) == message
+
+
+def test_catalog_states_each_name_once_with_its_parameters():
+    """Every form of a name takes ``order`` and then the parameters ``param_names`` reads."""
+    for name in names():
+        for form in builder_forms(name):
+            assert tuple(inspect.signature(form).parameters) == ("order", *param_names(name)), name
+    assert param_names("lem21_lhs") == ("b",)
+    with pytest.raises(ValueError, match="duplicate series name f3_def"):
+        qf._catalog(("f3_def", qf.f3_def), ("f3_def", qf.f3_def))
 
 
 def test_order_must_be_positive():
@@ -176,14 +206,12 @@ def test_z_identity_rhs_evaluates_next_to_its_removable_singularities():
 
 def test_builders_honor_requested_order():
     for name in names():
-        sdef_params = {
+        values = {
             "b": MONO_Q,
             "z": mono(1, 3),
             "a": MONO_ONE,
         }
-        from qlab.qfunctions import series_def
-
-        params = {p: sdef_params[p] for p in series_def(name).params}
+        params = {p: values[p] for p in param_names(name)}
         series = build(name, 17, params or None)
         assert series.order >= 17, name
 

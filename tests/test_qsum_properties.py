@@ -337,8 +337,15 @@ LOOK = 60
 
 
 def rebuilt_terms(spec, num, den, order):
-    """Every term built afresh by the literal product route."""
-    return lambda i: reference_term(spec, num, den, spec.start + i, order)
+    """Every term built afresh by the literal product route; a term of scale 0 is 0, poles or not."""
+
+    def term(i):
+        n = spec.start + i
+        if not spec.scale or spec.ratio.is_zero and n:
+            return zero(order)
+        return reference_term(spec, num, den, n, order)
+
+    return term
 
 
 def outcome(spec, order, stepped, cap=CAP):
@@ -397,7 +404,7 @@ def stepper_qterms(draw, steady):
     )
 
 
-# a length that turns negative at n = 4 raises on both routes
+# a length that falls with n is refused on both routes
 @example(spec=QTerm((1, 0, 0), (Poch(mono(-1, 1), 1, (-1, 3)),)), order=30)
 @settings(max_examples=200, deadline=None)
 @given(spec=stepper_qterms(steady=False), order=st.integers(1, 40))
@@ -407,7 +414,7 @@ def test_stepped_qsum_equals_rebuilt_terms(spec, order):
 
 # changes above the window of width 2 that later come down into it: a
 # falling exponent crosses 1 + q^0 and then lifts the valuation until the
-# sum closes; a falling length ends in ValueError
+# sum closes; a falling length is refused
 @example(spec=QTerm(den=(Poch(mono(-1, 4), 1, (0, 1), -1),)), order=2)
 @example(spec=QTerm(num=(Poch(mono(-1, 1), 1, (-1, 6)),)), order=3)
 # falling exponents that are no stall: a denominator that moves down gives no
@@ -425,11 +432,11 @@ def test_steady_terms_give_equal_series_or_both_stall(spec, order):
     """qsum equals the literal terms' sum, or stalls or fails where their valuations say.
 
     The reference shares no cutoff with qsum: a series must equal the
-    literal terms summed over the first LOOK indices (one for a zero
-    ratio); a stall must name a term below the order whose literal
+    literal terms summed over the first LOOK indices (only n = 0 for a
+    zero ratio); a stall must name a term below the order whose literal
     valuation none of the next LOOK terms exceeds; any other error must
     come from a literal term in that range, or be the usage error of a
-    factor of slope < 0.
+    factor of slope < 0 or of a length that falls with n.
     """
     with patch.object(qf, "sum_terms", partial(sum_terms, cap=CAP)):
         try:
@@ -440,7 +447,7 @@ def test_steady_terms_give_equal_series_or_both_stall(spec, order):
     if isinstance(got, LaurentSeries):
         expected = zero(order)
         # a zero ratio makes every term past n = 0 zero, poles or not
-        for n in first[: 1 if spec.ratio.is_zero else LOOK]:
+        for n in range(spec.start, 1) if spec.ratio.is_zero else first:
             expected = expected.add(reference_term(spec, spec.num, spec.den, n, order))
         assert got.equal_up_to(expected, order) == (True, None)
     elif isinstance(got, TruncationStall):
@@ -457,7 +464,7 @@ def test_steady_terms_give_equal_series_or_both_stall(spec, order):
         assert vals[0] == valuation < order
         assert None not in vals and max(vals) == valuation
     elif isinstance(got, qf.UnsupportedParameter):
-        assert any(p.slope < 0 for p in spec.num + spec.den)
+        assert any(p.slope < 0 or p.length and p.length[0] < 0 for p in spec.num + spec.den)
     else:
         assert type(got).__name__ in [result(reference_valuation, spec, n) for n in first]
 
@@ -514,12 +521,16 @@ def test_falling_valuations_stall_from_the_term_they_stay_below(spec, order, n, 
         QTerm((1, 0, 0), den=(one_minus(2, -1),)),
         # factors that move down on both sides
         QTerm(num=(Poch(mono(-1, 1), 1, None, -1),), den=(Poch(mono(-1, 1), 2, None, -1),)),
+        # a length that falls with n: cut at order 3 this read 0, but at
+        # order 6 it reads q^-4 + 3q^-3 + ...
+        QTerm((1, -6, 5), num=(Poch(mono(-1, 1), 1, (-1, 10)),)),
     ],
 )
 def test_unbounded_valuations_are_a_usage_error(spec):
     """A sum whose valuations no bound from the spec can order is refused, not cut."""
-    with pytest.raises(qf.UnsupportedParameter, match="no bound on the term valuations"):
-        qsum.__wrapped__(spec, 3)
+    for order in (3, 6):
+        with pytest.raises(qf.UnsupportedParameter, match="no bound on the term valuations"):
+            qsum.__wrapped__(spec, order)
 
 
 @settings(max_examples=100, deadline=None)
@@ -546,6 +557,18 @@ def test_dipping_valuations_sum_every_term_below_the_order(spec, order):
     for n in range(spec.start, spec.start + 40):
         expected = expected.add(reference_term(spec, spec.num, spec.den, n, order))
     assert qsum.__wrapped__(spec, order).equal_up_to(expected, order) == (True, None)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_zero_terms_are_exact_zeros(order):
+    """Past n = 0 a zero ratio makes every term 0, even one whose factors have a pole.
+
+    Term 1 is 0 / (1 - q^0), so the sum is q below every order, whether or not
+    it reaches that term.
+    """
+    spec = QTerm((0, 0, 1), den=(Poch(mono(1, 0), 1, N),), ratio=MONO_ZERO)
+    total = qsum.__wrapped__(spec, order)
+    assert total.equal_up_to(mono(1, 1).to_series(order), order) == (True, None)
 
 
 def test_falling_valuations_stall_at_once():
