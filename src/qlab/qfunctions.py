@@ -63,6 +63,9 @@ from .series import (
 class UnknownName(KeyError):
     """The requested series name is not in the catalog."""
 
+    def __str__(self) -> str:
+        return f"unknown series name {self.args[0]!r}"
+
 
 class MissingParameter(ValueError):
     """A parameterized builder was invoked without a required parameter."""
@@ -295,10 +298,11 @@ def _product(
     :func:`~qlab.series._apply` multiplies by the factors in place:
     eta-type infinite factors by the pentagonal number theorem, every other
     binomial below the width by one multiply or exact divide.  It is empty
-    when the product is 0 below ``order``.
+    when the product is 0 below ``order``.  A zero scale gives 0 before any
+    factor is looked at, so a pole among them is no error.
     """
-    mu = _shift(num, den)
-    v = order if not scale or mu is None else e + mu
+    mu = _shift(num, den) if scale else None
+    v = order if mu is None else e + mu
     if v >= order:
         return order, [], Fraction(0)
     nums = [1] + [0] * (order - v - 1)
@@ -429,12 +433,11 @@ def _bounds(spec: QTerm, num: Tuple[Poch, ...], den: Tuple[Poch, ...]) -> Tuple[
       raises it in a denominator;
     * from ``turn`` on, E_n keeps the sign it has for large n.
 
-    A zero scale or ratio gives (start, True, False): every term past
-    n = 0 (every term, for a zero scale) is exactly 0, so the first term
-    that clears the window ends the sum.  A factor whose length falls with n
-    (it turns negative), a factor of slope < 0 and sign 1 (its 1 - q^0
-    comes and goes), or valuations pushed both ways give no bound and raise
-    :class:`UnsupportedParameter`.
+    A zero ratio gives (start, True, False): every term past n = 0 is
+    exactly 0, so the first term that clears the window ends the sum.  A
+    factor whose length falls with n (it turns negative), a factor of
+    slope < 0 and sign 1 (its 1 - q^0 comes and goes), or valuations pushed
+    both ways give no bound and raise :class:`UnsupportedParameter`.
     """
     start = spec.start
     live = [
@@ -443,7 +446,7 @@ def _bounds(spec: QTerm, num: Tuple[Poch, ...], den: Tuple[Poch, ...]) -> Tuple[
         for p in ps
         if not p.arg.is_zero and p.length != (0, 0)
     ]
-    if not spec.scale or spec.ratio.is_zero:
+    if spec.ratio.is_zero:
         return start, True, False
     e2, e1, _ = spec.exp
     e1 += spec.ratio.power
@@ -496,8 +499,8 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
     binomial instead of a pass per binomial of every term.  :func:`_bounds`
     gives from the spec an index past which the term valuations never fall
     or never rise.  From there a term whose exact valuation reaches the
-    window top, or that vanishes exactly (a zero scale or ratio, whose terms
-    are never built, or a numerator factor 1 - q^0), ends the sum when
+    window top, or that vanishes exactly (a zero ratio, whose terms are
+    never built, or a numerator factor 1 - q^0), ends the sum when
     valuations never fall or terms vanish; an earlier one, or one whose
     successors fall, adds nothing.  From there too,
     when valuations never rise, a term below the window top raises
@@ -508,9 +511,14 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
     summing, so its term cap and :class:`~qlab.series.TruncationStall` apply
     unchanged.
 
+    A sum whose first term has scale 0 (a zero scale, or a zero ratio from
+    n = 1 on) has every term 0 and is 0, whatever poles its factors hold.
+
     Results are memoized by (spec, order), so every builder and catalog side
     that states the same sum shares one evaluation.
     """
+    if not _exponent_and_scale(spec, spec.start)[1]:
+        return zero(order)
     outer_num = _at(tuple(f for f in spec.num if f.fixed), 0)
     outer_den = _at(tuple(f for f in spec.den if f.fixed), 0)
     num = tuple(f for f in spec.num if not f.fixed)

@@ -2,12 +2,13 @@
 
 Each :class:`IdentityEntry` pairs two independent series builders (left and
 right side of one identity) with the monomial specializations at which the
-identity is checked and a default truncation order.  :func:`verify_all`
-runs a set of rows (the whole catalog, or the entries :func:`select` resolves
-from a selector): it builds both sides of each row, compares them coefficient
-by coefficient through :meth:`LaurentSeries.equal_up_to`, and turns a failing
-row into a failed report without aborting the run.  :func:`verify` checks one
-row the same way.
+identity is checked; each row's label and default truncation order follow
+from its parameters.  :func:`verify_all` runs a set of rows (the whole
+catalog, or the entries :func:`select` resolves from a selector): it builds
+both sides of each row, compares them coefficient by coefficient through
+:meth:`LaurentSeries.equal_up_to`, and turns a failing row into a failed
+report without aborting the run.  :func:`verify` checks one row the same
+way.
 
 Parameterized identities are checked at finitely many monomial
 specializations with distinct exponents rather than through a bivariate
@@ -67,27 +68,32 @@ SideBuilder = Callable[..., LaurentSeries]
 class Specialization:
     """One parameter assignment at which an identity row is verified."""
 
-    label: Optional[str]
     params: Tuple[Tuple[str, Monomial], ...] = ()
     expects_stall: bool = False
 
-    def param_dict(self) -> Dict[str, Monomial]:
-        return dict(self.params)
+    @property
+    def label(self) -> Optional[str]:
+        """``name=value`` pairs joined by commas, or ``None`` without parameters."""
+        return ",".join(f"{k}={v}" for k, v in self.params) or None
 
 
-UNSPECIALIZED = (Specialization(label=None),)
+UNSPECIALIZED = (Specialization(),)
 
 
 @dataclass(frozen=True)
 class IdentityEntry:
-    """A catalog row: two builders, specializations, default order, anchor."""
+    """A catalog row: two builders, the specializations they are checked at, an anchor."""
 
     id: str
     anchor: str
     lhs: SideBuilder
     rhs: SideBuilder
     specializations: Tuple[Specialization, ...] = UNSPECIALIZED
-    default_order: int = 100
+
+    @property
+    def default_order(self) -> int:
+        """100, or 60 for an entry with parameters."""
+        return 60 if any(s.params for s in self.specializations) else 100
 
     def specialization(self, label: Optional[str]) -> Specialization:
         for spec in self.specializations:
@@ -124,9 +130,7 @@ def row_name(entry_id: str, label: Optional[str]) -> str:
 
 
 def _spec_rows(param: str, values: Sequence[Monomial]) -> Tuple[Specialization, ...]:
-    return tuple(
-        Specialization(label=f"{param}={v}", params=((param, v),)) for v in values
-    )
+    return tuple(Specialization(params=((param, v),)) for v in values)
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +178,7 @@ def _q_one_plus_q(s: LaurentSeries) -> LaurentSeries:
 
 def _even_rank_lhs(order: int) -> LaurentSeries:
     # (f(q) + 1/(q;q)_inf)/2; the constant term 1 counts the empty partition
-    return qf.build("f3_def", order).add(euler_inv(order)).scale(Fraction(1, 2))
+    return qf.f3_def(order).add(euler_inv(order)).scale(Fraction(1, 2))
 
 
 def _lem31_rhs(order: int) -> LaurentSeries:
@@ -269,12 +273,12 @@ def _phi312_rhs(order: int) -> LaurentSeries:
 
 def _231_rhs(order: int) -> LaurentSeries:
     # (1/2) f(q) + (1/2) (q;q)_inf/(-q;q)_inf^2
-    return qf.build("f3_def", order).add(_theta_over_plus(order)).scale(Fraction(1, 2))
+    return qf.f3_def(order).add(_theta_over_plus(order)).scale(Fraction(1, 2))
 
 
 def _suminf_rhs(order: int) -> LaurentSeries:
     # (1/4) f(q) - (1/4) (q;q)_inf/(-q;q)_inf^2
-    return qf.build("f3_def", order).sub(_theta_over_plus(order)).scale(Fraction(1, 4))
+    return qf.f3_def(order).sub(_theta_over_plus(order)).scale(Fraction(1, 4))
 
 
 def _phi3m_rhs(order: int) -> LaurentSeries:
@@ -339,240 +343,213 @@ def _beforephi_rhs(order: int) -> LaurentSeries:
 # catalog
 
 
-def _named(name: str, form: int = 0) -> SideBuilder:
-    def side(order: int, **params: Monomial) -> LaurentSeries:
-        return qf.build(name, order, params or None, form=form)
-
-    side.__name__ = f"build_{name}_form{form}"
-    return side
-
-
 _B_VALUES = (MONO_ZERO, MONO_Q, mono(1, 2), MONO_ONE)
 _Z_VALUES = (MONO_Q, mono(1, 3), mono(1, 5))
 _A_VALUES = (MONO_ONE, MONO_Q, mono(1, 2))
 
-
-def _build_catalog() -> Tuple[IdentityEntry, ...]:
-    entries: List[IdentityEntry] = []
-
-    def add(entry: IdentityEntry) -> None:
-        entries.append(entry)
-
-    add(IdentityEntry(
+_CATALOG: Tuple[IdentityEntry, ...] = (
+    IdentityEntry(
         id="omega3-rep",
         anchor="omega(q) equals its smallest-part style sum",
-        lhs=_named("omega3_def"),
-        rhs=_named("omega3_rep_rhs"),
-    ))
-    add(IdentityEntry(
+        lhs=qf.omega3_def,
+        rhs=qf.omega3_rep_rhs,
+    ),
+    IdentityEntry(
         id="spt-fundamental",
         anchor="smallest-part sum equals its rank-moment evaluation "
                "(first member, the enumerative count, is checked by the oracle suite)",
-        lhs=_named("spt_lhs"),
-        rhs=_named("spt_rhs"),
-    ))
-    add(IdentityEntry(
+        lhs=qf.spt_lhs,
+        rhs=qf.spt_rhs,
+    ),
+    IdentityEntry(
         id="thm-1.1",
         anchor="new representation of f(q) through the positive-odd-rank sum",
-        lhs=_named("f3_def"),
-        rhs=_named("f3_newrep_rhs"),
-    ))
-    add(IdentityEntry(
+        lhs=qf.f3_def,
+        rhs=qf.f3_newrep_rhs,
+    ),
+    IdentityEntry(
         id="thm-1.3",
         anchor="two-color smallest-part sum equals its evaluated form",
-        lhs=_named("sptG_lhs"),
-        rhs=_named("sptG_rhs"),
-    ))
-    add(IdentityEntry(
+        lhs=qf.sptG_lhs,
+        rhs=qf.sptG_rhs,
+    ),
+    IdentityEntry(
         id="cor-1.4-even-rank",
         anchor="even-rank generating function (constant term: empty partition)",
         lhs=_even_rank_lhs,
-        rhs=_named("Ne_series_rhs"),
-    ))
-    add(IdentityEntry(
+        rhs=qf.ne_series_rhs,
+    ),
+    IdentityEntry(
         id="cor-1.4-fine",
         anchor="Fine's numbers as a two-color style sum",
-        lhs=_named("fineJ_direct"),
-        rhs=_named("fineJ_rhs"),
-    ))
-    add(IdentityEntry(
+        lhs=qf.fineJ_direct,
+        rhs=qf.fineJ_rhs,
+    ),
+    IdentityEntry(
         id="lem-2.1",
         anchor="analytic continuation of the b-parameterized quotient sum",
-        lhs=_named("lem21_lhs"),
-        rhs=_named("lem21_rhs"),
+        lhs=qf.lem21_lhs,
+        rhs=qf.lem21_rhs,
         specializations=_spec_rows("b", _B_VALUES),
-        default_order=60,
-    ))
-    add(IdentityEntry(
+    ),
+    IdentityEntry(
         id="eq-before-ac",
         anchor="pre-continuation evaluation; b=1 is the divergence control",
-        lhs=_named("lem21_lhs"),
-        rhs=_named("before_ac_rhs"),
+        lhs=qf.lem21_lhs,
+        rhs=qf.before_ac_rhs,
         specializations=tuple(
-            Specialization(label=f"b={v}", params=(("b", v),), expects_stall=(v == MONO_ONE))
+            Specialization(params=(("b", v),), expects_stall=(v == MONO_ONE))
             for v in _B_VALUES
         ),
-        default_order=60,
-    ))
-    add(IdentityEntry(
+    ),
+    IdentityEntry(
         id="eq-4parameter",
         anchor="four-parameter transformation in the vanishing-A limit, base q^2",
         lhs=_fourparam_lhs,
         rhs=_fourparam_rhs,
         specializations=(
-            Specialization(
-                label="B=q^2,a=q^-1,b=q",
-                params=(("B", mono(1, 2)), ("a", mono(1, -1)), ("b", MONO_Q)),
-            ),
-            Specialization(
-                label="B=q^2,a=q,b=q^2",
-                params=(("B", mono(1, 2)), ("a", MONO_Q), ("b", mono(1, 2))),
-            ),
+            Specialization(params=(("B", mono(1, 2)), ("a", mono(1, -1)), ("b", MONO_Q))),
+            Specialization(params=(("B", mono(1, 2)), ("a", MONO_Q), ("b", mono(1, 2)))),
         ),
-        default_order=60,
-    ))
-    add(IdentityEntry(
+    ),
+    IdentityEntry(
         id="lem-3.1",
         anchor="closed form of sum (-1)^n q^(2n+1)/(1+q^(2n+1))",
         lhs=partial(qsum, _ALT_Q_ODD_OVER_PLUS),
         rhs=_lem31_rhs,
-    ))
-    add(IdentityEntry(
+    ),
+    IdentityEntry(
         id="eq-2phi12",
         anchor="reindexing of the alternating quotient sum",
         lhs=partial(qsum, _ALT_Q2_OVER_PLUS),
         rhs=partial(qsum, _ALT_Q_OVER_PLUS2),
-    ))
-    add(IdentityEntry(
+    ),
+    IdentityEntry(
         id="eq-1psi1-sec3",
         anchor="Ramanujan 1psi1 bilateral evaluation, base q^2, split form",
         lhs=_psi_split_base2_lhs,
         rhs=_psi_product_base2_rhs,
-    ))
-    add(IdentityEntry(
+    ),
+    IdentityEntry(
         id="eq-final1729",
         anchor="evaluation of sum (-1)^n q^n/(1+q^(2n+2))",
         lhs=partial(qsum, _ALT_Q_OVER_PLUS2),
         rhs=_final1729_rhs,
-    ))
-    add(IdentityEntry(
+    ),
+    IdentityEntry(
         id="eq-z-identity",
         anchor="z-parameterized product-plus-tail identity, odd monomials",
-        lhs=_named("z_identity_lhs"),
-        rhs=_named("z_identity_rhs"),
+        lhs=qf.z_identity_lhs,
+        rhs=qf.z_identity_rhs,
         specializations=_spec_rows("z", _Z_VALUES),
-        default_order=60,
-    ))
-    add(IdentityEntry(
+    ),
+    IdentityEntry(
         id="eq-almost-spt",
         anchor="the double-derivative limit identity behind thm-1.3",
         lhs=partial(qsum, _ALMOST_SPT),
         rhs=qf.sptg_bracket,
-    ))
-    add(IdentityEntry(
+    ),
+    IdentityEntry(
         id="eq-transf",
         anchor="rewriting chain, first equals last (intermediates are "
                "form-equivalent builders of No_plus_series)",
-        lhs=_named("No_plus_series"),
-        rhs=_named("No_plus_series", 6),
-    ))
-    add(IdentityEntry(
+        lhs=qf.builder_forms("No_plus_series")[0],
+        rhs=qf.builder_forms("No_plus_series")[6],
+    ),
+    IdentityEntry(
         id="eq-4para1",
         anchor="even-base quotient sum evaluated via the four-parameter limit",
-        lhs=_named("even_base_quotient_sum"),
+        lhs=qf.even_base_quotient_sum,
         rhs=_4para1_rhs,
-    ))
-    add(IdentityEntry(
+    ),
+    IdentityEntry(
         id="eq-2sums",
         anchor="positive-odd-rank sum split into the alternating q^(m^2) piece",
-        lhs=_named("No_plus_series"),
+        lhs=qf.builder_forms("No_plus_series")[0],
         rhs=_2sums_rhs,
-    ))
-    add(IdentityEntry(
+    ),
+    IdentityEntry(
         id="entry-239",
         anchor="alternating q^(m^2) transformation with parameter a "
                "(Lost Notebook entry 2.3.9)",
-        lhs=_named("entry239_lhs"),
-        rhs=_named("entry239_rhs"),
+        lhs=qf.entry239_lhs,
+        rhs=qf.entry239_rhs,
         specializations=_spec_rows("a", _A_VALUES),
-        default_order=60,
-    ))
-    add(IdentityEntry(
+    ),
+    IdentityEntry(
         id="eq-phi312",
         anchor="the base-1 alternating q^(m^2) sum through phi(-q)",
         lhs=partial(qsum, _ALT_SQ_SUM_BASE1),
         rhs=_phi312_rhs,
-    ))
-    add(IdentityEntry(
+    ),
+    IdentityEntry(
         id="eq-2.3.1",
         anchor="relation between phi(-q) and f(q) (Lost Notebook entry 2.3.1)",
         lhs=phi3_neg,
         rhs=_231_rhs,
-    ))
-    add(IdentityEntry(
+    ),
+    IdentityEntry(
         id="eq-suminf",
         anchor="the base-1 alternating q^(m^2) sum through f(q)",
         lhs=partial(qsum, _ALT_SQ_SUM_BASE1),
         rhs=_suminf_rhs,
-    ))
-    add(IdentityEntry(
+    ),
+    IdentityEntry(
         id="eq-g1",
         anchor="split two-color sum equals its combinatorial product form",
-        lhs=_named("G_series"),
-        rhs=_named("G_series", 2),
-    ))
-    add(IdentityEntry(
+        lhs=qf.builder_forms("G_series")[0],
+        rhs=qf.builder_forms("G_series")[2],
+    ),
+    IdentityEntry(
         id="eq-g2",
         anchor="positive-odd-rank sum equals the split two-color sum",
-        lhs=_named("No_plus_series"),
-        rhs=_named("G_series"),
-    ))
-    add(IdentityEntry(
+        lhs=qf.builder_forms("No_plus_series")[0],
+        rhs=qf.builder_forms("G_series")[0],
+    ),
+    IdentityEntry(
         id="thm-6.1",
         anchor="odd-smallest-part series in closed form via phi(-q)",
-        lhs=_named("Gprime_series"),
-        rhs=_named("thm61_rhs"),
-    ))
-    add(IdentityEntry(
+        lhs=qf.gprime_series,
+        rhs=qf.thm61_rhs,
+    ),
+    IdentityEntry(
         id="eq-phi3m",
         anchor="shifted phi(-q) partial-fraction step",
         lhs=partial(qsum, _PHI3M_SUM),
         rhs=_phi3m_rhs,
-    ))
-    add(IdentityEntry(
+    ),
+    IdentityEntry(
         id="eq-1psi1-sec6",
         anchor="Ramanujan 1psi1 bilateral evaluation with the paired tail, split form",
         lhs=_psi_split_sec6_lhs,
         rhs=_psi_product_sec6_rhs,
-    ))
-    add(IdentityEntry(
+    ),
+    IdentityEntry(
         id="eq-last1",
         anchor="closed form of the paired alternating tail",
         lhs=partial(qsum, _PAIR_TAIL),
         rhs=_last1_rhs,
-    ))
-    add(IdentityEntry(
+    ),
+    IdentityEntry(
         id="eq-last2",
         anchor="odd-smallest-part series before the final tail evaluation",
-        lhs=_named("Gprime_series"),
+        lhs=qf.gprime_series,
         rhs=_last2_rhs,
-    ))
-    add(IdentityEntry(
+    ),
+    IdentityEntry(
         id="eq-seriesf",
         anchor="odd-smallest-part series after continuing the quotient sum at b=1",
-        lhs=_named("Gprime_series"),
+        lhs=qf.gprime_series,
         rhs=_seriesf_rhs,
-    ))
-    add(IdentityEntry(
+    ),
+    IdentityEntry(
         id="eq-beforephi",
         anchor="odd-smallest-part series with the alternating piece transformed",
-        lhs=_named("Gprime_series"),
+        lhs=qf.gprime_series,
         rhs=_beforephi_rhs,
-    ))
-    return tuple(entries)
+    ),
+)
 
-
-_CATALOG: Tuple[IdentityEntry, ...] = _build_catalog()
 _BY_ID: Dict[str, IdentityEntry] = {e.id: e for e in _CATALOG}
 
 
@@ -588,11 +565,6 @@ def get_entry(entry_id: str) -> IdentityEntry:
         raise UnknownIdentity(entry_id) from None
 
 
-def _one_row(entry_id: str, label: Optional[str]) -> IdentityEntry:
-    entry = get_entry(entry_id)
-    return replace(entry, specializations=(entry.specialization(label),))
-
-
 def select(selector: str) -> Tuple[IdentityEntry, ...]:
     """The catalog rows a selector names, as entries for :func:`verify_all`.
 
@@ -603,9 +575,10 @@ def select(selector: str) -> Tuple[IdentityEntry, ...]:
     if selector == "all":
         return _CATALOG
     entry_id, at, label = selector.partition("@")
+    entry = get_entry(entry_id)
     if at:
-        return (_one_row(entry_id, label),)
-    return (get_entry(entry_id),)
+        return (replace(entry, specializations=(entry.specialization(label),)),)
+    return (entry,)
 
 
 # ----------------------------------------------------------------------
@@ -616,7 +589,7 @@ def _run_row(
     entry: IdentityEntry, spec: Specialization, order: int
 ) -> VerificationReport:
     """Build and compare one row; every outcome, a builder error too, is a report."""
-    kwargs = spec.param_dict()
+    kwargs = dict(spec.params)
     start = time.perf_counter()
     passed, stalled, mismatch, error = False, False, None, None
     try:
@@ -651,8 +624,9 @@ def verify(
     order: Optional[int] = None,
 ) -> VerificationReport:
     """Verify one catalog row; raises only on unknown ids or specializations."""
-    (report,) = verify_all(order, (_one_row(entry_id, specialization),))
-    return report
+    entry = get_entry(entry_id)
+    spec = entry.specialization(specialization)
+    return _run_row(entry, spec, order if order is not None else entry.default_order)
 
 
 def _worker(args: Tuple[str, Optional[str], int]) -> VerificationReport:

@@ -52,9 +52,9 @@ def test_compute_json_and_csv_agree(capsys):
 
 
 def test_compute_unknown_name_usage_error(capsys):
-    code, _, err = run(capsys, "compute", "not_a_series")
+    code, out, err = run(capsys, "compute", "not_a_series")
     assert code == 2
-    assert "error" in err
+    assert (out, err) == ("", "error: unknown series name 'not_a_series'\n")
 
 
 def test_compute_with_parameter(capsys):

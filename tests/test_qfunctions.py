@@ -56,8 +56,9 @@ def test_form_counts():
 
 
 def test_unknown_name_rejected():
-    with pytest.raises(UnknownName):
+    with pytest.raises(UnknownName) as info:
         build("nu3_def", 10)
+    assert str(info.value) == "unknown series name 'nu3_def'"
 
 
 def test_missing_parameter_rejected():

@@ -125,12 +125,15 @@ def reference_product(scale, e, num, den, order):
     Each factor is one ``pochhammer`` series as wide as the product's
     window, the factors are multiplied with ``mul`` and the denominator is
     inverted once.  A factor's valuation is the first exponent of its series
-    on [valuation, 1); that series is 0 when the factor vanishes.
+    on [valuation, 1); that series is 0 when the factor vanishes.  A zero
+    scale gives 0, poles or not.
     """
+    if not scale:
+        return zero(order)
     lead = {f: pochhammer(PochhammerSpec(*f), 1) for f in num + den}
     if any(lead[f].is_zero for f in den):
         raise NotInvertible("a denominator factor vanishes")
-    if not scale or any(lead[f].is_zero for f in num):
+    if any(lead[f].is_zero for f in num):
         return zero(order)
     v = e + sum(lead[f].min_exp for f in num) - sum(lead[f].min_exp for f in den)
     if v >= order:
@@ -338,14 +341,7 @@ LOOK = 60
 
 def rebuilt_terms(spec, num, den, order):
     """Every term built afresh by the literal product route; a term of scale 0 is 0, poles or not."""
-
-    def term(i):
-        n = spec.start + i
-        if not spec.scale or spec.ratio.is_zero and n:
-            return zero(order)
-        return reference_term(spec, num, den, n, order)
-
-    return term
+    return lambda i: reference_term(spec, num, den, spec.start + i, order)
 
 
 def outcome(spec, order, stepped, cap=CAP):
@@ -569,6 +565,29 @@ def test_zero_terms_are_exact_zeros(order):
     spec = QTerm((0, 0, 1), den=(Poch(mono(1, 0), 1, N),), ratio=MONO_ZERO)
     total = qsum.__wrapped__(spec, order)
     assert total.equal_up_to(mono(1, 1).to_series(order), order) == (True, None)
+
+
+# 1 - q^0 is a pole in a factor that does not depend on n
+_POLE = (Poch(mono(1, 0)),)
+
+
+@pytest.mark.parametrize(
+    "f, spec, nonzero",
+    [
+        # a zero ratio makes every term from n = 1 on 0; from n = 0, term 0 is 1/(1 - q^0)
+        (qsum, QTerm(den=_POLE, ratio=MONO_ZERO, start=1), {"start": 0}),
+        (qsum, QTerm(den=_POLE, scale=0), {"scale": 2}),
+        (qprod, QTerm(den=_POLE, scale=0), {"scale": -1}),
+    ],
+)
+def test_zero_terms_are_zero_despite_a_fixed_pole(f, spec, nonzero):
+    """Every term is 0, so the sum or product is 0 before its pulled-out factors are looked at.
+
+    The same spec with a term that is not 0 still divides by 1 - q^0.
+    """
+    assert f.__wrapped__(spec, 3) == zero(3)
+    with pytest.raises(NotInvertible):
+        f.__wrapped__(replace(spec, **nonzero), 3)
 
 
 def test_falling_valuations_stall_at_once():

@@ -54,6 +54,52 @@ EXPECTED_IDS = [
 ]
 
 
+EXPECTED_ROWS = [
+    "omega3-rep",
+    "spt-fundamental",
+    "thm-1.1",
+    "thm-1.3",
+    "cor-1.4-even-rank",
+    "cor-1.4-fine",
+    "lem-2.1@b=0",
+    "lem-2.1@b=q",
+    "lem-2.1@b=q^2",
+    "lem-2.1@b=1",
+    "eq-before-ac@b=0",
+    "eq-before-ac@b=q",
+    "eq-before-ac@b=q^2",
+    "eq-before-ac@b=1",
+    "eq-4parameter@B=q^2,a=q^-1,b=q",
+    "eq-4parameter@B=q^2,a=q,b=q^2",
+    "lem-3.1",
+    "eq-2phi12",
+    "eq-1psi1-sec3",
+    "eq-final1729",
+    "eq-z-identity@z=q",
+    "eq-z-identity@z=q^3",
+    "eq-z-identity@z=q^5",
+    "eq-almost-spt",
+    "eq-transf",
+    "eq-4para1",
+    "eq-2sums",
+    "entry-239@a=1",
+    "entry-239@a=q",
+    "entry-239@a=q^2",
+    "eq-phi312",
+    "eq-2.3.1",
+    "eq-suminf",
+    "eq-g1",
+    "eq-g2",
+    "thm-6.1",
+    "eq-phi3m",
+    "eq-1psi1-sec6",
+    "eq-last1",
+    "eq-last2",
+    "eq-seriesf",
+    "eq-beforephi",
+]
+
+
 def test_catalog_complete():
     ids = [entry.id for entry in catalog()]
     assert ids == EXPECTED_IDS
@@ -76,6 +122,15 @@ def test_contains_specialized_rows():
     assert "eq-before-ac@b=1" in rows
     assert "eq-z-identity@z=q^5" in rows
     assert "eq-4parameter@B=q^2,a=q^-1,b=q" in rows
+
+
+def test_every_row_id_is_pinned_and_resolves():
+    """The labels read from each row's parameters name every row, and ``verify`` finds each one."""
+    assert all_row_ids() == EXPECTED_ROWS
+    for row in EXPECTED_ROWS:
+        entry_id, _, label = row.partition("@")
+        report = verify(entry_id, label or None, order=1)
+        assert (report.row_id, report.passed) == (row, True)
 
 
 def test_default_orders():
@@ -147,7 +202,7 @@ def test_negative_control_that_completes_is_a_failed_report():
         anchor="synthetic",
         lhs=lambda order: one(order),
         rhs=lambda order: one(order),
-        specializations=(Specialization(label=None, expects_stall=True),),
+        specializations=(Specialization(expects_stall=True),),
     )
     report = rg._run_row(entry, entry.specializations[0], 5)
     assert not report.passed and not report.stalled
