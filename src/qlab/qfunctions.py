@@ -1,7 +1,7 @@
 """Named builders for the q-series used throughout the package.
 
 Each catalog name is one entry of the catalog mapping, which takes it to
-one or more independent builder functions, each of which returns an exact
+one or more independent builder forms, each of which returns an exact
 :class:`~qlab.series.LaurentSeries` at a requested truncation order.  Names
 with several algebraically distinct computable forms (different
 arrangements of the same series) expose all of them through
@@ -32,10 +32,18 @@ den=(one_plus(1, 2),), ratio=SIGN, start=1)``.  The driver works out the
 truncation windows, including the Laurent depth of factors with negative
 exponents, and the cutoff from the factors' exact valuations; builders
 never pick a window or a cutoff by hand.
+
+Series as data.  Each form is one :class:`QSeries`, parts ``S(spec)``
+(:func:`qsum`) and ``P(spec)`` (:func:`qprod`) joined by ``+``, every
+multiplier moved into a part's term: 1/(q;q)_inf - 4 N(q) is ``euler_inv +
+_no_plus_form1.times(-4)``, with no series arithmetic between the parts.
+A parameterized form is a function of ``(order, **params)`` stating its
+parts the same way; only the literal-product reference forms are not.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
 from dataclasses import dataclass, replace
@@ -45,14 +53,15 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .series import (
     LaurentSeries,
-    NotInvertible,
     PochhammerSpec,
     Rational,
     TruncationStall,
     _Factor,
+    _add_into,
     _apply,
     _make,
     _shift,
+    exact,
     monomial,
     pochhammer,
     sum_terms,
@@ -87,7 +96,7 @@ class Monomial:
     power: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        object.__setattr__(self, "coeff", Fraction(exact(self.coeff)))
         if self.coeff == 0 and self.power != 0:
             raise ValueError("the zero monomial must carry power 0")
 
@@ -157,8 +166,8 @@ MONO_ONE = Monomial(Fraction(1), 0)
 MONO_Q = Monomial(Fraction(1), 1)
 
 
-def mono(c, k: int = 0) -> Monomial:
-    return Monomial(Fraction(c), k)
+def mono(c: Rational, k: int = 0) -> Monomial:
+    return Monomial(c, k)
 
 
 # ----------------------------------------------------------------------
@@ -261,6 +270,7 @@ class QTerm:
     start: int = 0
 
     def __post_init__(self) -> None:
+        exact(self.scale)
         if self.times_n and self.start < 1:
             raise ValueError("a term with the factor n must start at n >= 1")
 
@@ -514,8 +524,10 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
     A sum whose first term has scale 0 (a zero scale, or a zero ratio from
     n = 1 on) has every term 0 and is 0, whatever poles its factors hold.
 
-    Results are memoized by (spec, order), so every builder and catalog side
-    that states the same sum shares one evaluation.
+    Results are memoized by (spec, order), and so is the sum left once the
+    fixed factors and the scale are pulled out (:func:`_summed`): sums that
+    differ only in a constant factor, such as f(q), f(q)/4 and
+    f(q) (q;q)_inf, share one evaluation.
     """
     if not _exponent_and_scale(spec, spec.start)[1]:
         return zero(order)
@@ -526,9 +538,19 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
     # When the pulled-out product vanishes the sum still runs, so that a
     # pole or a stall in it is reported rather than multiplied by zero.
     mu = _shift(outer_num, outer_den)
-    inner = spec.times(e=mu or 0)
-    floor, never_falls, never_rises = _bounds(inner, num, den)
-    terms = _stepped_terms(inner, num, den, order)
+    total = _summed(replace(spec, num=num, den=den, scale=1).times(e=mu or 0), order)
+    if mu is None:
+        return zero(order)
+    arr = list(total.nums)
+    c = spec.scale * _apply(arr, outer_num, outer_den) / total.den
+    return _series(total.min_exp, arr, c, order)
+
+
+@lru_cache(maxsize=None)
+def _summed(spec: QTerm, order: int) -> LaurentSeries:
+    """The sum of ``spec``, a term with no factor fixed in n, for :func:`qsum`."""
+    floor, never_falls, never_rises = _bounds(spec, spec.num, spec.den)
+    terms = _stepped_terms(spec, spec.num, spec.den, order)
 
     def term(i: int) -> Optional[LaurentSeries]:
         t, n = terms(i), spec.start + i
@@ -541,15 +563,53 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
             return t
         # a term that clears the window ends the sum once no later one falls
         # below it: past the floor, when valuations never fall or terms vanish
-        if n >= floor and (never_falls or _shift(_at(num, n), _at(den, n)) is None):
+        if n >= floor and (never_falls or _shift(_at(spec.num, n), _at(spec.den, n)) is None):
             return t
         return None
 
-    total = sum_terms(term, order)
-    if mu is None:
-        return zero(order)
-    arr = list(total.nums)
-    return _series(total.min_exp, arr, _apply(arr, outer_num, outer_den) / total.den, order)
+    return sum_terms(term, order)
+
+
+# ----------------------------------------------------------------------
+# series as data
+
+
+@dataclass(frozen=True)
+class QSeries:
+    """A sum of parts, each :func:`qsum` or :func:`qprod` of one :class:`QTerm`.
+
+    Every unparameterized named series and catalog side is one: parts join
+    with ``+``, :func:`S` and :func:`P` make one-part values, and
+    :meth:`times` moves a constant multiplier into each part's term, so no
+    series arithmetic runs between the parts.
+    """
+
+    parts: Tuple[Tuple[Callable[[QTerm, int], LaurentSeries], QTerm], ...]
+
+    def __add__(self, other: "QSeries") -> "QSeries":
+        return QSeries(self.parts + other.parts)
+
+    def times(self, *args, **kwargs) -> "QSeries":
+        """Every part's term times one constant, given as :meth:`QTerm.times` takes it."""
+        return QSeries(tuple((f, t.times(*args, **kwargs)) for f, t in self.parts))
+
+    def __call__(self, order: int) -> LaurentSeries:
+        """The parts, evaluated in the order stated, added into one window below ``order``."""
+        acc: list = []
+        lo, den = order, 1
+        for f, t in self.parts:
+            lo, den = _add_into(acc, lo, den, f(t, order), order)
+        return _make(lo, acc, den, order)
+
+
+def S(spec: QTerm) -> QSeries:
+    """The sum of ``spec`` over n >= ``spec.start`` (:func:`qsum`)."""
+    return QSeries(((qsum, spec),))
+
+
+def P(spec: QTerm) -> QSeries:
+    """The single term of ``spec`` (:func:`qprod`)."""
+    return QSeries(((qprod, spec),))
 
 
 # ----------------------------------------------------------------------
@@ -564,240 +624,188 @@ def euler_product_direct(order: int) -> LaurentSeries:
 # sum_{k>=0} (-1)^k q^(k(3k-1)/2), the pentagonal exponents of one sign
 _PENTAGONAL = QTerm(exp=(3 * HALF, -HALF, 0), ratio=SIGN)
 
+#: (q;q)_inf through the pentagonal number theorem (sparse sum).
+euler_product_pentagonal = S(_PENTAGONAL) + S(
+    replace(_PENTAGONAL, exp=(3 * HALF, HALF, 0), start=1)
+)
 
-def euler_product_pentagonal(order: int) -> LaurentSeries:
-    """(q;q)_inf through the pentagonal number theorem (sparse sum)."""
-    other = replace(_PENTAGONAL, exp=(3 * HALF, HALF, 0), start=1)
-    return qsum(_PENTAGONAL, order).add(qsum(other, order))
-
-
-def euler_inv(order: int) -> LaurentSeries:
-    """1/(q;q)_inf, the partition generating function: one pentagonal recurrence (memoized)."""
-    return qprod(QTerm(den=(EULER,)), order)
+#: 1/(q;q)_inf, the partition generating function: one pentagonal recurrence.
+euler_inv = P(QTerm(den=(EULER,)))
 
 
 def euler_inverse_direct(order: int) -> LaurentSeries:
     return inv_qpoch(1, 1, 1, None, order)
 
 
-def theta_phi_neg_sum(order: int) -> LaurentSeries:
-    """sum over all integers n of (-1)^n q^(n^2), folded to n >= 0."""
-    return qsum(QTerm(exp=(1, 0, 0), scale=2, ratio=SIGN, start=1), order) + 1
+#: sum over all integers n of (-1)^n q^(n^2), folded to n >= 0.
+theta_phi_neg_sum = S(QTerm(exp=(1, 0, 0), scale=2, ratio=SIGN, start=1)) + P(QTerm())
 
-
-def theta_phi_neg_prod(order: int) -> LaurentSeries:
-    """(q;q)_inf / (-q;q)_inf."""
-    return qprod(QTerm(num=(EULER,), den=(NEG_EULER,)), order)
-
+#: (q;q)_inf / (-q;q)_inf.
+theta_phi_neg_prod = P(QTerm(num=(EULER,), den=(NEG_EULER,)))
 
 # ----------------------------------------------------------------------
 # mock theta functions
 
+#: f(q) = sum q^(n^2) / (-q;q)_n^2, the principal third-order mock theta.
+f3_def = S(QTerm(exp=(1, 0, 0), den=(Poch(mono(-1, 1), 1, N),) * 2))
 
-def f3_def(order: int) -> LaurentSeries:
-    """f(q) = sum q^(n^2) / (-q;q)_n^2, the principal third-order mock theta."""
-    return qsum(QTerm(exp=(1, 0, 0), den=(Poch(mono(-1, 1), 1, N),) * 2), order)
+#: omega(q) = sum q^(2n(n+1)) / (q;q^2)_{n+1}^2.
+omega3_def = S(QTerm(exp=(2, 2, 0), den=(Poch(MONO_Q, 2, (1, 1)),) * 2))
 
-
-def omega3_def(order: int) -> LaurentSeries:
-    """omega(q) = sum q^(2n(n+1)) / (q;q^2)_{n+1}^2."""
-    return qsum(QTerm(exp=(2, 2, 0), den=(Poch(MONO_Q, 2, (1, 1)),) * 2), order)
-
-
-def omega3_rep_rhs(order: int) -> LaurentSeries:
-    """The smallest-part style rewriting of omega(q).
-
-    sum over n >= 1 of q^(n-1) / ((1-q^n) (q^{n+1};q)_n (q^{2n+2};q^2)_inf).
-    """
-    den = (one_minus(0, 1), Poch(MONO_Q, 1, N, 1), Poch(mono(1, 2), 2, None, 2))
-    return qsum(QTerm(exp=(0, 1, -1), den=den, start=1), order)
-
+#: The smallest-part style rewriting of omega(q):
+#: sum over n >= 1 of q^(n-1) / ((1-q^n) (q^{n+1};q)_n (q^{2n+2};q^2)_inf).
+omega3_rep_rhs = S(
+    QTerm(
+        exp=(0, 1, -1),
+        den=(one_minus(0, 1), Poch(MONO_Q, 1, N, 1), Poch(mono(1, 2), 2, None, 2)),
+        start=1,
+    )
+)
 
 # sum q^(n^2) / (-q^2;q^2)_n
 _PHI3 = QTerm(exp=(1, 0, 0), den=(Poch(mono(-1, 2), 2, N),))
 
+#: phi(q) = sum q^(n^2) / (-q^2;q^2)_n, third order.
+phi3_def = S(_PHI3)
 
-def phi3_def(order: int) -> LaurentSeries:
-    """phi(q) = sum q^(n^2) / (-q^2;q^2)_n, third order."""
-    return qsum(_PHI3, order)
-
-
-def phi3_neg(order: int) -> LaurentSeries:
-    """phi(-q) = sum (-1)^n q^(n^2) / (-q^2;q^2)_n."""
-    return qsum(replace(_PHI3, ratio=SIGN), order)
-
+#: phi(-q) = sum (-1)^n q^(n^2) / (-q^2;q^2)_n.
+phi3_neg = S(replace(_PHI3, ratio=SIGN))
 
 # ----------------------------------------------------------------------
 # smallest-part generating functions
 
-
-def spt_lhs(order: int) -> LaurentSeries:
-    """sum q^n / ((1-q^n)^2 (q^{n+1};q)_inf): counts smallest parts."""
-    den = (one_minus(0, 1), one_minus(0, 1), Poch(MONO_Q, 1, None, 1))
-    return qsum(QTerm(exp=(0, 1, 0), den=den, start=1), order)
+#: sum q^n / ((1-q^n)^2 (q^{n+1};q)_inf): counts smallest parts.
+spt_lhs = S(QTerm(exp=(0, 1, 0), den=(one_minus(0, 1),) * 2 + (Poch(MONO_Q, 1, None, 1),), start=1))
 
 
-def _moment_bracket(order: int, k: int, tail_exp: Tuple[Rational, Rational, int]) -> LaurentSeries:
+def _moment_bracket(k: int, tail_exp: Tuple[Rational, Rational, int]) -> QSeries:
     # sum n q^(kn)/(1-q^(kn)) + sum (-1)^n (1+q^n) q^(tail_exp(n))/(1-q^(kn))^2
     body = QTerm(exp=(0, k, 0), den=(one_minus(0, k),), times_n=True, start=1)
     tail = QTerm(
         exp=tail_exp, num=(one_plus(0, 1),), den=(one_minus(0, k),) * 2, ratio=SIGN, start=1
     )
-    return qsum(body, order).add(qsum(tail, order))
+    return S(body) + S(tail)
 
 
-def spt_rhs(order: int) -> LaurentSeries:
-    """The rank-moment style evaluation of the smallest-part sum.
+#: The rank-moment style evaluation of the smallest-part sum: the bracket
+#: over (q;q)_inf.  The theta-like tail carries q^(n(3n+1)/2); the
+#: coefficient check against the oracle's smallest-part counts pins that
+#: exponent down.
+spt_rhs = _moment_bracket(1, (3 * HALF, HALF, 0)).times(den=(EULER,))
 
-    The theta-like tail carries q^(n(3n+1)/2); the coefficient check against
-    the oracle's smallest-part counts pins that exponent down.
-    """
-    return euler_inv(order).mul(_moment_bracket(order, 1, (3 * HALF, HALF, 0)))
+#: sum q^(2n) / ((1-q^(2n))^2 (-q^{n+1};q)_n (q^{n+1};q)_inf): weighted by
+#: smallest-part multiplicity over the even-smallest-part two-color partitions.
+sptG_lhs = S(
+    QTerm(
+        exp=(0, 2, 0),
+        den=(one_minus(0, 2),) * 2 + (Poch(mono(-1, 1), 1, N, 1), Poch(MONO_Q, 1, None, 1)),
+        start=1,
+    )
+)
 
+#: sum n q^(2n)/(1-q^(2n)) + sum (-1)^n (1+q^n) q^(3n(n+1)/2)/(1-q^(2n))^2.
+sptg_bracket = _moment_bracket(2, (3 * HALF, 3 * HALF, 0))
 
-def sptG_lhs(order: int) -> LaurentSeries:
-    """sum q^(2n) / ((1-q^(2n))^2 (-q^{n+1};q)_n (q^{n+1};q)_inf).
-
-    Weighted by smallest-part multiplicity over the even-smallest-part
-    two-color partitions.
-    """
-    den = (one_minus(0, 2), one_minus(0, 2), Poch(mono(-1, 1), 1, N, 1), Poch(MONO_Q, 1, None, 1))
-    return qsum(QTerm(exp=(0, 2, 0), den=den, start=1), order)
-
-
-def sptg_bracket(order: int) -> LaurentSeries:
-    """sum n q^(2n)/(1-q^(2n)) + sum (-1)^n (1+q^n) q^(3n(n+1)/2)/(1-q^(2n))^2."""
-    return _moment_bracket(order, 2, (3 * HALF, 3 * HALF, 0))
-
-
-def sptG_rhs(order: int) -> LaurentSeries:
-    """Companion evaluation of sptG_lhs with the same theta-like tail."""
-    return euler_inv(order).mul(sptg_bracket(order))
-
+#: Companion evaluation of sptG_lhs with the same theta-like tail.
+sptG_rhs = sptg_bracket.times(den=(EULER,))
 
 # ----------------------------------------------------------------------
 # two-color partition generating functions and rank series
 
 
-def _two_color(order: int, *den: Poch) -> LaurentSeries:
+def _two_color(*den: Poch) -> QSeries:
     # sum_{n>=1} q^(2n) / prod(den)
-    return qsum(QTerm(exp=(0, 2, 0), den=den, start=1), order)
+    return S(QTerm(exp=(0, 2, 0), den=den, start=1))
 
 
-def _g_form_split(order: int) -> LaurentSeries:
-    # sum q^(2n) / ((1-q^(2n)) (-q^{n+1};q)_n (q^{n+1};q)_inf)
-    return _two_color(order, one_minus(0, 2), Poch(mono(-1, 1), 1, N, 1), Poch(MONO_Q, 1, None, 1))
+# sum q^(2n) / ((1-q^(2n)) (-q^{n+1};q)_n (q^{n+1};q)_inf)
+_g_form_split = _two_color(one_minus(0, 2), Poch(mono(-1, 1), 1, N, 1), Poch(MONO_Q, 1, None, 1))
 
+# sum q^(2n) / ((1-q^(2n)) (q^{2n+2};q^2)_n (q^{2n+1};q)_inf)
+_g_form_merged = _two_color(one_minus(0, 2), Poch(mono(1, 2), 2, N, 2), Poch(MONO_Q, 1, None, 2))
 
-def _g_form_merged(order: int) -> LaurentSeries:
-    # sum q^(2n) / ((1-q^(2n)) (q^{2n+2};q^2)_n (q^{2n+1};q)_inf)
-    return _two_color(order, one_minus(0, 2), Poch(mono(1, 2), 2, N, 2), Poch(MONO_Q, 1, None, 2))
+# sum q^(2n) / ((q^{2n+2};q^2)_n (q^{2n};q)_inf): even smallest part 2n,
+# blue parts >= 2n, red parts even in (2n, 4n]
+_g_form_combinatorial = _two_color(Poch(mono(1, 2), 2, N, 2), Poch(MONO_ONE, 1, None, 2))
 
+# sum q^(2n) / ((q^{2n};q^2)_{n+1} (q^{2n+1};q)_inf)
+_no_plus_form1 = _two_color(Poch(MONO_ONE, 2, (1, 1), 2), Poch(MONO_Q, 1, None, 2))
 
-def _g_form_combinatorial(order: int) -> LaurentSeries:
-    # sum q^(2n) / ((q^{2n+2};q^2)_n (q^{2n};q)_inf): even smallest part 2n,
-    # blue parts >= 2n, red parts even in (2n, 4n]
-    return _two_color(order, Poch(mono(1, 2), 2, N, 2), Poch(MONO_ONE, 1, None, 2))
+# sum q^(2n) / ((-q^n;q)_{n+1} (q^n;q)_inf)
+_no_plus_form3 = _two_color(Poch(mono(-1, 0), 1, (1, 1), 1), Poch(MONO_ONE, 1, None, 1))
 
-
-def _no_plus_form1(order: int) -> LaurentSeries:
-    # sum q^(2n) / ((q^{2n};q^2)_{n+1} (q^{2n+1};q)_inf)
-    return _two_color(order, Poch(MONO_ONE, 2, (1, 1), 2), Poch(MONO_Q, 1, None, 2))
-
-
-def _no_plus_form3(order: int) -> LaurentSeries:
-    # sum q^(2n) / ((-q^n;q)_{n+1} (q^n;q)_inf)
-    return _two_color(order, Poch(mono(-1, 0), 1, (1, 1), 1), Poch(MONO_ONE, 1, None, 1))
-
-
-def _no_plus_form4(order: int) -> LaurentSeries:
-    # q^2 sum_{n>=0} q^(2n) / ((-q^{n+1};q)_{n+2} (q^{n+1};q)_inf)
-    den = (Poch(mono(-1, 1), 1, (1, 2), 1), Poch(MONO_Q, 1, None, 1))
-    return qsum(QTerm(exp=(0, 2, 2), den=den), order)
-
-
-def _no_plus_form5(order: int) -> LaurentSeries:
-    # (q^2/(q;q)_inf) sum (q;q)_n q^(2n) / (-q^{n+1};q)_{n+2}
-    num = (Poch(MONO_Q, 1, N),)
-    den = (Poch(mono(-1, 1), 1, (1, 2), 1), EULER)
-    return qsum(QTerm(exp=(0, 2, 2), num=num, den=den), order)
-
-
-def _no_plus_form6(order: int) -> LaurentSeries:
-    # (q^2/(q;q)_inf) sum (q;q)_n (-q;q)_n q^(2n) / (-q;q)_{2n+2}
-    num = (Poch(MONO_Q, 1, N), Poch(mono(-1, 1), 1, N))
-    den = (Poch(mono(-1, 1), 1, (2, 2)), EULER)
-    return qsum(QTerm(exp=(0, 2, 2), num=num, den=den), order)
-
-
-# sum (q^2;q^2)_n q^(2n) / ((-q^3;q^2)_n (-q^4;q^2)_n)
-_EVEN_BASE = QTerm(
-    exp=(0, 2, 0),
-    num=(Poch(mono(1, 2), 2, N),),
-    den=(Poch(mono(-1, 3), 2, N), Poch(mono(-1, 4), 2, N)),
+# q^2 sum_{n>=0} q^(2n) / ((-q^{n+1};q)_{n+2} (q^{n+1};q)_inf)
+_no_plus_form4 = S(
+    QTerm(exp=(0, 2, 2), den=(Poch(mono(-1, 1), 1, (1, 2), 1), Poch(MONO_Q, 1, None, 1)))
 )
 
+# (q^2/(q;q)_inf) sum (q;q)_n q^(2n) / (-q^{n+1};q)_{n+2}
+_no_plus_form5 = S(
+    QTerm(
+        exp=(0, 2, 2),
+        num=(Poch(MONO_Q, 1, N),),
+        den=(Poch(mono(-1, 1), 1, (1, 2), 1), EULER),
+    )
+)
 
-def _no_plus_form7(order: int) -> LaurentSeries:
-    # q^2 / ((q;q)_inf (1+q)(1+q^2)) times the even-base quotient sum
-    return qsum(_EVEN_BASE.times(e=2, den=(EULER, one_plus(1), one_plus(2))), order)
+# (q^2/(q;q)_inf) sum (q;q)_n (-q;q)_n q^(2n) / (-q;q)_{2n+2}
+_no_plus_form6 = S(
+    QTerm(
+        exp=(0, 2, 2),
+        num=(Poch(MONO_Q, 1, N), Poch(mono(-1, 1), 1, N)),
+        den=(Poch(mono(-1, 1), 1, (2, 2)), EULER),
+    )
+)
 
+#: sum (q^2;q^2)_n q^(2n) / ((-q^3;q^2)_n (-q^4;q^2)_n).
+even_base_quotient_sum = S(
+    QTerm(
+        exp=(0, 2, 0),
+        num=(Poch(mono(1, 2), 2, N),),
+        den=(Poch(mono(-1, 3), 2, N), Poch(mono(-1, 4), 2, N)),
+    )
+)
 
-def even_base_quotient_sum(order: int) -> LaurentSeries:
-    """sum (q^2;q^2)_n q^(2n) / ((-q^3;q^2)_n (-q^4;q^2)_n)."""
-    return qsum(_EVEN_BASE, order)
+# q^2 / ((q;q)_inf (1+q)(1+q^2)) times the even-base quotient sum
+_no_plus_form7 = even_base_quotient_sum.times(e=2, den=(EULER, one_plus(1), one_plus(2)))
 
+#: 1/(q;q)_inf - 4 * (positive-odd-rank generating sum).
+f3_newrep_rhs = euler_inv + _no_plus_form1.times(-4)
 
-def f3_newrep_rhs(order: int) -> LaurentSeries:
-    """1/(q;q)_inf - 4 * (positive-odd-rank generating sum)."""
-    return euler_inv(order).sub(_no_plus_form1(order).scale(4))
+#: sum_{n>=0} q^(2n+1) / ((q^{2n+1};q)_inf (q^{2n+2};q^2)_n): odd smallest
+#: part 2n+1, blue parts >= 2n+1, red parts even in (2n, 4n].
+gprime_series = S(QTerm(exp=(0, 2, 1), den=(Poch(MONO_Q, 1, None, 2), Poch(mono(1, 2), 2, N, 2))))
 
+#: Even-rank generating function: 1/(q;q)_inf - 2 * (split two-color sum).
+ne_series_rhs = euler_inv + _g_form_split.times(-2)
 
-def gprime_series(order: int) -> LaurentSeries:
-    """sum_{n>=0} q^(2n+1) / ((q^{2n+1};q)_inf (q^{2n+2};q^2)_n).
+#: sum (-1)^n q^(n(3n+1)/2) / (1+q^n): Fine's numbers.
+fineJ_direct = S(QTerm(exp=(3 * HALF, HALF, 0), den=(one_plus(0, 1),), ratio=SIGN, start=1))
 
-    Odd smallest part 2n+1, blue parts >= 2n+1, red parts even in (2n, 4n].
-    """
-    den = (Poch(MONO_Q, 1, None, 2), Poch(mono(1, 2), 2, N, 2))
-    return qsum(QTerm(exp=(0, 2, 1), den=den), order)
+#: - sum (q;q)_n q^(2n) / ((1-q^(2n)) (-q^{n+1};q)_n).
+fineJ_rhs = S(
+    QTerm(
+        exp=(0, 2, 0),
+        num=(Poch(MONO_Q, 1, N),),
+        den=(one_minus(0, 2), Poch(mono(-1, 1), 1, N, 1)),
+        scale=-1,
+        start=1,
+    )
+)
 
+#: (f(q) (q;q)_inf - 1) / 4.
+fineJ_from_f3 = f3_def.times(Fraction(1, 4), num=(EULER,)) + P(QTerm(scale=Fraction(-1, 4)))
 
-def ne_series_rhs(order: int) -> LaurentSeries:
-    """Even-rank generating function: 1/(q;q)_inf - 2 * (split two-color sum)."""
-    return euler_inv(order).sub(_g_form_split(order).scale(2))
-
-
-def fineJ_direct(order: int) -> LaurentSeries:
-    """sum (-1)^n q^(n(3n+1)/2) / (1+q^n): Fine's numbers."""
-    return qsum(QTerm(exp=(3 * HALF, HALF, 0), den=(one_plus(0, 1),), ratio=SIGN, start=1), order)
-
-
-def fineJ_rhs(order: int) -> LaurentSeries:
-    """- sum (q;q)_n q^(2n) / ((1-q^(2n)) (-q^{n+1};q)_n)."""
-    num = (Poch(MONO_Q, 1, N),)
-    den = (one_minus(0, 2), Poch(mono(-1, 1), 1, N, 1))
-    return qsum(QTerm(exp=(0, 2, 0), num=num, den=den, scale=-1, start=1), order)
-
-
-def fineJ_from_f3(order: int) -> LaurentSeries:
-    """(f(q) (q;q)_inf - 1) / 4."""
-    prod = f3_def(order).mul(euler_product_direct(order))
-    return (prod - 1).scale(Fraction(1, 4))
-
-
-def thm61_rhs(order: int) -> LaurentSeries:
-    """Closed evaluation of the odd-smallest-part two-color series.
-
-    q^2 - q(1+q) phi(-q) + q(3-q)/(2 (q;q)_inf)
-        + q(1+q)(q^2;q^2)_inf / (2 (-q;q)_inf^3).
-    """
-    phi = phi3_neg(order)
-    e = euler_inv(order)
-    t3 = e.shift_scale(Fraction(3, 2), 1).add(e.shift_scale(-HALF, 2))
-    t4 = QTerm(exp=(0, 0, 1), num=(one_plus(1), EULER_Q2), den=(NEG_EULER,) * 3, scale=HALF)
-    t2 = phi.shift(1).add(phi.shift(2)).neg()
-    return mono(1, 2).to_series(order).add(t2).add(t3).add(qprod(t4, order))
-
+#: Closed evaluation of the odd-smallest-part two-color series:
+#: q^2 - q(1+q) phi(-q) + q(3-q)/(2 (q;q)_inf)
+#: + q(1+q)(q^2;q^2)_inf / (2 (-q;q)_inf^3).
+thm61_rhs = (
+    P(QTerm(exp=(0, 0, 2)))
+    + phi3_neg.times(-1, 1, num=(one_plus(1),))
+    + euler_inv.times(Fraction(3, 2), 1)
+    + euler_inv.times(-HALF, 2)
+    + P(QTerm(exp=(0, 0, 1), num=(one_plus(1), EULER_Q2), den=(NEG_EULER,) * 3, scale=HALF))
+)
 
 # ----------------------------------------------------------------------
 # parameterized sums
@@ -814,7 +822,7 @@ def lem21_lhs(order: int, b: Monomial) -> LaurentSeries:
     """sum (q^2;q^2)_n q^(2n) / ((-q;q^2)_n (-b q^2;q^2)_n)."""
     num = (Poch(mono(1, 2), 2, N),)
     den = (Poch(mono(-1, 1), 2, N), Poch(b.times(mono(-1, 2)), 2, N))
-    return qsum(QTerm(exp=(0, 2, 0), num=num, den=den), order)
+    return S(QTerm(exp=(0, 2, 0), num=num, den=den))(order)
 
 
 def lem21_rhs(order: int, b: Monomial) -> LaurentSeries:
@@ -823,7 +831,6 @@ def lem21_rhs(order: int, b: Monomial) -> LaurentSeries:
     Valid for any monomial b; this is the analytically continued form whose
     tail terms carry q^(2m+1), so it converges formally even at b = 1.
     """
-    part1 = qprod(QTerm(num=(one_plus(1),), den=(one_plus(3),)), order)
     # (1+q)(1-q^2) sum_{m>=1} (-b)^m q^(2m+1) / ((1+q^(2m+1))(1+q^(2m+3)))
     tail = QTerm(
         exp=(0, 2, 1),
@@ -832,7 +839,8 @@ def lem21_rhs(order: int, b: Monomial) -> LaurentSeries:
         ratio=b.times(SIGN),
         start=1,
     )
-    return part1.add(qsum(_lem21_theta_part(b), order)).add(qsum(tail, order))
+    part1 = P(QTerm(num=(one_plus(1),), den=(one_plus(3),)))
+    return (part1 + S(_lem21_theta_part(b)) + S(tail))(order)
 
 
 def before_ac_rhs(order: int, b: Monomial) -> LaurentSeries:
@@ -841,16 +849,15 @@ def before_ac_rhs(order: int, b: Monomial) -> LaurentSeries:
     At b = 1 the final sum has constant-valuation terms and is formally
     divergent; evaluation then raises TruncationStall at its first step.
     """
-    part1 = qsum(_lem21_theta_part(b), order)
     num = (Poch(b.times(SIGN), 1, (0, 1)), one_plus(1))
     tail = QTerm(num=num, den=(one_plus(3, 2),), ratio=b.times(SIGN))
-    return part1.add(qsum(tail, order))
+    return (S(_lem21_theta_part(b)) + S(tail))(order)
 
 
 def entry239_lhs(order: int, a: Monomial) -> LaurentSeries:
     """sum (-1)^m q^(m^2) / (-a q^2;q^2)_m."""
     den = (Poch(a.times(mono(-1, 2)), 2, N),)
-    return qsum(QTerm(exp=(1, 0, 0), den=den, ratio=SIGN), order)
+    return S(QTerm(exp=(1, 0, 0), den=den, ratio=SIGN))(order)
 
 
 def entry239_rhs(order: int, a: Monomial) -> LaurentSeries:
@@ -859,7 +866,7 @@ def entry239_rhs(order: int, a: Monomial) -> LaurentSeries:
     num = (Poch(a.times(SIGN), 1, (0, 1)),)
     s = QTerm(exp=(1, 0, 0), num=num, den=(Poch(arg, 2, N),), scale=-1, ratio=SIGN, start=1)
     theta = QTerm(num=(EULER,), den=(NEG_EULER, Poch(arg)))
-    return qsum(s, order).add(qprod(theta, order))
+    return (S(s) + P(theta))(order)
 
 
 def _z_inv(z: Monomial) -> Monomial:
@@ -872,7 +879,7 @@ def z_identity_lhs(order: int, z: Monomial) -> LaurentSeries:
     """sum (z;q^2)_n (z^{-1};q^2)_n q^(2n) / ((q^2;q^2)_n (-q;q)_{2n})."""
     num = (Poch(z, 2, N), Poch(_z_inv(z), 2, N))
     den = (Poch(mono(1, 2), 2, N), Poch(mono(-1, 1), 1, (2, 0)))
-    return qsum(QTerm(exp=(0, 2, 0), num=num, den=den), order)
+    return S(QTerm(exp=(0, 2, 0), num=num, den=den))(order)
 
 
 def z_identity_rhs(order: int, z: Monomial) -> LaurentSeries:
@@ -900,7 +907,8 @@ def z_identity_rhs(order: int, z: Monomial) -> LaurentSeries:
         ratio=SIGN,
         start=1,
     )
-    return qprod(head, order).add(qsum(tail, order))
+    return (P(head) + S(tail))(order)
+
 
 # ----------------------------------------------------------------------
 # the name catalog
@@ -976,8 +984,13 @@ def builder_forms(name: str) -> _Forms:
 
 def param_names(name: str) -> Tuple[str, ...]:
     """The parameters of ``name``: its first form's arguments after ``order``."""
-    code = builder_forms(name)[0].__code__
-    return code.co_varnames[1 : code.co_argcount]
+    return tuple(inspect.signature(builder_forms(name)[0]).parameters)[1:]
+
+
+def check_order(order: int) -> None:
+    """Raise ValueError unless the truncation order is at least 1."""
+    if order < 1:
+        raise ValueError(f"order must be positive, got {order}")
 
 
 def build(
@@ -991,8 +1004,7 @@ def build(
     ``params`` supplies monomial values for parameterized names and must
     name exactly the parameters :func:`param_names` reads from the builder.
     """
-    if order < 1:
-        raise ValueError(f"order must be positive, got {order}")
+    check_order(order)
     forms = builder_forms(name)
     declared = param_names(name)
     given = dict(params or {})

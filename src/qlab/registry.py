@@ -3,9 +3,14 @@
 Each :class:`IdentityEntry` pairs two independent series builders (left and
 right side of one identity) with the monomial specializations at which the
 identity is checked; each row's label and default truncation order follow
-from its parameters.  :func:`verify_all` runs a set of rows (the whole
-catalog, or the entries :func:`select` resolves from a selector): it builds
-both sides of each row, compares them coefficient by coefficient through
+from its parameters.  A side is one :class:`~qlab.qfunctions.QSeries` (a
+named series, or ``qsum`` and ``qprod`` parts joined by ``+``), or for a
+parameterized row a function of ``(order, **params)`` that states its parts
+the same way, so no series arithmetic runs on any side.
+
+:func:`verify_all` runs a set of rows (the whole catalog, or the entries
+:func:`select` resolves from a selector): it builds both sides of each row,
+compares them coefficient by coefficient through
 :meth:`LaurentSeries.equal_up_to`, and turns a failing row into a failed
 report without aborting the run.  :func:`verify` checks one row the same
 way.
@@ -24,7 +29,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .series import LaurentSeries, Mismatch, TruncationStall
@@ -40,16 +44,13 @@ from .qfunctions import (
     NEG_EULER,
     SIGN,
     Monomial,
+    P,
     Poch,
     QTerm,
-    euler_inv,
+    S,
     mono,
     one_minus,
     one_plus,
-    phi3_neg,
-    qprod,
-    qsum,
-    theta_phi_neg_prod,
 )
 
 
@@ -137,53 +138,53 @@ def _spec_rows(param: str, values: Sequence[Monomial]) -> Tuple[Specialization, 
 # shared sub-sums (each used by several catalog rows)
 
 # sum (-1)^n q^(2n+1) / (1 + q^(2n+1))
-_ALT_Q_ODD_OVER_PLUS = QTerm(exp=(0, 2, 1), den=(one_plus(1, 2),), ratio=SIGN)
+_ALT_Q_ODD_OVER_PLUS = S(QTerm(exp=(0, 2, 1), den=(one_plus(1, 2),), ratio=SIGN))
 # sum (-1)^n q^(2n) / (1 + q^(2n+1))
-_ALT_Q2_OVER_PLUS = QTerm(exp=(0, 2, 0), den=(one_plus(1, 2),), ratio=SIGN)
+_ALT_Q2_OVER_PLUS = S(QTerm(exp=(0, 2, 0), den=(one_plus(1, 2),), ratio=SIGN))
 # sum (-1)^n q^n / (1 + q^(2n+2))
-_ALT_Q_OVER_PLUS2 = QTerm(exp=(0, 1, 0), den=(one_plus(2, 2),), ratio=SIGN)
+_ALT_Q_OVER_PLUS2 = S(QTerm(exp=(0, 1, 0), den=(one_plus(2, 2),), ratio=SIGN))
 # sum_{m>=1} (-1)^(m-1) q^(m^2) / (-q;q^2)_m
-_ALT_SQ_SUM_BASE1 = QTerm(
-    exp=(1, 0, 0), den=(Poch(mono(-1, 1), 2, N),), scale=-1, ratio=SIGN, start=1
+_ALT_SQ_SUM_BASE1 = S(
+    QTerm(exp=(1, 0, 0), den=(Poch(mono(-1, 1), 2, N),), scale=-1, ratio=SIGN, start=1)
 )
 # sum_{m>=1} (-1)^m q^(m^2) / (-q^3;q^2)_m
-_ALT_SQ_SUM_BASE3 = QTerm(exp=(1, 0, 0), den=(Poch(mono(-1, 3), 2, N),), ratio=SIGN, start=1)
+_ALT_SQ_SUM_BASE3 = S(QTerm(exp=(1, 0, 0), den=(Poch(mono(-1, 3), 2, N),), ratio=SIGN, start=1))
 # sum_{m>=0} (-1)^m q^(m^2) / (-q^2;q^2)_{m+1}
-_PHI3M_SUM = QTerm(exp=(1, 0, 0), den=(Poch(mono(-1, 2), 2, (1, 1)),), ratio=SIGN)
+_PHI3M_SUM = S(QTerm(exp=(1, 0, 0), den=(Poch(mono(-1, 2), 2, (1, 1)),), ratio=SIGN))
 # sum_{n>=0} (-1)^n q^(2n) / ((1+q^(2n+1))(1+q^(2n+3)))
 _PAIR_TAIL_FROM0 = QTerm(exp=(0, 2, 0), den=(one_plus(1, 2), one_plus(3, 2)), ratio=SIGN)
 # the same from n = 1
-_PAIR_TAIL = replace(_PAIR_TAIL_FROM0, start=1)
+_PAIR_TAIL = S(replace(_PAIR_TAIL_FROM0, start=1))
 # (q;q)_inf^2 / (-q;q)_inf^2
-_THETA_SQ = QTerm(num=(EULER, EULER), den=(NEG_EULER, NEG_EULER))
-# q(1+q) / ((q;q)_inf (1+q^3))
-_ODD_HEAD = QTerm(exp=(0, 0, 1), num=(one_plus(1),), den=(EULER, one_plus(3)))
-# (q(1+q)(1-q^2)/(q;q)_inf) sum_{m>=1} (-1)^m q^(2m+1)/((1+q^(2m+1))(1+q^(2m+3)))
-_ODD_TAIL = _PAIR_TAIL.times(e=2, num=(one_plus(1), one_minus(2)), den=(EULER,))
-
-
-def _theta_over_plus(order: int) -> LaurentSeries:
-    # (q;q)_inf / (-q;q)_inf^2
-    return qprod(QTerm(num=(EULER,), den=(NEG_EULER, NEG_EULER)), order)
-
-
-def _q_one_plus_q(s: LaurentSeries) -> LaurentSeries:
-    # q(1+q) * s, exactly
-    return s.shift(1).add(s.shift(2))
+_THETA_SQ = P(QTerm(num=(EULER, EULER), den=(NEG_EULER, NEG_EULER)))
+# (q;q)_inf / (-q;q)_inf^2
+_THETA_OVER_PLUS = P(QTerm(num=(EULER,), den=(NEG_EULER, NEG_EULER)))
+# q(1+q)/((q;q)_inf (1+q^3))
+#   + (q(1+q)(1-q^2)/(q;q)_inf) sum_{m>=1} (-1)^m q^(2m+1)/((1+q^(2m+1))(1+q^(2m+3)))
+_ODD_HEAD_AND_TAIL = (
+    P(QTerm(exp=(0, 0, 1), num=(one_plus(1),), den=(EULER, one_plus(3))))
+    + _PAIR_TAIL.times(e=2, num=(one_plus(1), one_minus(2)), den=(EULER,))
+)
+# sum_{n>=1} (q^2;q^2)_{n-1}^2 q^(2n) / ((q^2;q^2)_n (-q;q)_{2n});
+# the n=0 term vanishes under the reciprocal negative-index convention
+_ALMOST_SPT = S(
+    QTerm(
+        exp=(0, 2, 0),
+        num=(Poch(mono(1, 2), 2, (1, -1)),) * 2,
+        den=(Poch(mono(1, 2), 2, N), Poch(mono(-1, 1), 1, (2, 0))),
+        start=1,
+    )
+)
 
 
 # ----------------------------------------------------------------------
 # one-off entry sides
 
+# (f(q) + 1/(q;q)_inf)/2; the constant term 1 counts the empty partition
+_EVEN_RANK_LHS = (qf.f3_def + qf.euler_inv).times(HALF)
 
-def _even_rank_lhs(order: int) -> LaurentSeries:
-    # (f(q) + 1/(q;q)_inf)/2; the constant term 1 counts the empty partition
-    return qf.f3_def(order).add(euler_inv(order)).scale(Fraction(1, 2))
-
-
-def _lem31_rhs(order: int) -> LaurentSeries:
-    # 1/4 - (1/4) (q;q)_inf^2 / (-q;q)_inf^2
-    return (1 - theta_phi_neg_prod(order).pow(2)).scale(Fraction(1, 4))
+# 1/4 - (1/4) (q;q)_inf^2 / (-q;q)_inf^2
+_LEM31_RHS = P(QTerm(scale=Fraction(1, 4))) + _THETA_SQ.times(Fraction(-1, 4))
 
 
 def _fourparam_lhs(order: int, B: Monomial, a: Monomial, b: Monomial) -> LaurentSeries:
@@ -191,7 +192,7 @@ def _fourparam_lhs(order: int, B: Monomial, a: Monomial, b: Monomial) -> Laurent
     # sum (B;Q)_n Q^n / ((-aQ;Q)_n (-bQ;Q)_n)
     num = (Poch(B, 2, N),)
     den = (Poch(a.times(mono(-1, 2)), 2, N), Poch(b.times(mono(-1, 2)), 2, N))
-    return qsum(QTerm(exp=(0, 2, 0), num=num, den=den), order)
+    return S(QTerm(exp=(0, 2, 0), num=num, den=den))(order)
 
 
 def _fourparam_rhs(order: int, B: Monomial, a: Monomial, b: Monomial) -> LaurentSeries:
@@ -214,129 +215,95 @@ def _fourparam_rhs(order: int, B: Monomial, a: Monomial, b: Monomial) -> Laurent
         den=(neg_b_over_a,),
         ratio=b.times(SIGN),
     )
-    return qsum(s1, order).add(qsum(s2, order))
+    return (S(s1) + S(s2))(order)
 
 
-def _psi_split_base2_lhs(order: int) -> LaurentSeries:
-    # the bilateral quotient sum with base q^2, split into unilateral tails:
-    # 2(1+q^2) sum (-1)^n q^n/(1+q^(2n+2)) - (1+q^2)/(2q)
-    part = qsum(_ALT_Q_OVER_PLUS2.times(2, num=(one_plus(2),)), order)
-    corr = qprod(QTerm(exp=(0, 0, -1), num=(one_plus(2),), scale=HALF), order)
-    return part.sub(corr)
-
-
-def _psi_product_base2_rhs(order: int) -> LaurentSeries:
-    # (q^3;q^2)_inf (q^{-1};q^2)_inf (q^2;q^2)_inf^2
-    #   / ((-q;q^2)_inf^2 (-q^4;q^2)_inf (-1;q^2)_inf)
-    num = (Poch(mono(1, 3), 2), Poch(mono(1, -1), 2), EULER_Q2, EULER_Q2)
-    den = (Poch(mono(-1, 1), 2), Poch(mono(-1, 1), 2), Poch(mono(-1, 4), 2), Poch(mono(-1, 0), 2))
-    return qprod(QTerm(num=num, den=den), order)
-
-
-def _final1729_rhs(order: int) -> LaurentSeries:
-    # 1/(4q) - (1/(4q)) (q;q)_inf^2/(-q;q)_inf^2
-    quarter = Fraction(1, 4)
-    head = qprod(QTerm(exp=(0, 0, -1), scale=quarter), order)
-    return head.sub(qprod(_THETA_SQ.times(quarter, -1), order))
-
-
-# sum_{n>=1} (q^2;q^2)_{n-1}^2 q^(2n) / ((q^2;q^2)_n (-q;q)_{2n});
-# the n=0 term vanishes under the reciprocal negative-index convention
-_ALMOST_SPT = QTerm(
-    exp=(0, 2, 0),
-    num=(Poch(mono(1, 2), 2, (1, -1)),) * 2,
-    den=(Poch(mono(1, 2), 2, N), Poch(mono(-1, 1), 1, (2, 0))),
-    start=1,
+# the bilateral quotient sum with base q^2, split into unilateral tails:
+# 2(1+q^2) sum (-1)^n q^n/(1+q^(2n+2)) - (1+q^2)/(2q)
+_PSI_SPLIT_BASE2_LHS = (
+    _ALT_Q_OVER_PLUS2.times(2, num=(one_plus(2),))
+    + P(QTerm(exp=(0, 0, -1), num=(one_plus(2),), scale=-HALF))
 )
 
-
-def _4para1_rhs(order: int) -> LaurentSeries:
-    # -(1/q^2) (q^2;q^2)_inf/((-q^4;q^2)_inf (-q^3;q^2)_inf) * S1
-    #   + (1+q)(1+q^2)/q * S2
-    den1 = (Poch(mono(-1, 4), 2), Poch(mono(-1, 3), 2))
-    piece1 = qsum(_ALT_SQ_SUM_BASE1.times(-1, -2, num=(EULER_Q2,), den=den1), order)
-    piece2 = qsum(_ALT_Q2_OVER_PLUS.times(1, -1, num=(one_plus(1), one_plus(2))), order)
-    return piece1.add(piece2)
-
-
-def _2sums_rhs(order: int) -> LaurentSeries:
-    # -S1 + (1/(q;q)_inf) sum (-1)^m q^(2m+1)/(1+q^(2m+1))
-    return qsum(_ALT_SQ_SUM_BASE1, order).neg().add(
-        euler_inv(order).mul(qsum(_ALT_Q_ODD_OVER_PLUS, order))
+# (q^3;q^2)_inf (q^{-1};q^2)_inf (q^2;q^2)_inf^2
+#   / ((-q;q^2)_inf^2 (-q^4;q^2)_inf (-1;q^2)_inf)
+_PSI_PRODUCT_BASE2_RHS = P(
+    QTerm(
+        num=(Poch(mono(1, 3), 2), Poch(mono(1, -1), 2), EULER_Q2, EULER_Q2),
+        den=(Poch(mono(-1, 1), 2),) * 2 + (Poch(mono(-1, 4), 2), Poch(mono(-1, 0), 2)),
     )
+)
 
+# 1/(4q) - (1/(4q)) (q;q)_inf^2/(-q;q)_inf^2
+_FINAL1729_RHS = (
+    P(QTerm(exp=(0, 0, -1), scale=Fraction(1, 4))) + _THETA_SQ.times(Fraction(-1, 4), -1)
+)
 
-def _phi312_rhs(order: int) -> LaurentSeries:
-    # (1/2) phi(-q) - (1/2) (q;q)_inf/(-q;q)_inf^2
-    return phi3_neg(order).sub(_theta_over_plus(order)).scale(Fraction(1, 2))
+# -(1/q^2) (q^2;q^2)_inf/((-q^4;q^2)_inf (-q^3;q^2)_inf) * S1
+#   + (1+q)(1+q^2)/q * S2
+_4PARA1_RHS = _ALT_SQ_SUM_BASE1.times(
+    -1, -2, num=(EULER_Q2,), den=(Poch(mono(-1, 4), 2), Poch(mono(-1, 3), 2))
+) + _ALT_Q2_OVER_PLUS.times(1, -1, num=(one_plus(1), one_plus(2)))
 
+# -S1 + (1/(q;q)_inf) sum (-1)^m q^(2m+1)/(1+q^(2m+1))
+_2SUMS_RHS = _ALT_SQ_SUM_BASE1.times(-1) + _ALT_Q_ODD_OVER_PLUS.times(den=(EULER,))
 
-def _231_rhs(order: int) -> LaurentSeries:
-    # (1/2) f(q) + (1/2) (q;q)_inf/(-q;q)_inf^2
-    return qf.f3_def(order).add(_theta_over_plus(order)).scale(Fraction(1, 2))
+# (1/2) phi(-q) - (1/2) (q;q)_inf/(-q;q)_inf^2
+_PHI312_RHS = qf.phi3_neg.times(HALF) + _THETA_OVER_PLUS.times(-HALF)
 
+# (1/2) f(q) + (1/2) (q;q)_inf/(-q;q)_inf^2
+_231_RHS = (qf.f3_def + _THETA_OVER_PLUS).times(HALF)
 
-def _suminf_rhs(order: int) -> LaurentSeries:
-    # (1/4) f(q) - (1/4) (q;q)_inf/(-q;q)_inf^2
-    return qf.f3_def(order).sub(_theta_over_plus(order)).scale(Fraction(1, 4))
+# (1/4) f(q) - (1/4) (q;q)_inf/(-q;q)_inf^2
+_SUMINF_RHS = qf.f3_def.times(Fraction(1, 4)) + _THETA_OVER_PLUS.times(Fraction(-1, 4))
 
+# -q + (1+q) phi(-q)
+_PHI3M_RHS = qf.phi3_neg.times(num=(one_plus(1),)) + P(QTerm(exp=(0, 0, 1), scale=-1))
 
-def _phi3m_rhs(order: int) -> LaurentSeries:
-    # -q + (1+q) phi(-q)
-    phi = phi3_neg(order)
-    return phi.add(phi.shift(1)).sub(MONO_Q.to_series(order))
+# 2(1+q)(1+q^3) sum_{n>=0} (-1)^n q^(2n)/((1+q^(2n+1))(1+q^(2n+3)))
+#   - (1/q)(1+q^3)/(1+q)
+_PSI_SPLIT_SEC6_LHS = (
+    S(_PAIR_TAIL_FROM0.times(2, num=(one_plus(1), one_plus(3))))
+    + P(QTerm(exp=(0, 0, -1), num=(one_plus(3),), den=(one_plus(1),), scale=-1))
+)
 
+# (q^3;q^2)_inf (q^{-1};q^2)_inf (q^2;q^2)_inf (q^4;q^2)_inf
+#   / ((-q^2;q^2)_inf^2 (-q^5;q^2)_inf (-q;q^2)_inf)
+_PSI_PRODUCT_SEC6_RHS = P(
+    QTerm(
+        num=(Poch(mono(1, 3), 2), Poch(mono(1, -1), 2), EULER_Q2, Poch(mono(1, 4), 2)),
+        den=(Poch(mono(-1, 2), 2),) * 2 + (Poch(mono(-1, 5), 2), Poch(mono(-1, 1), 2)),
+    )
+)
 
-def _psi_split_sec6_lhs(order: int) -> LaurentSeries:
-    # 2(1+q)(1+q^3) sum_{n>=0} (-1)^n q^(2n)/((1+q^(2n+1))(1+q^(2n+3)))
-    #   - (1/q)(1+q^3)/(1+q)
-    part = qsum(_PAIR_TAIL_FROM0.times(2, num=(one_plus(1), one_plus(3))), order)
-    corr = qprod(QTerm(exp=(0, 0, -1), num=(one_plus(3),), den=(one_plus(1),)), order)
-    return part.sub(corr)
+# 1/(2q(1+q)^2) - 1/((1+q)(1+q^3)) - (1/(2q(1-q^2))) (q;q)_inf^2/(-q;q)_inf^2
+_LAST1_RHS = (
+    P(QTerm(exp=(0, 0, -1), den=(one_plus(1), one_plus(1)), scale=HALF))
+    + P(QTerm(den=(one_plus(1), one_plus(3)), scale=-1))
+    + _THETA_SQ.times(-HALF, -1, den=(one_minus(2),))
+)
 
+# q^2 - q(1+q) phi(-q) + q(1+q)(q;q)_inf/(-q;q)_inf^2
+#   + q(1+q)/((q;q)_inf (1+q^3))
+#   + (q(1+q)(1-q^2)/(q;q)_inf) sum (-1)^m q^(2m+1)/((1+q^(2m+1))(1+q^(2m+3)))
+_LAST2_RHS = (
+    P(QTerm(exp=(0, 0, 2)))
+    + qf.phi3_neg.times(-1, 1, num=(one_plus(1),))
+    + _THETA_OVER_PLUS.times(1, 1, num=(one_plus(1),))
+    + _ODD_HEAD_AND_TAIL
+)
 
-def _psi_product_sec6_rhs(order: int) -> LaurentSeries:
-    # (q^3;q^2)_inf (q^{-1};q^2)_inf (q^2;q^2)_inf (q^4;q^2)_inf
-    #   / ((-q^2;q^2)_inf^2 (-q^5;q^2)_inf (-q;q^2)_inf)
-    num = (Poch(mono(1, 3), 2), Poch(mono(1, -1), 2), EULER_Q2, Poch(mono(1, 4), 2))
-    den = (Poch(mono(-1, 2), 2), Poch(mono(-1, 2), 2), Poch(mono(-1, 5), 2), Poch(mono(-1, 1), 2))
-    return qprod(QTerm(num=num, den=den), order)
+# q sum_{m>=1} (-1)^m q^(m^2)/(-q^3;q^2)_m + q(1+q)/((q;q)_inf(1+q^3))
+#   + (q(1+q)(1-q^2)/(q;q)_inf) * the paired tail at q^(2m+1)
+_SERIESF_RHS = _ALT_SQ_SUM_BASE3.times(e=1) + _ODD_HEAD_AND_TAIL
 
-
-def _last1_rhs(order: int) -> LaurentSeries:
-    # 1/(2q(1+q)^2) - 1/((1+q)(1+q^3)) - (1/(2q(1-q^2))) (q;q)_inf^2/(-q;q)_inf^2
-    p1 = qprod(QTerm(exp=(0, 0, -1), den=(one_plus(1), one_plus(1)), scale=HALF), order)
-    p2 = qprod(QTerm(den=(one_plus(1), one_plus(3))), order)
-    p3 = qprod(_THETA_SQ.times(-HALF, -1, den=(one_minus(2),)), order)
-    return p1.sub(p2).add(p3)
-
-
-def _odd_head_and_tail(order: int) -> LaurentSeries:
-    return qprod(_ODD_HEAD, order).add(qsum(_ODD_TAIL, order))
-
-
-def _last2_rhs(order: int) -> LaurentSeries:
-    # q^2 - q(1+q) phi(-q) + q(1+q)(q;q)_inf/(-q;q)_inf^2
-    #   + q(1+q)/((q;q)_inf (1+q^3))
-    #   + (q(1+q)(1-q^2)/(q;q)_inf) sum (-1)^m q^(2m+1)/((1+q^(2m+1))(1+q^(2m+3)))
-    t1 = mono(1, 2).to_series(order)
-    t2 = _q_one_plus_q(phi3_neg(order)).neg()
-    t3 = _q_one_plus_q(_theta_over_plus(order))
-    return t1.add(t2).add(t3).add(_odd_head_and_tail(order))
-
-
-def _seriesf_rhs(order: int) -> LaurentSeries:
-    # q sum_{m>=1} (-1)^m q^(m^2)/(-q^3;q^2)_m + q(1+q)/((q;q)_inf(1+q^3))
-    #   + (q(1+q)(1-q^2)/(q;q)_inf) * the paired tail at q^(2m+1)
-    return qsum(_ALT_SQ_SUM_BASE3.times(e=1), order).add(_odd_head_and_tail(order))
-
-
-def _beforephi_rhs(order: int) -> LaurentSeries:
-    # q(q;q)_inf/((-q;q)_inf(-q^2;q)_inf) - q sum (-1)^m q^(m^2)/(-q^2;q^2)_{m+1}
-    #   + q(1+q)/((q;q)_inf(1+q^3)) + the paired-tail block
-    head = qprod(QTerm(exp=(0, 0, 1), num=(EULER,), den=(NEG_EULER, Poch(mono(-1, 2)))), order)
-    t2 = qsum(_PHI3M_SUM.times(e=1), order)
-    return head.sub(t2).add(_odd_head_and_tail(order))
+# q(q;q)_inf/((-q;q)_inf(-q^2;q)_inf) - q sum (-1)^m q^(m^2)/(-q^2;q^2)_{m+1}
+#   + q(1+q)/((q;q)_inf(1+q^3)) + the paired-tail block
+_BEFOREPHI_RHS = (
+    P(QTerm(exp=(0, 0, 1), num=(EULER,), den=(NEG_EULER, Poch(mono(-1, 2)))))
+    + _PHI3M_SUM.times(-1, 1)
+    + _ODD_HEAD_AND_TAIL
+)
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +343,7 @@ _CATALOG: Tuple[IdentityEntry, ...] = (
     IdentityEntry(
         id="cor-1.4-even-rank",
         anchor="even-rank generating function (constant term: empty partition)",
-        lhs=_even_rank_lhs,
+        lhs=_EVEN_RANK_LHS,
         rhs=qf.ne_series_rhs,
     ),
     IdentityEntry(
@@ -415,26 +382,26 @@ _CATALOG: Tuple[IdentityEntry, ...] = (
     IdentityEntry(
         id="lem-3.1",
         anchor="closed form of sum (-1)^n q^(2n+1)/(1+q^(2n+1))",
-        lhs=partial(qsum, _ALT_Q_ODD_OVER_PLUS),
-        rhs=_lem31_rhs,
+        lhs=_ALT_Q_ODD_OVER_PLUS,
+        rhs=_LEM31_RHS,
     ),
     IdentityEntry(
         id="eq-2phi12",
         anchor="reindexing of the alternating quotient sum",
-        lhs=partial(qsum, _ALT_Q2_OVER_PLUS),
-        rhs=partial(qsum, _ALT_Q_OVER_PLUS2),
+        lhs=_ALT_Q2_OVER_PLUS,
+        rhs=_ALT_Q_OVER_PLUS2,
     ),
     IdentityEntry(
         id="eq-1psi1-sec3",
         anchor="Ramanujan 1psi1 bilateral evaluation, base q^2, split form",
-        lhs=_psi_split_base2_lhs,
-        rhs=_psi_product_base2_rhs,
+        lhs=_PSI_SPLIT_BASE2_LHS,
+        rhs=_PSI_PRODUCT_BASE2_RHS,
     ),
     IdentityEntry(
         id="eq-final1729",
         anchor="evaluation of sum (-1)^n q^n/(1+q^(2n+2))",
-        lhs=partial(qsum, _ALT_Q_OVER_PLUS2),
-        rhs=_final1729_rhs,
+        lhs=_ALT_Q_OVER_PLUS2,
+        rhs=_FINAL1729_RHS,
     ),
     IdentityEntry(
         id="eq-z-identity",
@@ -446,7 +413,7 @@ _CATALOG: Tuple[IdentityEntry, ...] = (
     IdentityEntry(
         id="eq-almost-spt",
         anchor="the double-derivative limit identity behind thm-1.3",
-        lhs=partial(qsum, _ALMOST_SPT),
+        lhs=_ALMOST_SPT,
         rhs=qf.sptg_bracket,
     ),
     IdentityEntry(
@@ -460,13 +427,13 @@ _CATALOG: Tuple[IdentityEntry, ...] = (
         id="eq-4para1",
         anchor="even-base quotient sum evaluated via the four-parameter limit",
         lhs=qf.even_base_quotient_sum,
-        rhs=_4para1_rhs,
+        rhs=_4PARA1_RHS,
     ),
     IdentityEntry(
         id="eq-2sums",
         anchor="positive-odd-rank sum split into the alternating q^(m^2) piece",
         lhs=qf.builder_forms("No_plus_series")[0],
-        rhs=_2sums_rhs,
+        rhs=_2SUMS_RHS,
     ),
     IdentityEntry(
         id="entry-239",
@@ -479,20 +446,20 @@ _CATALOG: Tuple[IdentityEntry, ...] = (
     IdentityEntry(
         id="eq-phi312",
         anchor="the base-1 alternating q^(m^2) sum through phi(-q)",
-        lhs=partial(qsum, _ALT_SQ_SUM_BASE1),
-        rhs=_phi312_rhs,
+        lhs=_ALT_SQ_SUM_BASE1,
+        rhs=_PHI312_RHS,
     ),
     IdentityEntry(
         id="eq-2.3.1",
         anchor="relation between phi(-q) and f(q) (Lost Notebook entry 2.3.1)",
-        lhs=phi3_neg,
-        rhs=_231_rhs,
+        lhs=qf.phi3_neg,
+        rhs=_231_RHS,
     ),
     IdentityEntry(
         id="eq-suminf",
         anchor="the base-1 alternating q^(m^2) sum through f(q)",
-        lhs=partial(qsum, _ALT_SQ_SUM_BASE1),
-        rhs=_suminf_rhs,
+        lhs=_ALT_SQ_SUM_BASE1,
+        rhs=_SUMINF_RHS,
     ),
     IdentityEntry(
         id="eq-g1",
@@ -515,38 +482,38 @@ _CATALOG: Tuple[IdentityEntry, ...] = (
     IdentityEntry(
         id="eq-phi3m",
         anchor="shifted phi(-q) partial-fraction step",
-        lhs=partial(qsum, _PHI3M_SUM),
-        rhs=_phi3m_rhs,
+        lhs=_PHI3M_SUM,
+        rhs=_PHI3M_RHS,
     ),
     IdentityEntry(
         id="eq-1psi1-sec6",
         anchor="Ramanujan 1psi1 bilateral evaluation with the paired tail, split form",
-        lhs=_psi_split_sec6_lhs,
-        rhs=_psi_product_sec6_rhs,
+        lhs=_PSI_SPLIT_SEC6_LHS,
+        rhs=_PSI_PRODUCT_SEC6_RHS,
     ),
     IdentityEntry(
         id="eq-last1",
         anchor="closed form of the paired alternating tail",
-        lhs=partial(qsum, _PAIR_TAIL),
-        rhs=_last1_rhs,
+        lhs=_PAIR_TAIL,
+        rhs=_LAST1_RHS,
     ),
     IdentityEntry(
         id="eq-last2",
         anchor="odd-smallest-part series before the final tail evaluation",
         lhs=qf.gprime_series,
-        rhs=_last2_rhs,
+        rhs=_LAST2_RHS,
     ),
     IdentityEntry(
         id="eq-seriesf",
         anchor="odd-smallest-part series after continuing the quotient sum at b=1",
         lhs=qf.gprime_series,
-        rhs=_seriesf_rhs,
+        rhs=_SERIESF_RHS,
     ),
     IdentityEntry(
         id="eq-beforephi",
         anchor="odd-smallest-part series with the alternating piece transformed",
         lhs=qf.gprime_series,
-        rhs=_beforephi_rhs,
+        rhs=_BEFOREPHI_RHS,
     ),
 )
 
@@ -623,10 +590,16 @@ def verify(
     specialization: Optional[str] = None,
     order: Optional[int] = None,
 ) -> VerificationReport:
-    """Verify one catalog row; raises only on unknown ids or specializations."""
+    """Verify one catalog row at ``order``, or at its entry's default order when None.
+
+    Raises only on an unknown id or specialization, or on an order below 1
+    (``ValueError``, as :func:`~qlab.qfunctions.build` raises).
+    """
     entry = get_entry(entry_id)
     spec = entry.specialization(specialization)
-    return _run_row(entry, spec, order if order is not None else entry.default_order)
+    order = order if order is not None else entry.default_order
+    qf.check_order(order)
+    return _run_row(entry, spec, order)
 
 
 def _worker(args: Tuple[str, Optional[str], int]) -> VerificationReport:
@@ -642,12 +615,15 @@ def verify_all(
 ) -> List[VerificationReport]:
     """Verify every row of ``entries`` (default: the whole catalog).
 
-    Never raises: a row whose sides fail to build becomes a failed report.
     Every row runs at ``order``, or at its entry's default order when
-    ``order`` is None.  With ``jobs > 1`` and several catalog rows, the rows
+    ``order`` is None.  An order below 1 raises ``ValueError`` before any
+    row runs; beyond that it never raises: a row whose sides fail to build
+    becomes a failed report.  With ``jobs > 1`` and several catalog rows, the rows
     run in a process pool.  Results are sorted by row id regardless of
     execution order.
     """
+    if order is not None:
+        qf.check_order(order)
     entries = _CATALOG if entries is None else entries
     rows = [
         (entry, spec, order if order is not None else entry.default_order)

@@ -103,6 +103,8 @@ class LaurentSeries:
             if isinstance(c, Fraction):
                 d = c.denominator
                 den = den // gcd(den, d) * d
+            else:
+                exact(c)
         nums = [
             (c.numerator * (den // c.denominator) if isinstance(c, Fraction) else c * den)
             for c in coeffs
@@ -189,7 +191,7 @@ class LaurentSeries:
 
     def scale(self, c: Rational) -> "LaurentSeries":
         """Multiply every coefficient by the exact rational ``c``."""
-        c = Fraction(c)
+        c = Fraction(exact(c))
         if not c:
             return _zero(self.order)
         cn, cd = c.numerator, c.denominator
@@ -343,6 +345,13 @@ class LaurentSeries:
 # construction helpers
 
 
+def exact(c: object) -> Rational:
+    """``c`` itself if it is an int or a Fraction; a float or anything else raises TypeError."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+    return c
+
+
 def _raw(min_exp: int, nums: Tuple[int, ...], den: int, order: int) -> LaurentSeries:
     s = object.__new__(LaurentSeries)
     object.__setattr__(s, "min_exp", min_exp)
@@ -425,7 +434,7 @@ def monomial(c: Rational, k: int, order: int) -> LaurentSeries:
     """The single-term series c*q^k on the window [k, order)."""
     if k >= order:
         raise InvalidWindow(f"monomial exponent {k} not below order {order}")
-    c = Fraction(c)
+    c = Fraction(exact(c))
     nums = [c.numerator] + [0] * (order - k - 1)
     return _make(k, nums, c.denominator, order)
 

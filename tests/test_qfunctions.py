@@ -274,3 +274,31 @@ def test_monomial_parse_rejects_a_stray_star(text):
 )
 def test_monomial_str_roundtrip(m):
     assert Monomial.parse(str(m)) == m
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: Monomial(0.1, 1), lambda: mono(0.1, 1), lambda: qf.QTerm(scale=0.1)],
+    ids=["Monomial", "mono", "QTerm"],
+)
+def test_a_float_parameter_or_scale_is_a_type_error(make):
+    """0.1 would otherwise become 3602879701896397/36028797018963968."""
+    with pytest.raises(TypeError, match=r"coefficient 0\.1 is not an int or a Fraction"):
+        make()
+
+
+def test_sums_that_differ_in_a_constant_factor_share_one_evaluation():
+    """f(q), -f(q)/4 and f(q) (q;q)_inf run one summing loop."""
+    qf.f3_def(50)
+    misses = qf._summed.cache_info().misses
+    assert qf.f3_def.times(Fraction(-1, 4))(50) == qf.f3_def(50).scale(Fraction(-1, 4))
+    assert qf.f3_def.times(num=(qf.EULER,))(50) == qf.f3_def(50).mul(qf.euler_product_direct(50))
+    assert qf._summed.cache_info().misses == misses
+
+
+def test_a_series_adds_its_parts_in_one_window():
+    """S + P.times(c, e) is the sum of the parts, each scaled and shifted exactly."""
+    s = qf.QTerm(exp=(1, 0, 0), den=(qf.Poch(mono(-1, 1), 1, qf.N),) * 2)
+    p = qf.QTerm(den=(qf.EULER,))
+    got = (qf.S(s) + qf.P(p).times(Fraction(-1, 3), -2))(30)
+    assert got == qf.qsum(s, 30).add(qf.qprod(p, 32).scale(Fraction(-1, 3)).shift(-2))

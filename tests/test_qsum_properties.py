@@ -58,6 +58,17 @@ from qlab.series import (
 # first exponents go down to -3, so a factor's valuation is at least -6
 MAX_NEG_VALUATION = 6
 
+
+@pytest.fixture(autouse=True, scope="module")
+def unmemoized_summing():
+    """``qsum.__wrapped__`` here runs with no memo at all: its summing loop is not memoized either.
+
+    Otherwise a route compared with another, or counted, could be a memo hit.
+    """
+    with patch.object(qf, "_summed", qf._summed.__wrapped__):
+        yield
+
+
 lengths = st.one_of(st.none(), st.tuples(st.integers(0, 2), st.integers(0, 3)))
 
 

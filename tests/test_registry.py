@@ -2,6 +2,8 @@
 
 import dataclasses
 import time
+from contextlib import ExitStack
+from unittest.mock import patch
 
 import pytest
 
@@ -16,7 +18,7 @@ from qlab.registry import (
     verify,
     verify_all,
 )
-from qlab.series import TruncationStall, monomial, one
+from qlab.series import LaurentSeries, TruncationStall, monomial, one
 from qlab import registry as rg
 
 EXPECTED_IDS = [
@@ -291,3 +293,24 @@ def test_parallel_fanout_matches_serial():
     parallel = verify_all(order=5, jobs=2)
     strip = lambda rs: [(r.row_id, r.order, r.passed, r.stalled) for r in rs]
     assert strip(serial) == strip(parallel)
+
+
+@pytest.mark.parametrize(
+    "run", [lambda: verify("thm-1.1", order=-5), lambda: verify_all(order=0)]
+)
+def test_order_below_one_is_refused(run):
+    """An order below 1 would check no coefficient, so it is an error, not a pass."""
+    with pytest.raises(ValueError, match="order must be positive, got"):
+        run()
+
+
+def test_catalog_sides_take_no_series_arithmetic():
+    """Every side is a sum of ``qsum``/``qprod`` parts; none multiplies, inverts or shifts series."""
+    names = ("add", "neg", "sub", "shift", "mul", "invert", "pow")
+    with ExitStack() as stack:
+        for name in names:
+            patch_ = patch.object(LaurentSeries, name, side_effect=AssertionError(name))
+            stack.enter_context(patch_)
+        reports = verify_all(order=60, jobs=1)
+    assert len(reports) == 42
+    assert [r.row_id for r in reports if not r.passed] == []

@@ -390,3 +390,19 @@ def test_euler_product_two_routes_order_100():
     assert [int(direct.coefficient(k)) for k in range(13)] == [
         1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1,
     ]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LaurentSeries(0, [0.5, 1], 2),
+        lambda: LaurentSeries.from_coeffs(0, [1, 0.5], 2),
+        lambda: monomial(0.1, 0, 2),
+        lambda: monomial(1, 0, 2).scale(0.1),
+    ],
+    ids=["constructor", "from_coeffs", "monomial", "scale"],
+)
+def test_a_float_coefficient_is_a_type_error(make):
+    """A float never enters the exact engine, neither as numerators nor as its binary expansion."""
+    with pytest.raises(TypeError, match=r"coefficient 0\.[15] is not an int or a Fraction"):
+        make()
