@@ -52,6 +52,7 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .series import (
+    DEFAULT_TERM_CAP,
     LaurentSeries,
     PochhammerSpec,
     Rational,
@@ -59,12 +60,14 @@ from .series import (
     _Factor,
     _add_into,
     _apply,
+    _binomial_divide_inplace,
+    _binomial_factor_inplace,
     _make,
+    _raw,
     _shift,
     exact,
     monomial,
     pochhammer,
-    sum_terms,
     zero,
 )
 
@@ -225,14 +228,12 @@ class Poch:
 
     def at(self, n: int) -> Optional[_Factor]:
         """The factor at index n, or ``None`` where it is the constant 1."""
-        if self.arg.is_zero:
-            return None
+        sign = self.arg.coeff.numerator  # 1 or -1, or 0 for the factor 1
         length = None if self.length is None else self.length[0] * n + self.length[1]
-        if length == 0:
+        if not sign or length == 0:
             return None
         if length is not None and length < 0:
             raise ValueError(f"negative Pochhammer length {length} at n={n}")
-        sign = 1 if self.arg.coeff == 1 else -1
         return (sign, self.arg.power + self.slope * n, self.step, length)
 
 
@@ -292,33 +293,6 @@ class QTerm:
         )
 
 
-def _series(v: int, nums: List[int], c: Fraction, order: int) -> LaurentSeries:
-    """c * q^v * sum nums[i] q^i, known below ``order``."""
-    k = c.numerator
-    return _make(v, nums if k == 1 else [x * k for x in nums], c.denominator, order)
-
-
-def _product(
-    scale: Rational, e: int, num: List[_Factor], den: List[_Factor], order: int
-) -> Tuple[int, List[int], Fraction]:
-    """scale * q^e * prod(num) / prod(den) as (v, nums, c): c * q^v * sum nums[i] q^i.
-
-    The valuation v is known before any coefficient, so nums is one integer
-    window of width order - v, exact below ``order``, that
-    :func:`~qlab.series._apply` multiplies by the factors in place:
-    eta-type infinite factors by the pentagonal number theorem, every other
-    binomial below the width by one multiply or exact divide.  It is empty
-    when the product is 0 below ``order``.  A zero scale gives 0 before any
-    factor is looked at, so a pole among them is no error.
-    """
-    mu = _shift(num, den) if scale else None
-    v = order if mu is None else e + mu
-    if v >= order:
-        return order, [], Fraction(0)
-    nums = [1] + [0] * (order - v - 1)
-    return v, nums, Fraction(scale) * _apply(nums, num, den)
-
-
 def _at(factors: Tuple[Poch, ...], n: int) -> List[_Factor]:
     return [f for f in (p.at(n) for p in factors) if f is not None]
 
@@ -329,7 +303,9 @@ def _exponent_and_scale(spec: QTerm, n: int) -> Tuple[int, Rational]:
     e = e2 * n * n + (e1 + spec.ratio.power) * n + e0
     if e != int(e):
         raise ValueError(f"non-integral exponent {e} at n={n}")
-    return int(e), spec.scale * spec.ratio.coeff**n * (n if spec.times_n else 1)
+    c = spec.ratio.coeff
+    c = c.numerator if c.denominator == 1 and n >= 0 else c  # a sign needs no Fraction
+    return int(e), spec.scale * c**n * (n if spec.times_n else 1)
 
 
 def _minus(a: Optional[_Factor], b: Optional[_Factor]) -> List[_Factor]:
@@ -356,76 +332,6 @@ def _minus(a: Optional[_Factor], b: Optional[_Factor]) -> List[_Factor]:
         if length is None or lo < length:
             runs.append((sign, off + lo * step, step, None if length is None else length - lo))
     return runs
-
-
-def _stepped_terms(
-    spec: QTerm, num: Tuple[Poch, ...], den: Tuple[Poch, ...], order: int
-) -> Callable[[int], LaurentSeries]:
-    """Term ``spec.start + i`` of the sum of ``spec`` over ``num``/``den``, for each i.
-
-    Term n is scale_n * q^(e_n) * P_n, P_n = prod(num) / prod(den) at n, and
-    must be exact below ``order``.  Both are the caller's: e_n holds the
-    valuation of the factors :func:`qsum` pulls out, so windows are in the
-    caller's frame.  P_n is kept as a constant times one
-    integer window on [val, val + width), width = order - (the term's
-    valuation), and stepped to n + 1 in place.  Each factor's step is the
-    difference of its instances at n and at n + 1 (:func:`_minus` both
-    ways): the binomials that leave it and the ones that enter it.  The
-    window is cut to the new width, and the binomials below it go through
-    :func:`~qlab.series._apply`.  :func:`_product` gives the first window
-    and rebuilds it for a step that changes a binomial at exponent <= 0
-    (the valuation may move, or the factor vanish) and for a width that
-    grows.  A term of scale 0 (a zero scale, or a zero ratio past n = 0)
-    is exactly 0 and is never built, so a pole among its factors is no
-    error.
-
-    Calls must come in order of i; any other call rebuilds.
-    """
-    state: list = []  # [n, window of P_n, its constant, val, factors at n]; [] after a zero term
-
-    def at(n: int) -> Tuple[List[Optional[_Factor]], List[Optional[_Factor]]]:
-        return [p.at(n) for p in num], [p.at(n) for p in den]
-
-    def advance(n: int, top: int) -> bool:
-        # P_n -> P_(n+1), whose window must reach ``top``; False when P must be rebuilt
-        _, arr, _, val, (num_n, den_n) = state
-        num_m, den_m = at(n + 1)
-        mul: List[_Factor] = []
-        div: List[_Factor] = []
-        for olds, news, enter, leave in ((num_n, num_m, mul, div), (den_n, den_m, div, mul)):
-            for a, b in zip(olds, news):
-                leave += _minus(a, b)
-                enter += _minus(b, a)
-        if any(f[1] <= 0 for f in mul + div):
-            return False
-        width = top - val
-        if width > len(arr):
-            return False
-        if width <= 0:
-            state.clear()
-            return True
-        del arr[width:]
-        _apply(arr, mul, div)
-        state[0] = n + 1
-        state[4] = num_m, den_m
-        return True
-
-    def term(i: int) -> LaurentSeries:
-        n = spec.start + i
-        e, scale = _exponent_and_scale(spec, n)
-        if not scale:
-            return zero(order)
-        if not (state and state[0] == n - 1 and advance(n - 1, order - e)):
-            factors = at(n)
-            live = ([f for f in fs if f is not None] for fs in factors)
-            val, arr, c = _product(1, 0, *live, order - e)
-            state[:] = [n, arr, c, val, factors] if arr else []
-        if not state:
-            return zero(order)
-        _, arr, c, val, _ = state
-        return _series(val + e, arr, scale * c, order)
-
-    return term
 
 
 def _bounds(spec: QTerm, num: Tuple[Poch, ...], den: Tuple[Poch, ...]) -> Tuple[int, bool, bool]:
@@ -487,47 +393,31 @@ def _bounds(spec: QTerm, num: Tuple[Poch, ...], den: Tuple[Poch, ...]) -> Tuple[
 def qprod(spec: QTerm, order: int) -> LaurentSeries:
     """The single term of ``spec`` at n = ``spec.start``, exact below ``order``.
 
-    Closed product sides are stated this way.  Memoized by (spec, order).
+    Closed product sides are stated this way; the term is a run of one
+    (:func:`_nested`), and a zero scale gives 0 before any factor is looked
+    at.  Memoized by (spec, order).
     """
     n = spec.start
     e, scale = _exponent_and_scale(spec, n)
-    return _series(*_product(scale, e, _at(spec.num, n), _at(spec.den, n), order), order)
+    at = _at(spec.num, n), _at(spec.den, n)
+    mu = _shift(*at) if scale else None
+    if mu is None or e + mu >= order:
+        return zero(order)
+    return _make(*_nested(spec, n, [e + mu], order), order)
 
 
 @lru_cache(maxsize=None)
 def qsum(spec: QTerm, order: int) -> LaurentSeries:
     """Sum ``spec`` over n >= ``spec.start``, exact below ``order``.
 
-    Factors that do not depend on n are pulled out of the sum: their
-    valuation joins every term's exponent, and the rest is applied to the
-    summed window in place by :func:`~qlab.series._apply` (so (q;q)_inf
-    and the other eta-type factors go by the pentagonal number theorem).  So the sum, its
-    windows and its stall messages are in the caller's frame.  Each term is
-    stepped from the one before by the difference of each factor at n and
-    at n + 1, the binomials that leave it and the ones that enter it
-    (:func:`_stepped_terms`), so a sum to order N costs O(N) per changed
-    binomial instead of a pass per binomial of every term.  :func:`_bounds`
-    gives from the spec an index past which the term valuations never fall
-    or never rise.  From there a term whose exact valuation reaches the
-    window top, or that vanishes exactly (a zero ratio, whose terms are
-    never built, or a numerator factor 1 - q^0), ends the sum when
-    valuations never fall or terms vanish; an earlier one, or one whose
-    successors fall, adds nothing.  From there too,
-    when valuations never rise, a term below the window top raises
-    :class:`~qlab.series.TruncationStall`, naming it and its valuation, as
-    no later term can clear the window.  A spec with no such bound, such as
-    one with a factor whose length falls with n, raises
-    :class:`UnsupportedParameter`.  :func:`~qlab.series.sum_terms` does the
-    summing, so its term cap and :class:`~qlab.series.TruncationStall` apply
-    unchanged.
-
-    A sum whose first term has scale 0 (a zero scale, or a zero ratio from
-    n = 1 on) has every term 0 and is 0, whatever poles its factors hold.
-
-    Results are memoized by (spec, order), and so is the sum left once the
-    fixed factors and the scale are pulled out (:func:`_summed`): sums that
-    differ only in a constant factor, such as f(q), f(q)/4 and
-    f(q) (q;q)_inf, share one evaluation.
+    Factors that do not depend on n are pulled out: their valuation joins
+    every term's exponent, and :func:`~qlab.series._apply` applies the rest
+    to the summed window (eta-type factors by the pentagonal number
+    theorem), so the sum, its windows and its stall messages are in the
+    caller's frame.  The rest is :func:`_summed`, a nested evaluation
+    memoized too, so f(q), f(q)/4 and f(q) (q;q)_inf share one.  A sum whose
+    first term has scale 0 (a zero scale, or a zero ratio from n = 1 on) is
+    0, whatever poles its factors hold.
     """
     if not _exponent_and_scale(spec, spec.start)[1]:
         return zero(order)
@@ -541,33 +431,136 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
     total = _summed(replace(spec, num=num, den=den, scale=1).times(e=mu or 0), order)
     if mu is None:
         return zero(order)
+    if not (outer_num or outer_den) and spec.scale == 1:
+        return total
     arr = list(total.nums)
     c = spec.scale * _apply(arr, outer_num, outer_den) / total.den
-    return _series(total.min_exp, arr, c, order)
+    return _make(total.min_exp, [x * c.numerator for x in arr], c.denominator, order)
 
 
 @lru_cache(maxsize=None)
 def _summed(spec: QTerm, order: int) -> LaurentSeries:
-    """The sum of ``spec``, a term with no factor fixed in n, for :func:`qsum`."""
-    floor, never_falls, never_rises = _bounds(spec, spec.num, spec.den)
-    terms = _stepped_terms(spec, spec.num, spec.den, order)
+    """The sum of ``spec``, a term with no factor fixed in n, for :func:`qsum`.
 
-    def term(i: int) -> Optional[LaurentSeries]:
-        t, n = terms(i), spec.start + i
-        if t.min_exp < order:
+    :func:`_runs` finds from exact valuations which terms reach below
+    ``order``, :func:`_nested` sums each run of them backward as nested
+    products, and the runs are added into one window normalised once.  No
+    term is a series of its own, and :func:`~qlab.series.sum_terms` is not
+    on this path.
+    """
+    acc: list = []
+    lo, den = order, 1
+    for s, vals in _runs(spec, order):
+        lo, den = _add_into(acc, lo, den, _raw(*_nested(spec, s, vals, order), order), order)
+    return _make(lo, acc, den, order)
+
+
+def _runs(spec: QTerm, order: int) -> List[Tuple[int, List[int]]]:
+    """The terms of the sum of ``spec`` that reach below ``order``, in runs of consecutive n.
+
+    A run is (s, the valuations of terms s, s + 1, ...).  Term n has
+    valuation e_n + :func:`_shift` of its factors, or is 0: a zero scale,
+    whose factors are not looked at, or a vanishing numerator.  Past
+    :func:`_bounds`' floor a term not below ``order`` ends the sum when
+    valuations never fall or it vanishes, and a term below it stalls the sum
+    (:class:`~qlab.series.TruncationStall`) when they never rise; any other
+    term not below ``order`` ends a run.  A sum that no term ends within
+    ``max(order, 0) + DEFAULT_TERM_CAP`` terms stalls too.
+    """
+    num, den = spec.num, spec.den
+    floor, never_falls, never_rises = _bounds(spec, num, den)
+    cap = max(order, 0) + DEFAULT_TERM_CAP
+    runs: list = [(spec.start, [])]
+    for n in range(spec.start, spec.start + cap):
+        e, scale = _exponent_and_scale(spec, n)
+        mu = _shift(_at(num, n), _at(den, n)) if scale else None
+        last = None if mu is None or e + mu >= order else e + mu
+        if last is not None:
             if never_rises and n >= floor:
                 raise TruncationStall(
-                    f"from term n={n} on every term has valuation at most {t.min_exp} "
+                    f"from term n={n} on every term has valuation at most {last} "
                     f"below order {order}, so no term can clear the window"
                 )
-            return t
-        # a term that clears the window ends the sum once no later one falls
-        # below it: past the floor, when valuations never fall or terms vanish
-        if n >= floor and (never_falls or _shift(_at(spec.num, n), _at(spec.den, n)) is None):
-            return t
-        return None
+            runs[-1][1].append(last)
+            continue
+        if runs[-1][1]:
+            runs.append((n + 1, []))
+        else:
+            runs[-1] = (n + 1, [])
+        if n >= floor and (
+            never_falls or (mu is None and (scale or _shift(_at(num, n), _at(den, n)) is None))
+        ):
+            return runs[:-1]
+    suffix = f": term {cap - 1} has valuation {last}" if cap > 0 and last is not None else ""
+    raise TruncationStall(f"no term cleared order {order} within {cap} evaluations{suffix}")
 
-    return sum_terms(term, order)
+
+def _net(spec: QTerm, n: int, width: int) -> Tuple[list, list]:
+    """The binomials that multiply and divide P_n into P_(n+1), as factors of length 1.
+
+    P_n = prod(num) / prod(den) at n.  A binomial entering a numerator or
+    leaving a denominator (:func:`_minus`) multiplies, else it divides, and
+    one in both lists cancels.  Infinite runs stop at ``width``.
+    """
+    mul: list = []
+    div: list = []
+    for factors, enter, leave in ((spec.num, mul, div), (spec.den, div, mul)):
+        for p in factors:
+            a, b = p.at(n), p.at(n + 1)
+            for runs, out in ((_minus(a, b), leave), (_minus(b, a), enter)):
+                for sign, off, step, length in runs:
+                    end = width if length is None else off + length * step
+                    out += [(sign, e, 1, 1) for e in range(off, end, step)]
+    for f in div[:] if mul else ():
+        if f in mul:
+            mul.remove(f)
+            div.remove(f)
+    return mul, div
+
+
+def _nested(spec: QTerm, s: int, vals: List[int], order: int) -> Tuple[int, List[int], int]:
+    """Terms s, s + 1, ... of valuations ``vals`` summed as (lo, nums, den).
+
+    The sum is sum nums[i] q^(lo + i) / den, exact below ``order``.  Term n
+    is w_n c_n q^(v_n) W_n: w_n = n for a ``times_n`` term, else 1, a
+    constant c_n and W_n = 1 + O(q).  The run sums to c_s W_s X_s, where
+    X = w q^v at its last term and backward
+
+        X_n = w_n q^(v_n) + (c_(n+1) / c_n) (W_(n+1) / W_n) X_(n+1),
+
+    one integer window A / d on [lo, order), lo the least valuation so far.
+    W_(n+1) / W_n is one kernel pass per net binomial (:func:`_net`), through
+    :func:`~qlab.series._apply` for the constant only when a binomial at an
+    exponent <= 0 moves.  c_(n+1) / c_n goes into d, and into a pass over A
+    only for a numerator other than 1 or -1.  Last, ``_apply`` applies W_s,
+    the first term's whole factor list, once.
+    """
+    n = s + len(vals) - 1
+    coeff, d, lo = spec.ratio.coeff, 1, vals[-1]
+    arr = [n if spec.times_n else 1] + [0] * (order - lo - 1)
+    for v in vals[-2::-1]:
+        n -= 1
+        mul, div = _net(spec, n, len(arr))
+        p, q = coeff.numerator, coeff.denominator
+        if any(f[1] <= 0 for f in mul + div):
+            k = coeff * _apply(arr, mul, div)
+            p, q = k.numerator, k.denominator
+        else:
+            for sign, e, _, _ in mul:
+                _binomial_factor_inplace(arr, sign, e)
+            for sign, e, _, _ in div:
+                _binomial_divide_inplace(arr, sign, e)
+        if p != 1 or q != 1:  # X = (p / (q d)) A + w q^v, in lowest terms with p > 0
+            g = math.gcd(p, q * d) * (1 if p > 0 else -1)
+            p, d = p // g, q * d // g
+            if p != 1:
+                arr[:] = [x * p for x in arr]
+        if v < lo:
+            arr[:0] = [0] * (lo - v)
+            lo = v
+        arr[v - lo] += d * (n if spec.times_n else 1)
+    c = spec.scale * coeff**s * _apply(arr, _at(spec.num, s), _at(spec.den, s)) / d
+    return lo, arr if c.numerator == 1 else [x * c.numerator for x in arr], c.denominator
 
 
 # ----------------------------------------------------------------------

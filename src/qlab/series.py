@@ -37,7 +37,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 
 Rational = Union[int, Fraction]
 
-#: Term evaluations beyond ``order`` that :func:`sum_terms` allows by default
+#: Term evaluations beyond ``order`` that :func:`sum_terms` and ``qsum`` allow
 #: before a formally divergent sum is reported via :class:`TruncationStall`.
 #: The catalog's convergent sums stop within order + 1 terms, so at every
 #: order the cap only bounds how long a divergent sum runs.

@@ -3,15 +3,17 @@
 Each drawn term is summed at a truncation order N and again at N + 40; the
 two results must agree below N.  The term windows are derived from the
 factors' valuations, so a window that is too small shows up as a
-disagreement (or an ``InvalidWindow``) here.  ``qsum`` and ``qprod`` build
-each product as one integer window of binomial passes; the stepped sums and
-the products are also checked against a literal route that they do not
-take: one ``pochhammer`` series per factor, ``mul``, and one ``invert`` of
-the denominator.  The eta route of the factor-list rule ``_apply`` is checked
-against the literal binomial passes it replaces, and sums whose valuations
-dip or fall against references that do not share ``qsum``'s cutoff.  The
-enumeration oracle and the ``builder_forms`` cross-checks stay the
-independent witnesses of the catalog's values.
+disagreement (or an ``InvalidWindow``) here.  ``qprod`` builds each
+product as one integer window of binomial passes, and ``qsum`` sums its terms
+backward as nested products of their ratio; both are also checked against a
+literal route that they do not take: every term built afresh from one
+``pochhammer`` series per factor, ``mul`` and one ``invert`` of the
+denominator, and the terms added by ``sum_terms``.  The eta route of the
+factor-list rule ``_apply`` is checked against the literal binomial passes
+it replaces, and sums whose valuations dip or fall against references that
+do not share ``qsum``'s cutoff.  The enumeration oracle and the
+``builder_forms`` cross-checks stay the independent witnesses of the
+catalog's values.
 """
 
 import itertools
@@ -20,7 +22,6 @@ from collections import Counter
 from contextlib import ExitStack
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 from unittest.mock import patch
 
 import pytest
@@ -251,7 +252,8 @@ def test_eta_route_equals_the_literal_passes(width, num, den):
     if width:
         mu = qs._shift(num, den)
         window = LaurentSeries(0, arr, width).mul(reference_product(1, 0, num, den, mu + width))
-        assert qf._series(mu, got, c, mu + width).equal_up_to(window, mu + width) == (True, None)
+        applied = qs._make(mu, [x * c.numerator for x in got], c.denominator, mu + width)
+        assert applied.equal_up_to(window, mu + width) == (True, None)
 
 
 def counted_apply(width, num, den):
@@ -309,7 +311,7 @@ def test_far_factor_takes_the_literal_passes():
 
 
 # ----------------------------------------------------------------------
-# the stepper's rule: a factor at n minus the factor at n + 1
+# a step's rule: a factor at n minus the factor at n + 1
 
 
 def exponents(factor, below=60):
@@ -337,30 +339,60 @@ def test_minus_is_the_difference_of_the_binomials():
 
 
 # ----------------------------------------------------------------------
-# stepped qsum against terms built afresh
+# nested qsum against terms built afresh
 
 # Sums in the tests below run under this cap.  A steady draw (below) keeps
 # one window, at most 66 wide; within some 70 steps each factor has moved its
 # binomials above it (or, moving down, ended the sum), and from then on every
 # step is a fixed point.  So a sum that has not closed by 200 terms never
-# closes, and the cap keeps the rebuilt route quick.
+# closes, and the cap keeps the literal route quick.
 CAP = 200
 # Literal terms of a steady draw looked at past its first index, or past the
 # term a stall names: by then every exponent has fallen, or risen, for good.
 LOOK = 60
 
 
-def rebuilt_terms(spec, num, den, order):
-    """Every term built afresh by the literal product route; a term of scale 0 is 0, poles or not."""
-    return lambda i: reference_term(spec, num, den, spec.start + i, order)
+def capped(order, cap=CAP):
+    """qsum's term cap at ``order`` set to ``cap``."""
+    return patch.object(qf, "DEFAULT_TERM_CAP", cap - order)
 
 
-def outcome(spec, order, stepped, cap=CAP):
-    """``qsum(spec, order)`` without its memo, or the name of the exception it raised."""
+def literal_summed(spec, order, cap=CAP):
+    """What ``qf._summed`` returns, from literal terms added by ``sum_terms``.
+
+    Every term is built afresh by the literal product route (a term of scale
+    0 is 0, poles or not).  qsum's rule for where a sum ends or stalls is
+    restated on the built terms, with ``qf._bounds``' floor and flags.
+    """
+    floor, never_falls, never_rises = qf._bounds(spec, spec.num, spec.den)
+
+    def term(i):
+        n = spec.start + i
+        t = reference_term(spec, spec.num, spec.den, n, order)
+        if t.min_exp < order:
+            if never_rises and n >= floor:
+                raise TruncationStall(
+                    f"from term n={n} on every term has valuation at most {t.min_exp} "
+                    f"below order {order}, so no term can clear the window"
+                )
+            return t
+        if n >= floor and (never_falls or factor_valuation(spec, n) is None):
+            return t
+        return None
+
+    return sum_terms(term, order, cap)
+
+
+def outcome(spec, order, nested, cap=CAP):
+    """``qsum(spec, order)`` without its memo, or the name of the exception it raised.
+
+    With ``nested`` false the sum left once the fixed factors are pulled out
+    is :func:`literal_summed`.
+    """
     with ExitStack() as stack:
-        stack.enter_context(patch.object(qf, "sum_terms", partial(sum_terms, cap=cap)))
-        if not stepped:
-            stack.enter_context(patch.object(qf, "_stepped_terms", rebuilt_terms))
+        stack.enter_context(capped(order, cap))
+        if not nested:
+            stack.enter_context(patch.object(qf, "_summed", lambda s, o: literal_summed(s, o, cap)))
         return result(qf.qsum.__wrapped__, spec, order)
 
 
@@ -416,7 +448,7 @@ def stepper_qterms(draw, steady):
 @settings(max_examples=200, deadline=None)
 @given(spec=stepper_qterms(steady=False), order=st.integers(1, 40))
 def test_stepped_qsum_equals_rebuilt_terms(spec, order):
-    assert outcome(spec, order, stepped=True) == outcome(spec, order, stepped=False)
+    assert outcome(spec, order, nested=True) == outcome(spec, order, nested=False)
 
 
 # changes above the window of width 2 that later come down into it: a
@@ -445,7 +477,7 @@ def test_steady_terms_give_equal_series_or_both_stall(spec, order):
     come from a literal term in that range, or be the usage error of a
     factor of slope < 0 or of a length that falls with n.
     """
-    with patch.object(qf, "sum_terms", partial(sum_terms, cap=CAP)):
+    with capped(order):
         try:
             got = qf.qsum.__wrapped__(spec, order)
         except Exception as exc:
@@ -476,18 +508,28 @@ def test_steady_terms_give_equal_series_or_both_stall(spec, order):
         assert type(got).__name__ in [result(reference_valuation, spec, n) for n in first]
 
 
-def reference_valuation(spec, n):
-    """The exact valuation of term n of ``spec``, from one ``pochhammer`` series per factor.
+def factor_valuation(spec, n):
+    """The exact valuation of the factors of term n of ``spec``, from one ``pochhammer`` series per factor.
 
-    ``None`` when the term is 0; a pole raises ``NotInvertible``.
+    ``None`` when a numerator factor vanishes; a pole raises ``NotInvertible``.
     """
     lead = [[pochhammer(PochhammerSpec(*f), 1) for f in qf._at(fs, n)] for fs in (spec.num, spec.den)]
     if any(s.is_zero for s in lead[1]):
         raise NotInvertible("a denominator factor vanishes")
-    if not spec.scale or spec.ratio.is_zero and n or any(s.is_zero for s in lead[0]):
+    if any(s.is_zero for s in lead[0]):
+        return None
+    return sum(s.min_exp for s in lead[0]) - sum(s.min_exp for s in lead[1])
+
+
+def reference_valuation(spec, n):
+    """The exact valuation of term n of ``spec``, by :func:`factor_valuation`.
+
+    ``None`` when the term is 0; a pole raises ``NotInvertible``.
+    """
+    mu = factor_valuation(spec, n)
+    if not spec.scale or spec.ratio.is_zero and n or mu is None:
         return None
     e2, e1, e0 = spec.exp
-    mu = sum(s.min_exp for s in lead[0]) - sum(s.min_exp for s in lead[1])
     return e2 * n * n + (e1 + spec.ratio.power) * n + e0 + mu
 
 
@@ -601,22 +643,12 @@ def test_zero_terms_are_zero_despite_a_fixed_pole(f, spec, nonzero):
         f.__wrapped__(replace(spec, **nonzero), 3)
 
 
-def test_falling_valuations_stall_at_once():
+def test_falling_valuations_stall_at_once(scanned):
     """The sum of q^-n stalls at its first step instead of at the term cap."""
-    counts = Counter()
-
-    def counted_sum(term, order, *rest):
-        def counted_term(i):
-            counts["terms"] += 1
-            return term(i)
-
-        return sum_terms(counted_term, order, *rest)
-
-    with patch.object(qf, "sum_terms", counted_sum):
-        stall = r"term n=0 on every term has valuation at most 0 below order 10,"
-        with pytest.raises(TruncationStall, match=stall):
-            qsum.__wrapped__(QTerm(ratio=mono(1, -1)), 10)
-    assert 0 < counts["terms"] <= 2
+    stall = r"term n=0 on every term has valuation at most 0 below order 10,"
+    with pytest.raises(TruncationStall, match=stall):
+        qsum.__wrapped__(QTerm(ratio=mono(1, -1)), 10)
+    assert len(scanned) == 1 and 0 < scanned[0] <= 2
     # (q^-2;q)_(n-3) is empty at n = 3, so no stall: it enters at exponent
     # -2, then 1 - q^0 ends the sum at n = 6
     spec = QTerm(ratio=mono(1, -1), num=(Poch(mono(1, -2), 1, (1, -3)),), start=3)
@@ -645,32 +677,86 @@ def test_vanishing_pulled_out_factor_still_stalls():
         qsum.__wrapped__(QTerm(num=(one_minus(0),), ratio=mono(1, -1)), 10)
 
 
+def counted(owner, name, counts):
+    """A patch of ``owner.name`` that counts its calls in ``counts[name]``."""
+    fn = getattr(owner, name)
+
+    def call(*args):
+        counts[name] += 1
+        return fn(*args)
+
+    return patch.object(owner, name, call)
+
+
 @pytest.mark.parametrize(
     "name, params",
     [("f3_def", None), ("spt_lhs", None), ("No_plus_series", None), ("z_identity_lhs", {"z": mono(1, 3)})],
 )
-def test_catalog_sums_step_instead_of_rebuilding(name, params):
-    """A silent fall-back to a rebuild per term fails here, not only runs slowly.
+def test_catalog_sums_step_instead_of_rebuilding(name, params, scanned):
+    """A silent fall-back to a product of every term's factors fails here, not only runs slowly.
 
-    Every sum builds its first term with ``_product``, so a count of 0 means
-    the hook no longer sits on the route that rebuilds.
+    A sum applies its first term's whole factor list with ``_apply``, and
+    only a step that moves a binomial at an exponent <= 0 goes through it
+    too, so a count of 0 means the hook no longer sits on the route.  One
+    ``_make`` builds the sum and one the series of its parts: no term is a
+    series of its own.
     """
     counts = Counter()
-    product = qf._product
+    qf.qsum.cache_clear()
+    with counted(qf, "_apply", counts), counted(qf, "_make", counts):
+        build(name, 200, params)
+    assert len(scanned) == 1 and scanned[0] > 10, scanned
+    assert 1 <= counts["_apply"] <= 3, counts
+    assert counts["_make"] == 2, counts
 
-    def counted_product(*args):
-        counts["rebuilds"] += 1
-        return product(*args)
 
-    def counted_sum(term, order, *rest):
-        def counted_term(i):
-            counts["terms"] += 1
-            return term(i)
+def test_spt_sum_makes_three_passes_per_step():
+    """sum q^n / ((1-q^n)^2 (q^(n+1);q)_inf) steps by (1-q^n)^2 / (1-q^(n+1)).
 
-        return sum_terms(counted_term, order, *rest)
+    From n + 1 back to n the two factors 1 - q^n leave the denominator and
+    1 - q^(n+1) enters one and leaves another, so it cancels: each step is
+    two multiplies and one exact divide.  Terms n = 1..199 reach below order
+    200, so there are 198 steps; the binomial passes ``_apply`` makes for the
+    first term's factors are not steps.
+    """
+    calls = Counter()
+
+    def logged(name):
+        fn = getattr(qf, name)
+
+        def call(arr, sign, e):
+            calls[name, sign, e] += 1
+            return fn(arr, sign, e)
+
+        return patch.object(qf, name, call)
 
     qf.qsum.cache_clear()
-    with patch.object(qf, "_product", counted_product), patch.object(qf, "sum_terms", counted_sum):
-        build(name, 200, params)
-    assert counts["terms"] > 10, counts
-    assert 1 <= counts["rebuilds"] <= 3, counts
+    with logged("_binomial_factor_inplace"), logged("_binomial_divide_inplace"):
+        total = build("spt_lhs", 200)
+    expected = Counter()
+    for n in range(1, 199):
+        expected["_binomial_factor_inplace", 1, n] += 2
+        expected["_binomial_divide_inplace", 1, n + 1] += 1
+    assert calls == expected
+    assert sum(calls.values()) == 3 * 198
+    assert total.equal_up_to(qf.spt_rhs(200), 200) == (True, None)
+
+
+# 1 - q^(n-2) vanishes at n = 2 only: terms 0 and 1 form one run, n >= 3 another
+_SPLIT = QTerm((0, 1, 0), num=(one_minus(-2, 1),), den=(one_plus(0, 1),))
+
+
+@pytest.mark.parametrize("order", [1, 3, 40])
+def test_a_zero_term_splits_the_sum_into_runs_added_in_one_window(order):
+    """Each run is nested on its own and the runs are added into one window with one ``_make``."""
+    runs = qf._runs(_SPLIT, order)
+    # valuations -2 and 0, then 0 at n = 2, then n
+    assert runs == [(0, [-2, 0]), (3, list(range(3, order)))] if order > 3 else [(0, [-2, 0])]
+    counts = Counter()
+    with counted(qf, "_make", counts):
+        total = qsum.__wrapped__(_SPLIT, order)
+    assert counts["_make"] == 1
+    expected = zero(order)
+    for n in range(order + 2):
+        expected = expected.add(reference_term(_SPLIT, _SPLIT.num, _SPLIT.den, n, order))
+    assert total.equal_up_to(expected, order) == (True, None)
