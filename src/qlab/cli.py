@@ -32,7 +32,7 @@ from . import partitions as pt
 from . import qfunctions as qf
 from . import registry as rg
 from .qfunctions import Monomial
-from .series import LaurentSeries, SeriesError
+from .series import SeriesError
 
 USAGE_ERROR = 2
 MISMATCH_ERROR = 1
@@ -239,44 +239,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # stats
 
 
-# each stats column and the StatRow field that the oracle fills it from
+# each stats column: the StatRow field that the oracle fills it from, and its series
 _STAT_COLUMNS = {
-    "p": "p",
-    "N_e": "even_rank",
-    "N_o": "odd_rank",
-    "N_o_plus": "odd_positive_rank",
-    "G": "two_color",
-    "G_prime": "two_color_odd",
-    "spt": "spt",
-    "sptG": "spt_two_color",
-    "omega": "odd_part_bounded",
+    "p": ("p", qf.euler_inv),
+    "N_e": ("even_rank", qf.ne_series_rhs),
+    # f3 = 1 + sum (N_e(n) - N_o(n)) q^n and 1/(q;q)_inf = sum (N_e(n) + N_o(n)) q^n
+    "N_o": ("odd_rank", (qf.euler_inv + qf.f3_def.times(-1)).times(qf.HALF)),
+    "N_o_plus": ("odd_positive_rank", qf.builder_forms("No_plus_series")[0]),
+    "G": ("two_color", qf.builder_forms("G_series")[0]),
+    "G_prime": ("two_color_odd", qf.gprime_series),
+    "spt": ("spt", qf.spt_lhs),
+    "sptG": ("spt_two_color", qf.sptG_lhs),
+    "omega": ("odd_part_bounded", qf.omega3_def.times(e=1)),
 }
 
 
-def _series_columns(order: int) -> Dict[str, LaurentSeries]:
-    euler = qf.build("euler_inverse", order)
-    f3 = qf.build("f3_def", order)
-    return {
-        "p": euler,
-        "N_e": qf.build("Ne_series_rhs", order),
-        "N_o": euler.sub(f3).scale(Fraction(1, 2)),
-        "N_o_plus": qf.build("No_plus_series", order),
-        "G": qf.build("G_series", order),
-        "G_prime": qf.build("Gprime_series", order),
-        "spt": qf.build("spt_lhs", order),
-        "sptG": qf.build("sptG_lhs", order),
-        "omega": qf.build("omega3_def", order).shift(1),
-    }
-
-
 def _stat_rows(max_n: int) -> List[dict]:
-    series = _series_columns(max_n + 1)
+    columns = [(col, field, side(max_n + 1)) for col, (field, side) in _STAT_COLUMNS.items()]
     out = []
     for row in pt.stat_table(max_n):
         flat: dict = {"n": row.n}
-        for col, field in _STAT_COLUMNS.items():
+        for col, field, series in columns:
             oracle = getattr(row, field)
-            sval = series[col].coefficient(row.n)
+            sval = series.coefficient(row.n)
             flat[col] = str(oracle)
             flat[f"{col}_series"] = format_rational(sval)
             flat[f"{col}_match"] = sval == oracle

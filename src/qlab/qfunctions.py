@@ -58,15 +58,14 @@ from .series import (
     Rational,
     TruncationStall,
     _Factor,
-    _add_into,
     _apply,
     _binomial_divide_inplace,
     _binomial_factor_inplace,
     _make,
     _raw,
     _shift,
+    _total,
     exact,
-    monomial,
     pochhammer,
     zero,
 )
@@ -121,12 +120,6 @@ class Monomial:
         if self.is_zero:
             return self
         return Monomial(self.coeff, self.power + k)
-
-    def to_series(self, order: int) -> LaurentSeries:
-        # a monomial at or above the window top is zero on the window
-        if self.is_zero or self.power >= order:
-            return zero(order)
-        return monomial(self.coeff, self.power, order)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -448,11 +441,8 @@ def _summed(spec: QTerm, order: int) -> LaurentSeries:
     term is a series of its own, and :func:`~qlab.series.sum_terms` is not
     on this path.
     """
-    acc: list = []
-    lo, den = order, 1
-    for s, vals in _runs(spec, order):
-        lo, den = _add_into(acc, lo, den, _raw(*_nested(spec, s, vals, order), order), order)
-    return _make(lo, acc, den, order)
+    runs = [_raw(*_nested(spec, s, vals, order), order) for s, vals in _runs(spec, order)]
+    return _total(runs, order)
 
 
 def _runs(spec: QTerm, order: int) -> List[Tuple[int, List[int]]]:
@@ -587,12 +577,13 @@ class QSeries:
         return QSeries(tuple((f, t.times(*args, **kwargs)) for f, t in self.parts))
 
     def __call__(self, order: int) -> LaurentSeries:
-        """The parts, evaluated in the order stated, added into one window below ``order``."""
-        acc: list = []
-        lo, den = order, 1
-        for f, t in self.parts:
-            lo, den = _add_into(acc, lo, den, f(t, order), order)
-        return _make(lo, acc, den, order)
+        """The parts, evaluated in the order stated, added into one window below ``order``.
+
+        A lone part is already the canonical series on that window, so it is
+        returned as it is.
+        """
+        series = [f(t, order) for f, t in self.parts]
+        return series[0] if len(series) == 1 else _total(series, order)
 
 
 def S(spec: QTerm) -> QSeries:

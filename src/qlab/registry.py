@@ -602,12 +602,6 @@ def verify(
     return _run_row(entry, spec, order)
 
 
-def _worker(args: Tuple[str, Optional[str], int]) -> VerificationReport:
-    entry_id, label, order = args
-    entry = get_entry(entry_id)
-    return _run_row(entry, entry.specialization(label), order)
-
-
 def verify_all(
     order: Optional[int] = None,
     entries: Optional[Sequence[IdentityEntry]] = None,
@@ -634,9 +628,9 @@ def verify_all(
     if jobs > 1 and len(rows) > 1 and all(_BY_ID.get(e.id) is e for e in entries):
         import concurrent.futures
 
-        args = [(e.id, s.label, o) for e, s, o in rows]
+        ids, labels, orders = zip(*[(e.id, s.label, o) for e, s, o in rows])
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_worker, args))
+            reports = list(pool.map(verify, ids, labels, orders))
     else:
         reports = [_run_row(e, s, o) for e, s, o in rows]
     reports.sort(key=lambda r: (r.id, r.specialization or ""))

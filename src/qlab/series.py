@@ -177,11 +177,7 @@ class LaurentSeries:
     # ring operations
 
     def add(self, other: "LaurentSeries") -> "LaurentSeries":
-        mo = min(self.order, other.order)
-        acc: list = []
-        lo, den = _add_into(acc, mo, 1, self, mo)
-        lo, den = _add_into(acc, lo, den, other, mo)
-        return _make(lo, acc, den, mo)
+        return _total((self, other), min(self.order, other.order))
 
     def neg(self) -> "LaurentSeries":
         return _raw(self.min_exp, tuple(-x for x in self.nums), self.den, self.order)
@@ -200,10 +196,6 @@ class LaurentSeries:
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by q^k exactly; the window translates with no loss."""
         return _raw(self.min_exp + k, self.nums, self.den, self.order + k)
-
-    def shift_scale(self, c: Rational, k: int) -> "LaurentSeries":
-        """Multiply by the exact monomial c*q^k; the window translates by k."""
-        return self.scale(c).shift(k)
 
     def mul(self, other: "LaurentSeries") -> "LaurentSeries":
         me = self.min_exp + other.min_exp
@@ -263,58 +255,6 @@ class LaurentSeries:
         for i, x in enumerate(self.nums):
             out[i * k] = x
         return _make(self.min_exp * k, out, self.den, self.order * k)
-
-    def pow(self, e: int) -> "LaurentSeries":
-        """Repeated multiplication, e >= 1."""
-        if e < 1:
-            raise ValueError("pow requires a positive exponent")
-        result = self
-        for _ in range(e - 1):
-            result = result.mul(self)
-        return result
-
-    # ------------------------------------------------------------------
-    # operator sugar
-
-    def _coerce(self, other: object) -> Optional["LaurentSeries"]:
-        if isinstance(other, LaurentSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            # a constant is known everywhere, so the window stays ours;
-            # with the window top at or below 0 the constant is invisible
-            if other and self.order > 0:
-                return monomial(other, 0, self.order)
-            return _zero(self.order)
-        return None
-
-    def __add__(self, other: object) -> "LaurentSeries":
-        o = self._coerce(other)
-        return NotImplemented if o is None else self.add(o)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "LaurentSeries":
-        o = self._coerce(other)
-        return NotImplemented if o is None else self.sub(o)
-
-    def __rsub__(self, other: object) -> "LaurentSeries":
-        o = self._coerce(other)
-        return NotImplemented if o is None else o.sub(self)
-
-    def __mul__(self, other: object) -> "LaurentSeries":
-        if isinstance(other, LaurentSeries):
-            return self.mul(other)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "LaurentSeries":
-        return self.neg()
-
-    def __pow__(self, e: int) -> "LaurentSeries":
-        return self.pow(e)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentSeries):
@@ -418,6 +358,19 @@ def _add_into(acc: list, lo: int, den: int, t: LaurentSeries, order: int) -> Tup
     else:
         acc[i:] = [x + k * z for x, z in zip(acc[i:], y)]
     return lo, den
+
+
+def _total(terms: Sequence[LaurentSeries], order: int) -> LaurentSeries:
+    """The sum of ``terms`` below ``order``, normalised once by :func:`_make`.
+
+    A term may be raw window data (:func:`_raw`).  The terms are added into
+    one integer window first.
+    """
+    acc: list = []
+    lo, den = order, 1
+    for t in terms:
+        lo, den = _add_into(acc, lo, den, t, order)
+    return _make(lo, acc, den, order)
 
 
 def zero(order: int) -> LaurentSeries:

@@ -7,12 +7,14 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import ExitStack
+from unittest.mock import patch
 
 import pytest
 
 from qlab import qfunctions as qf
 from qlab.cli import format_rational, main
-from qlab.series import TruncationStall
+from qlab.series import LaurentSeries, TruncationStall
 
 
 def run(capsys, *argv):
@@ -237,6 +239,19 @@ def test_stats_csv_and_json_same_content(capsys):
         for key, value in jrow.items():
             expected = str(value).lower() if isinstance(value, bool) else str(value)
             assert crow[key] == expected, key
+
+
+def test_stats_columns_take_no_series_arithmetic(capsys):
+    """Each ``stats`` column is one ``QSeries``; none adds, scales or shifts series."""
+    names = ("add", "neg", "sub", "scale", "shift", "mul", "invert")
+    for memo in (qf.qsum, qf.qprod, qf._summed):
+        memo.cache_clear()  # so that no column is a memo hit
+    with ExitStack() as stack:
+        for name in names:
+            stack.enter_context(patch.object(LaurentSeries, name, side_effect=AssertionError(name)))
+        patched = run(capsys, "stats", "--max-n", "60")
+    assert patched[0] == 0
+    assert patched == run(capsys, "stats", "--max-n", "60")
 
 
 def test_stats_over_cap_usage_error(capsys):

@@ -5,7 +5,9 @@ wrongly, or a constant lost between runs of terms, shows first on wide
 windows, so these digests hash the sums the benchmark's rows lean on at order
 400, as ``(min_exp, nums, den, order)`` for each form.  They were recorded
 before the sums were evaluated as nested products, from terms stepped one
-by one.
+by one.  The ``stats`` table at the counting limit is pinned the same way,
+as the bytes the command writes in each format; those digests were recorded
+while N_o was still a difference of two built series.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import hashlib
 import pytest
 
 from qlab import qfunctions as qf
+from qlab.cli import main
 from qlab.qfunctions import build, mono
 
 ORDER = 400
@@ -41,3 +44,15 @@ def test_wide_digest(name):
     for s in SUMS[name]():
         h.update(repr((s.min_exp, s.nums, s.den, s.order)).encode() + b"\n")
     assert h.hexdigest() == DIGESTS[name]
+
+
+STATS_DIGESTS = {
+    "csv": "455a477e4c337a02d8b2c6f9d345b839ce3aff904d84ac38ee988995987ae011",
+    "json": "94cb374195436f193104fa4bdfc5b138354fd7b5261fc98a643124cb368f06c3",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(STATS_DIGESTS))
+def test_stats_digest(fmt, capsys):
+    assert main(["stats", "--max-n", "200", "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STATS_DIGESTS[fmt]

@@ -240,10 +240,10 @@ def test_partition_number_anchors():
 
 def test_stat_table_equals_the_series_side_up_to_the_counting_limit():
     """All nine ``stats`` columns, coefficient by coefficient, at the counting limit."""
-    series = cli._series_columns(COUNT_LIMIT + 1)
+    columns = [(c, field, side(COUNT_LIMIT + 1)) for c, (field, side) in cli._STAT_COLUMNS.items()]
     for row in stat_table(COUNT_LIMIT):
-        for col, field in cli._STAT_COLUMNS.items():
-            assert series[col].coefficient(row.n) == getattr(row, field), f"{col} at n={row.n}"
+        for col, field, series in columns:
+            assert series.coefficient(row.n) == getattr(row, field), f"{col} at n={row.n}"
 
 
 @pytest.mark.parametrize(
