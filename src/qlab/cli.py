@@ -16,23 +16,24 @@ Subcommands:
 
 ``QLAB_ORDER_DEFAULT`` overrides the default truncation order.  Output is
 deterministic: rows are sorted before they are written.
+
+Each subcommand imports the modules it runs when it runs, so a process
+loads only those: ``compute`` the series builders, ``verify`` and ``list``
+the identity catalog, ``stats`` the partition oracle and the builders.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from . import partitions as pt
-from . import qfunctions as qf
-from . import registry as rg
-from .qfunctions import Monomial
-from .series import SeriesError
+if TYPE_CHECKING:
+    from . import registry as rg
+    from .qfunctions import Monomial, QSeries
 
 USAGE_ERROR = 2
 MISMATCH_ERROR = 1
@@ -83,6 +84,8 @@ def _csv(rows: List[Sequence[object]], header: Sequence[str]) -> str:
 
 
 def _json(payload: object) -> str:
+    import json
+
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -91,6 +94,8 @@ def _json(payload: object) -> str:
 
 
 def _parse_params(pairs: List[str]) -> Dict[str, Monomial]:
+    from .qfunctions import Monomial
+
     params: Dict[str, Monomial] = {}
     for pair in pairs:
         if "=" not in pair:
@@ -104,6 +109,9 @@ def _parse_params(pairs: List[str]) -> Dict[str, Monomial]:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
+    from . import qfunctions as qf
+    from .series import SeriesError
+
     try:
         params = _parse_params(args.param)
     except ValueError as exc:
@@ -180,6 +188,9 @@ def _verify_combinatorial(max_n: int) -> rg.VerificationReport:
     """Pure oracle check: the two-color count equals the positive-odd-rank count."""
     import time
 
+    from . import partitions as pt
+    from . import registry as rg
+
     start = time.perf_counter()
     mismatch = None
     for row in pt.stat_table(max_n):
@@ -197,9 +208,11 @@ def _verify_combinatorial(max_n: int) -> rg.VerificationReport:
 
 
 def _beyond_count_limit(max_n: int) -> bool:
-    if max_n <= pt.COUNT_LIMIT:
+    from .partitions import COUNT_LIMIT
+
+    if max_n <= COUNT_LIMIT:
         return False
-    print(f"error: --max-n {max_n} is beyond the counting limit {pt.COUNT_LIMIT}", file=sys.stderr)
+    print(f"error: --max-n {max_n} is beyond the counting limit {COUNT_LIMIT}", file=sys.stderr)
     return True
 
 
@@ -218,6 +231,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return USAGE_ERROR
         reports = [_verify_combinatorial(max_n)]
     else:
+        from . import registry as rg
+
         try:
             entries = rg.select(args.selector)
         except (rg.UnknownIdentity, rg.UnknownSpecialization) as exc:
@@ -239,25 +254,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # stats
 
 
-# each stats column: the StatRow field that the oracle fills it from, and its series
-_STAT_COLUMNS = {
-    "p": ("p", qf.euler_inv),
-    "N_e": ("even_rank", qf.ne_series_rhs),
-    # f3 = 1 + sum (N_e(n) - N_o(n)) q^n and 1/(q;q)_inf = sum (N_e(n) + N_o(n)) q^n
-    "N_o": ("odd_rank", (qf.euler_inv + qf.f3_def.times(-1)).times(qf.HALF)),
-    "N_o_plus": ("odd_positive_rank", qf.builder_forms("No_plus_series")[0]),
-    "G": ("two_color", qf.builder_forms("G_series")[0]),
-    "G_prime": ("two_color_odd", qf.gprime_series),
-    "spt": ("spt", qf.spt_lhs),
-    "sptG": ("spt_two_color", qf.sptG_lhs),
-    "omega": ("odd_part_bounded", qf.omega3_def.times(e=1)),
-}
+def _stat_columns() -> Dict[str, Tuple[str, QSeries]]:
+    """Each stats column: the StatRow field that the oracle fills it from, and its series."""
+    from . import qfunctions as qf
+
+    return {
+        "p": ("p", qf.euler_inv),
+        "N_e": ("even_rank", qf.ne_series_rhs),
+        # f3 = 1 + sum (N_e(n) - N_o(n)) q^n and 1/(q;q)_inf = sum (N_e(n) + N_o(n)) q^n
+        "N_o": ("odd_rank", (qf.euler_inv + qf.f3_def.times(-1)).times(qf.HALF)),
+        "N_o_plus": ("odd_positive_rank", qf.builder_forms("No_plus_series")[0]),
+        "G": ("two_color", qf.builder_forms("G_series")[0]),
+        "G_prime": ("two_color_odd", qf.gprime_series),
+        "spt": ("spt", qf.spt_lhs),
+        "sptG": ("spt_two_color", qf.sptG_lhs),
+        "omega": ("odd_part_bounded", qf.omega3_def.times(e=1)),
+    }
 
 
-def _stat_rows(max_n: int) -> List[dict]:
-    columns = [(col, field, side(max_n + 1)) for col, (field, side) in _STAT_COLUMNS.items()]
+def _stat_rows(max_n: int, stat_columns: Dict[str, Tuple[str, QSeries]]) -> List[dict]:
+    from .partitions import stat_table
+
+    columns = [(col, field, side(max_n + 1)) for col, (field, side) in stat_columns.items()]
     out = []
-    for row in pt.stat_table(max_n):
+    for row in stat_table(max_n):
         flat: dict = {"n": row.n}
         for col, field, series in columns:
             oracle = getattr(row, field)
@@ -272,16 +292,17 @@ def _stat_rows(max_n: int) -> List[dict]:
 def cmd_stats(args: argparse.Namespace) -> int:
     if _beyond_count_limit(args.max_n):
         return USAGE_ERROR
-    rows = _stat_rows(args.max_n)
+    columns = _stat_columns()
+    rows = _stat_rows(args.max_n, columns)
     header = ["n"]
-    for col in _STAT_COLUMNS:
+    for col in columns:
         header.extend((col, f"{col}_series", f"{col}_match"))
     if args.format == "json":
         _write(_json(rows), args.output)
     else:
         # each row holds the header's keys, in order
         _write(_csv([list(row.values()) for row in rows], header), args.output)
-    ok = all(row[f"{col}_match"] for row in rows for col in _STAT_COLUMNS)
+    ok = all(row[f"{col}_match"] for row in rows for col in columns)
     return 0 if ok else MISMATCH_ERROR
 
 
@@ -290,6 +311,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
+    from . import registry as rg
+
     rows = []
     for entry in rg.catalog():
         for spec in entry.specializations:

@@ -20,10 +20,11 @@ weight in 1..DEFAULT_CAP and are the reference side of the DP's tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import starmap
 from operator import add
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+
+from .record import Record
 
 #: Largest weight accepted by the enumerators (about 1e6 partitions at 60).
 DEFAULT_CAP = 60
@@ -51,8 +52,7 @@ class ColoredPart(NamedTuple):
     color: str
 
 
-@dataclass(frozen=True)
-class TwoColorPartition:
+class TwoColorPartition(Record):
     """A partition into red and blue parts, stored in canonical order.
 
     Canonical order is descending by value with blue before red at equal
@@ -122,8 +122,7 @@ class RankStats(NamedTuple):
     odd_positive: int
 
 
-@dataclass(frozen=True)
-class StatRow:
+class StatRow(Record):
     """All oracle statistics for one weight."""
 
     n: int

@@ -43,14 +43,13 @@ parts the same way; only the literal-product reference forms are not.
 
 from __future__ import annotations
 
-import inspect
 import math
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from .record import Record, replace
 from .series import (
     DEFAULT_TERM_CAP,
     LaurentSeries,
@@ -90,8 +89,7 @@ class UnsupportedParameter(ValueError):
 # monomial parameters
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """An exact monomial c*q^power used as a specialization value."""
 
     coeff: Fraction
@@ -193,8 +191,7 @@ SIGN = Monomial(Fraction(-1), 0)
 
 
 
-@dataclass(frozen=True)
-class Poch:
+class Poch(Record):
     """One factor (arg*q^(slope*n); q^step)_length of a q-product term.
 
     ``arg`` gives the sign of the binomials and the first exponent at n = 0;
@@ -245,8 +242,7 @@ NEG_EULER = Poch(mono(-1, 1))  # (-q;q)_inf
 EULER_Q2 = Poch(mono(1, 2), 2)  # (q^2;q^2)_inf
 
 
-@dataclass(frozen=True)
-class QTerm:
+class QTerm(Record):
     """The summand scale * ratio^n * [n] * q^(e2*n^2 + e1*n + e0) * prod(num) / prod(den).
 
     ``exp`` is ``(e2, e1, e0)``; e2 and e1 may be halves as long as the
@@ -557,8 +553,7 @@ def _nested(spec: QTerm, s: int, vals: List[int], order: int) -> Tuple[int, List
 # series as data
 
 
-@dataclass(frozen=True)
-class QSeries:
+class QSeries(Record):
     """A sum of parts, each :func:`qsum` or :func:`qprod` of one :class:`QTerm`.
 
     Every unparameterized named series and catalog side is one: parts join
@@ -967,8 +962,15 @@ def builder_forms(name: str) -> _Forms:
 
 
 def param_names(name: str) -> Tuple[str, ...]:
-    """The parameters of ``name``: its first form's arguments after ``order``."""
-    return tuple(inspect.signature(builder_forms(name)[0]).parameters)[1:]
+    """The parameters of ``name``: its first form's arguments after ``order``.
+
+    A :class:`QSeries` form takes the order alone; a function form's
+    arguments are read from its code object.
+    """
+    code = getattr(builder_forms(name)[0], "__code__", None)
+    if code is None:
+        return ()
+    return code.co_varnames[1 : code.co_argcount + code.co_kwonlyargcount]
 
 
 def check_order(order: int) -> None:

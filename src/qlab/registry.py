@@ -27,10 +27,10 @@ in the first place.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .record import Record, replace
 from .series import LaurentSeries, Mismatch, TruncationStall
 from . import qfunctions as qf
 from .qfunctions import (
@@ -65,8 +65,7 @@ class UnknownSpecialization(ValueError):
 SideBuilder = Callable[..., LaurentSeries]
 
 
-@dataclass(frozen=True)
-class Specialization:
+class Specialization(Record):
     """One parameter assignment at which an identity row is verified."""
 
     params: Tuple[Tuple[str, Monomial], ...] = ()
@@ -81,8 +80,7 @@ class Specialization:
 UNSPECIALIZED = (Specialization(),)
 
 
-@dataclass(frozen=True)
-class IdentityEntry:
+class IdentityEntry(Record):
     """A catalog row: two builders, the specializations they are checked at, an anchor."""
 
     id: str
@@ -106,8 +104,7 @@ class IdentityEntry:
         )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one identity row at one truncation order."""
 
     id: str
@@ -629,7 +626,8 @@ def verify_all(
         import concurrent.futures
 
         ids, labels, orders = zip(*[(e.id, s.label, o) for e, s, o in rows])
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork start method starts every worker up front, so start no idle ones
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(rows))) as pool:
             reports = list(pool.map(verify, ids, labels, orders))
     else:
         reports = [_run_row(e, s, o) for e, s, o in rows]

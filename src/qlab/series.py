@@ -29,11 +29,12 @@ freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+
+from .record import Record
 
 Rational = Union[int, Fraction]
 
@@ -396,8 +397,7 @@ def monomial(c: Rational, k: int, order: int) -> LaurentSeries:
 # q-shifted factorials
 
 
-@dataclass(frozen=True)
-class PochhammerSpec:
+class PochhammerSpec(Record):
     """Symbolic q-shifted factorial (sign*q^offset; q^step)_length.
 
     ``length`` is a nonnegative integer or ``None`` for the infinite product.

@@ -128,15 +128,14 @@ def test_verify_bare_id_covers_all_specializations(capsys):
 
 
 def test_verify_builder_failure_is_a_failed_report(capsys, monkeypatch):
-    import dataclasses
-
     import qlab.registry as rg
+    from qlab.record import replace
     from qlab.series import NotInvertible
 
     def broken(order):
         raise NotInvertible("synthetic builder failure")
 
-    entry = dataclasses.replace(rg.get_entry("thm-1.1"), rhs=broken)
+    entry = replace(rg.get_entry("thm-1.1"), rhs=broken)
     monkeypatch.setitem(rg._BY_ID, "thm-1.1", entry)
     code, out, err = run(capsys, "verify", "thm-1.1", "--order", "10", "--jobs", "1")
     assert code == 1

@@ -240,7 +240,9 @@ def test_partition_number_anchors():
 
 def test_stat_table_equals_the_series_side_up_to_the_counting_limit():
     """All nine ``stats`` columns, coefficient by coefficient, at the counting limit."""
-    columns = [(c, field, side(COUNT_LIMIT + 1)) for c, (field, side) in cli._STAT_COLUMNS.items()]
+    columns = [
+        (c, field, side(COUNT_LIMIT + 1)) for c, (field, side) in cli._stat_columns().items()
+    ]
     for row in stat_table(COUNT_LIMIT):
         for col, field, series in columns:
             assert series.coefficient(row.n) == getattr(row, field), f"{col} at n={row.n}"

@@ -20,7 +20,6 @@ import itertools
 import re
 from collections import Counter
 from contextlib import ExitStack
-from dataclasses import replace
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -45,6 +44,7 @@ from qlab.qfunctions import (
     qprod,
     qsum,
 )
+from qlab.record import replace
 from qlab.series import (
     LaurentSeries,
     NotInvertible,

@@ -1,12 +1,12 @@
 """Tests for the identity catalog and the verification engine."""
 
-import dataclasses
 import time
 from contextlib import ExitStack
 from unittest.mock import patch
 
 import pytest
 
+from qlab.record import replace
 from qlab.registry import (
     IdentityEntry,
     Specialization,
@@ -166,7 +166,7 @@ def test_negative_control_perturbed_rhs():
     def perturbed(order):
         return base.rhs(order).add(monomial(1, 3, order))
 
-    entry = dataclasses.replace(base, id="lem-3.1-perturbed", rhs=perturbed)
+    entry = replace(base, id="lem-3.1-perturbed", rhs=perturbed)
     report = rg._run_row(entry, entry.specializations[0], 30)
     assert not report.passed
     assert report.first_mismatch.exponent == 3
@@ -244,7 +244,7 @@ def test_verify_all_aggregates_errors_without_aborting():
 
 def test_fault_injection_exactly_one_failure():
     base = get_entry("eq-2phi12")
-    bad = dataclasses.replace(
+    bad = replace(
         base,
         id="zz-perturbed",
         rhs=lambda order: base.rhs(order).add(monomial(1, 3, order)),
@@ -293,6 +293,36 @@ def test_parallel_fanout_matches_serial():
     parallel = verify_all(order=5, jobs=2)
     strip = lambda rs: [(r.row_id, r.order, r.passed, r.stalled) for r in rs]
     assert strip(serial) == strip(parallel)
+
+
+@pytest.mark.parametrize(
+    "selector, jobs, workers", [("eq-z-identity", 8, 3), ("eq-z-identity", 2, 2), ("all", 8, 8)]
+)
+def test_pool_starts_no_more_workers_than_rows(monkeypatch, selector, jobs, workers):
+    """A fork start method starts every worker up front, so idle ones would cost a fork each."""
+    import concurrent.futures
+
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    entries = rg.select(selector)
+    reports = verify_all(order=5, entries=entries, jobs=jobs)
+    assert started == [workers]
+    assert len(reports) == sum(len(e.specializations) for e in entries)
+    assert all(r.passed for r in reports)
 
 
 @pytest.mark.parametrize(
