@@ -56,13 +56,12 @@ from .series import (
     PochhammerSpec,
     Rational,
     TruncationStall,
-    _Factor,
+    _Plan,
     _apply,
     _binomial_divide_inplace,
     _binomial_factor_inplace,
     _make,
     _raw,
-    _shift,
     _total,
     exact,
     pochhammer,
@@ -216,16 +215,6 @@ class Poch(Record):
         """True when the factor does not depend on n."""
         return self.slope == 0 and (self.length is None or self.length[0] == 0)
 
-    def at(self, n: int) -> Optional[_Factor]:
-        """The factor at index n, or ``None`` where it is the constant 1."""
-        sign = self.arg.coeff.numerator  # 1 or -1, or 0 for the factor 1
-        length = None if self.length is None else self.length[0] * n + self.length[1]
-        if not sign or length == 0:
-            return None
-        if length is not None and length < 0:
-            raise ValueError(f"negative Pochhammer length {length} at n={n}")
-        return (sign, self.arg.power + self.slope * n, self.step, length)
-
 
 def one_minus(k: int, slope: int = 0) -> Poch:
     """The binomial factor 1 - q^(k + slope*n)."""
@@ -280,47 +269,6 @@ class QTerm(Record):
             den=self.den + den,
             scale=self.scale * scale,
         )
-
-
-def _at(factors: Tuple[Poch, ...], n: int) -> List[_Factor]:
-    return [f for f in (p.at(n) for p in factors) if f is not None]
-
-
-def _exponent_and_scale(spec: QTerm, n: int) -> Tuple[int, Rational]:
-    """The term of ``spec`` at n is scale * q^exponent times its product."""
-    e2, e1, e0 = spec.exp
-    e = e2 * n * n + (e1 + spec.ratio.power) * n + e0
-    if e != int(e):
-        raise ValueError(f"non-integral exponent {e} at n={n}")
-    c = spec.ratio.coeff
-    c = c.numerator if c.denominator == 1 and n >= 0 else c  # a sign needs no Fraction
-    return int(e), spec.scale * c**n * (n if spec.times_n else 1)
-
-
-def _minus(a: Optional[_Factor], b: Optional[_Factor]) -> List[_Factor]:
-    """The binomials of ``a`` that ``b`` lacks, as at most two runs of ``a``'s progression.
-
-    ``a`` and ``b`` share their sign and step; ``None`` is the factor 1.
-    Binomial j of ``a`` has exponent offset + j*step.  When ``b`` starts k
-    steps along the same progression it holds the binomials
-    k <= j < k + length(b), so ``a`` keeps j < k and j >= k + length(b);
-    when the two start on different residues mod the step ``a`` keeps all.
-    """
-    if a is None:
-        return []
-    sign, off, step, length = a
-    if b is None or (b[1] - off) % step:
-        return [a]
-    k = (b[1] - off) // step
-    runs = []
-    head = k if length is None else min(k, length)  # the binomials j < k
-    if head > 0:
-        runs.append((sign, off, step, head))
-    if b[3] is not None:  # the binomials j >= k + length(b)
-        lo = max(0, k + b[3])
-        if length is None or lo < length:
-            runs.append((sign, off + lo * step, step, None if length is None else length - lo))
-    return runs
 
 
 def _bounds(spec: QTerm, num: Tuple[Poch, ...], den: Tuple[Poch, ...]) -> Tuple[int, bool, bool]:
@@ -378,21 +326,35 @@ def _bounds(spec: QTerm, num: Tuple[Poch, ...], den: Tuple[Poch, ...]) -> Tuple[
     return max(*settle, turn), never_falls, never_rises
 
 
+def _plan(spec: QTerm, fixed: bool = False) -> _Plan:
+    """``spec`` compiled to integers (:class:`~qlab.series._Plan`).
+
+    A factor that is 1 at every n (argument 0 or length 0) is left out, and
+    with ``fixed`` so is every factor that depends on n.
+    """
+    factors = [
+        (den, p.arg.coeff.numerator, p.arg.power, p.slope, p.step, *(p.length or (None, None)))
+        for den, ps in enumerate((spec.num, spec.den))
+        for p in ps
+        if p.arg.coeff and p.length != (0, 0) and (p.fixed or not fixed)
+    ]
+    e2, e1, e0 = spec.exp
+    return _Plan((e2, e1 + spec.ratio.power, e0), factors, spec.start, spec.scale, spec.ratio.coeff, spec.times_n)
+
+
 @lru_cache(maxsize=None)
 def qprod(spec: QTerm, order: int) -> LaurentSeries:
     """The single term of ``spec`` at n = ``spec.start``, exact below ``order``.
 
     Closed product sides are stated this way; the term is a run of one
-    (:func:`_nested`), and a zero scale gives 0 before any factor is looked
-    at.  Memoized by (spec, order).
+    (:func:`_nested`), and a zero scale gives 0 before any factor's
+    valuation is looked at.  Memoized by (spec, order).
     """
-    n = spec.start
-    e, scale = _exponent_and_scale(spec, n)
-    at = _at(spec.num, n), _at(spec.den, n)
-    mu = _shift(*at) if scale else None
-    if mu is None or e + mu >= order:
+    n, plan = spec.start, _plan(spec)
+    v, _ = plan.term(n), plan.at(n)  # a negative length raises even at scale 0
+    if v is None or v >= order:
         return zero(order)
-    return _make(*_nested(spec, n, [e + mu], order), order)
+    return _make(*_nested(plan, n, [v], order), order)
 
 
 @lru_cache(maxsize=None)
@@ -408,15 +370,15 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
     first term has scale 0 (a zero scale, or a zero ratio from n = 1 on) is
     0, whatever poles its factors hold.
     """
-    if not _exponent_and_scale(spec, spec.start)[1]:
+    outer = _plan(spec, True)
+    outer.exponent(spec.start)  # a non-integral first exponent raises, even at scale 0
+    if not spec.scale or spec.ratio.is_zero and spec.start:
         return zero(order)
-    outer_num = _at(tuple(f for f in spec.num if f.fixed), 0)
-    outer_den = _at(tuple(f for f in spec.den if f.fixed), 0)
-    num = tuple(f for f in spec.num if not f.fixed)
-    den = tuple(f for f in spec.den if not f.fixed)
+    outer_num, outer_den = outer.at(0)
     # When the pulled-out product vanishes the sum still runs, so that a
     # pole or a stall in it is reported rather than multiplied by zero.
-    mu = _shift(outer_num, outer_den)
+    mu = outer.valuation(0)
+    num, den = (tuple(f for f in fs if not f.fixed) for fs in (spec.num, spec.den))
     total = _summed(replace(spec, num=num, den=den, scale=1).times(e=mu or 0), order)
     if mu is None:
         return zero(order)
@@ -431,36 +393,36 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
 def _summed(spec: QTerm, order: int) -> LaurentSeries:
     """The sum of ``spec``, a term with no factor fixed in n, for :func:`qsum`.
 
-    :func:`_runs` finds from exact valuations which terms reach below
-    ``order``, :func:`_nested` sums each run of them backward as nested
-    products, and the runs are added into one window normalised once.  No
-    term is a series of its own, and :func:`~qlab.series.sum_terms` is not
-    on this path.
+    The term is compiled once (:func:`_plan`).  :func:`_runs` finds from
+    exact valuations which terms reach below ``order``, :func:`_nested` sums
+    each run of them backward as nested products, and the runs are added
+    into one window normalised once.  No term is a series of its own, and
+    :func:`~qlab.series.sum_terms` is not on this path.
     """
-    runs = [_raw(*_nested(spec, s, vals, order), order) for s, vals in _runs(spec, order)]
-    return _total(runs, order)
+    plan = _plan(spec)
+    return _total([_raw(*_nested(plan, s, vals, order), order) for s, vals in _runs(spec, plan, order)], order)
 
 
-def _runs(spec: QTerm, order: int) -> List[Tuple[int, List[int]]]:
+def _runs(spec: QTerm, plan: _Plan, order: int) -> List[Tuple[int, List[int]]]:
     """The terms of the sum of ``spec`` that reach below ``order``, in runs of consecutive n.
 
     A run is (s, the valuations of terms s, s + 1, ...).  Term n has
-    valuation e_n + :func:`_shift` of its factors, or is 0: a zero scale,
-    whose factors are not looked at, or a vanishing numerator.  Past
-    :func:`_bounds`' floor a term not below ``order`` ends the sum when
-    valuations never fall or it vanishes, and a term below it stalls the sum
+    valuation e_n plus that of its factors, or is 0: a zero scale, whose
+    factors are not looked at, or a vanishing numerator.  ``plan`` is
+    ``spec`` compiled, and reads both off integers
+    (:meth:`~qlab.series._Plan.term`).  Past :func:`_bounds`' floor a term
+    not below ``order`` ends the sum when valuations never fall or it
+    vanishes, and a term below it stalls the sum
     (:class:`~qlab.series.TruncationStall`) when they never rise; any other
     term not below ``order`` ends a run.  A sum that no term ends within
     ``max(order, 0) + DEFAULT_TERM_CAP`` terms stalls too.
     """
-    num, den = spec.num, spec.den
-    floor, never_falls, never_rises = _bounds(spec, num, den)
+    floor, never_falls, never_rises = _bounds(spec, spec.num, spec.den)
     cap = max(order, 0) + DEFAULT_TERM_CAP
     runs: list = [(spec.start, [])]
     for n in range(spec.start, spec.start + cap):
-        e, scale = _exponent_and_scale(spec, n)
-        mu = _shift(_at(num, n), _at(den, n)) if scale else None
-        last = None if mu is None or e + mu >= order else e + mu
+        v = plan.term(n)
+        last = None if v is None or v >= order else v
         if last is not None:
             if never_rises and n >= floor:
                 raise TruncationStall(
@@ -473,38 +435,13 @@ def _runs(spec: QTerm, order: int) -> List[Tuple[int, List[int]]]:
             runs.append((n + 1, []))
         else:
             runs[-1] = (n + 1, [])
-        if n >= floor and (
-            never_falls or (mu is None and (scale or _shift(_at(num, n), _at(den, n)) is None))
-        ):
+        if n >= floor and (never_falls or v is None and plan.valuation(n) is None):
             return runs[:-1]
     suffix = f": term {cap - 1} has valuation {last}" if cap > 0 and last is not None else ""
     raise TruncationStall(f"no term cleared order {order} within {cap} evaluations{suffix}")
 
 
-def _net(spec: QTerm, n: int, width: int) -> Tuple[list, list]:
-    """The binomials that multiply and divide P_n into P_(n+1), as factors of length 1.
-
-    P_n = prod(num) / prod(den) at n.  A binomial entering a numerator or
-    leaving a denominator (:func:`_minus`) multiplies, else it divides, and
-    one in both lists cancels.  Infinite runs stop at ``width``.
-    """
-    mul: list = []
-    div: list = []
-    for factors, enter, leave in ((spec.num, mul, div), (spec.den, div, mul)):
-        for p in factors:
-            a, b = p.at(n), p.at(n + 1)
-            for runs, out in ((_minus(a, b), leave), (_minus(b, a), enter)):
-                for sign, off, step, length in runs:
-                    end = width if length is None else off + length * step
-                    out += [(sign, e, 1, 1) for e in range(off, end, step)]
-    for f in div[:] if mul else ():
-        if f in mul:
-            mul.remove(f)
-            div.remove(f)
-    return mul, div
-
-
-def _nested(spec: QTerm, s: int, vals: List[int], order: int) -> Tuple[int, List[int], int]:
+def _nested(plan: _Plan, s: int, vals: List[int], order: int) -> Tuple[int, List[int], int]:
     """Terms s, s + 1, ... of valuations ``vals`` summed as (lo, nums, den).
 
     The sum is sum nums[i] q^(lo + i) / den, exact below ``order``.  Term n
@@ -515,27 +452,33 @@ def _nested(spec: QTerm, s: int, vals: List[int], order: int) -> Tuple[int, List
         X_n = w_n q^(v_n) + (c_(n+1) / c_n) (W_(n+1) / W_n) X_(n+1),
 
     one integer window A / d on [lo, order), lo the least valuation so far.
-    W_(n+1) / W_n is one kernel pass per net binomial (:func:`_net`), through
-    :func:`~qlab.series._apply` for the constant only when a binomial at an
-    exponent <= 0 moves.  c_(n+1) / c_n goes into d, and into a pass over A
-    only for a numerator other than 1 or -1.  Last, ``_apply`` applies W_s,
-    the first term's whole factor list, once.
+    W_(n+1) / W_n is one kernel pass per binomial of the runs that
+    ``plan``, the compiled term, gives the step
+    (:meth:`~qlab.series._Plan.net`), through :func:`~qlab.series._apply`
+    for the constant only when a binomial at an exponent <= 0 moves.
+    c_(n+1) / c_n, the ratio, goes into d, and into a pass over A only for a
+    numerator other than 1 or -1.  Last, ``_apply`` applies W_s, the first
+    term's whole factor list, once.
     """
     n = s + len(vals) - 1
-    coeff, d, lo = spec.ratio.coeff, 1, vals[-1]
-    arr = [n if spec.times_n else 1] + [0] * (order - lo - 1)
+    coeff, d, lo = plan.ratio, 1, vals[-1]
+    ratio = coeff.numerator, coeff.denominator
+    arr = [n if plan.times_n else 1] + [0] * (order - lo - 1)
     for v in vals[-2::-1]:
         n -= 1
-        mul, div = _net(spec, n, len(arr))
-        p, q = coeff.numerator, coeff.denominator
+        mul, div = plan.net(n, len(arr))
+        p, q = ratio
         if any(f[1] <= 0 for f in mul + div):
-            k = coeff * _apply(arr, mul, div)
+            runs = ([(sign, e, t, len(range(e, h, t))) for sign, e, h, t in fs] for fs in (mul, div))
+            k = coeff * _apply(arr, *runs)
             p, q = k.numerator, k.denominator
         else:
-            for sign, e, _, _ in mul:
-                _binomial_factor_inplace(arr, sign, e)
-            for sign, e, _, _ in div:
-                _binomial_divide_inplace(arr, sign, e)
+            for sign, e, h, t in mul:
+                for x in range(e, h, t):
+                    _binomial_factor_inplace(arr, sign, x)
+            for sign, e, h, t in div:
+                for x in range(e, h, t):
+                    _binomial_divide_inplace(arr, sign, x)
         if p != 1 or q != 1:  # X = (p / (q d)) A + w q^v, in lowest terms with p > 0
             g = math.gcd(p, q * d) * (1 if p > 0 else -1)
             p, d = p // g, q * d // g
@@ -544,8 +487,8 @@ def _nested(spec: QTerm, s: int, vals: List[int], order: int) -> Tuple[int, List
         if v < lo:
             arr[:0] = [0] * (lo - v)
             lo = v
-        arr[v - lo] += d * (n if spec.times_n else 1)
-    c = spec.scale * coeff**s * _apply(arr, _at(spec.num, s), _at(spec.den, s)) / d
+        arr[v - lo] += d * (n if plan.times_n else 1)
+    c = plan.scale * coeff**s * _apply(arr, *plan.at(s)) / d
     return lo, arr if c.numerator == 1 else [x * c.numerator for x in arr], c.denominator
 
 

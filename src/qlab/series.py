@@ -22,6 +22,8 @@ block and ``min_exp == order``.
 Kernels.  The in-place binomial and pentagonal passes over integer windows,
 and :func:`_apply`, which multiplies a window by a list of q-product factors
 through them, are the engine behind :mod:`qlab.qfunctions`' products and sums.
+A sum's term is compiled once into integers (:class:`_Plan`): each term's
+valuation, and the binomials that step one term into the next.
 
 Everything here is immutable and side-effect free, so series may be shared
 freely across threads.
@@ -30,8 +32,9 @@ freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .record import Record
@@ -507,34 +510,6 @@ def _eta(arr: list, t: int, divide: bool) -> None:
         arr[r::t] = z
 
 
-def _valuation(sign: int, offset: int, step: int, length: Optional[int]) -> Optional[int]:
-    """Exact valuation of (sign*q^offset; q^step)_length, or ``None`` if it is 0.
-
-    A binomial 1 - sign*q^e with e < 0 leads with -sign*q^e; at e = 0 it is
-    the constant 1 - sign, which vanishes for sign = 1.
-    """
-    v, k, e = 0, 0, offset
-    while e <= 0 and (length is None or k < length):
-        if e == 0 and sign == 1:
-            return None
-        v += e
-        k += 1
-        e += step
-    return v
-
-
-def _shift(num: List[_Factor], den: List[_Factor]) -> Optional[int]:
-    """Exact valuation of prod(num) / prod(den), or ``None`` when a numerator vanishes.
-
-    Raises :class:`NotInvertible` when a denominator factor vanishes.
-    """
-    mu_den = [_valuation(*f) for f in den]
-    if None in mu_den:
-        raise NotInvertible("a denominator factor vanishes")
-    mu_num = [_valuation(*f) for f in num]
-    return None if None in mu_num else sum(mu_num) - sum(mu_den)
-
-
 def _eta_quotient(sign: int, a: int, step: int) -> Optional[Tuple[int, Tuple[Tuple[int, int], ...]]]:
     """(sign*q^a; q^step)_inf, a >= 1, as (base, powers), or ``None`` unless step | 2a.
 
@@ -558,10 +533,10 @@ def _apply(arr: List[int], num: List[_Factor], den: List[_Factor]) -> Fraction:
     """Multiply ``arr`` in place by prod(num) / prod(den), up to the returned constant.
 
     1 - s*q^e with e < 0 is -s * q^e * (1 - s*q^-e) and 1 + q^0 is 2 (no
-    factor may hold 1 - q^0): the window takes 1 - s*q^-e, the q^e are in
-    :func:`_shift`, and the quotient of the constants is returned.  An
-    infinite factor's binomials from q^a on, a >= 1, go by the pentagonal
-    number theorem when step | 2a (:func:`_eta_quotient` and
+    factor may hold 1 - q^0): the window takes 1 - s*q^-e, the q^e are the
+    caller's (:meth:`_Plan.valuation`), and the quotient of the constants is
+    returned.  An infinite factor's binomials from q^a on, a >= 1, go by the
+    pentagonal number theorem when step | 2a (:func:`_eta_quotient` and
     :func:`_eta`) and that takes fewer passes over the window:
     the finite run below q^a plus one per pentagonal exponent, against one
     per binomial from q^a.  Every other binomial below the width is one
@@ -590,6 +565,194 @@ def _apply(arr: List[int], num: List[_Factor], den: List[_Factor]) -> Fraction:
             for e in range(base, a, step):  # the finite run undoes the binomials below q^a
                 passes[1 - i](arr, sign, e)
     return Fraction(*c)
+
+
+# ----------------------------------------------------------------------
+# compiled q-product terms
+
+#: (a, b) stands for a*n + b.
+_Affine = Tuple[int, int]
+
+
+def _below(f: _Affine, g: _Affine, start: int) -> bool:
+    """True when f(n) <= g(n) at every n >= start."""
+    return f[0] <= g[0] and f[0] * start + f[1] <= g[0] * start + g[1]
+
+
+def _end(x: _Affine, y: _Affine, start: int, top: bool) -> Tuple[_Affine, ...]:
+    """Those of x and y that are the larger (``top``) or the smaller of the two at some n >= start."""
+    if _below(y, x, start):
+        return (x,) if top else (y,)
+    if _below(x, y, start):
+        return (y,) if top else (x,)
+    return tuple(sorted((x, y)))
+
+
+def _rules(den: int, sign: int, k: int, slope: int, step: int, a: Optional[int], b: Optional[int], start: int) -> list:
+    """The binomials a factor loses and gains from n to n + 1, n >= start, as :class:`_Plan` rules.
+
+    A rule (multiplies, sign, step, lo, hi) is the run 1 - sign*q^e, e =
+    lo, lo + step, ... < hi, with lo the largest of its affine ends and hi
+    the least, or ``None`` for no end.  With o = k + slope*n and length L
+    the ends are o, o + slope, o + step*L_n and o + slope + step*L_(n+1).
+    When the slope is not a multiple of the step, the factor at n + 1 shares
+    no binomial with the one at n; else it starts slope/step binomials
+    along, and heads and tails leave and enter.  A run empty at every n is
+    dropped, and one of at most 8 binomials at every n is split into them,
+    so that equal binomials of two factors cancel once in the plan.
+    """
+    if slope == 0 and not a:
+        return []
+    p0, p1, p2, p3 = (slope, k), (slope, k + slope), None, None
+    if a is not None:
+        p2, p3 = (slope + step * a, k + step * b), (slope + step * a, k + slope + step * (a + b))
+    if slope % step:
+        runs = [(True, (p0,), p2 and (p2,)), (False, (p1,), p3 and (p3,))]
+    elif a is None:
+        runs = [(True, (p0,), (p1,)), (False, (p1,), (p0,))]
+    else:
+        runs = [
+            (True, (p0,), _end(p1, p2, start, False)),
+            (True, _end(p0, p3, start, True), (p2,)),
+            (False, (p1,), _end(p0, p3, start, False)),
+            (False, _end(p1, p2, start, True), (p3,)),
+        ]
+    rules: list = []
+    for leave, lo, hi in runs:
+        mul = leave == bool(den)
+        if hi and len(lo) == len(hi) == 1 and lo[0][0] == hi[0][0] and hi[0][1] - lo[0][1] <= 8 * step:
+            c = lo[0][0]
+            rules += [(mul, sign, 1, ((c, e),), ((c, e + 1),)) for e in range(lo[0][1], hi[0][1], step)]
+        elif not (hi and any(_below(h, l, start) for h in hi for l in lo)):
+            rules.append((mul, sign, step, lo, hi))
+    return rules
+
+
+def _may_share(x: tuple, y: tuple, start: int) -> bool:
+    """False when the ranges of rules x and y part at every n >= start."""
+    return not any(_below(h, l, start) for u, w in ((x, y), (y, x)) if u[4] for h in u[4] for l in w[3])
+
+
+class _Plan:
+    """A q-product term compiled to integers once, for the scan and the steps of its sum.
+
+    Term n is scale * ratio^n * [n] * q^(e_n) * P_n with ``exp`` = (e2, e1,
+    e0) and e_n = e2*n^2 + e1*n + e0, integral at every n; its scale is
+    nonzero exactly when ``scale != 0`` and (the ratio is not 0 or n = 0).
+    P_n is the product of ``factors``, each (den, sign, k, slope, step, a,
+    b) for (sign*q^(k + slope*n); q^step)_(a*n + b), ``a = None`` when
+    infinite, sign 1 or -1, in the numerator unless ``den``.  P_(n+1) / P_n
+    is the runs of :func:`_rules` for n >= ``start``, less each multiplying
+    run that a dividing one equals at every n (:attr:`steps`).  Only when
+    two runs left on opposite sides may share a binomial (``clash``) does a
+    step cancel binomial by binomial.
+    """
+
+    def __init__(self, exp: tuple, factors: list, start: int, scale: Rational, ratio: Rational, times_n: bool):
+        self.d = d = lcm(*(Fraction(x).denominator for x in exp if not isinstance(x, int)))
+        self.a2, self.a1, self.a0 = (int(x * d) for x in exp)
+        self.factors, self.start, self.scale, self.ratio, self.times_n = factors, start, scale, ratio, times_n
+
+    @cached_property
+    def steps(self) -> Tuple[list, bool]:
+        """(rules, clash), compiled on the first step: a single term takes none.
+
+        A rule is flat ints (multiplies, sign, step, la, lb, ma, mb, ha, hb,
+        ga, gb): lo = max(la*n + lb, ma*n + mb) and hi = min(ha*n + hb, ga*n
+        + gb), or no end when ``ha`` is ``None``.
+        """
+        start = self.start
+        rules = [r for f in self.factors for r in _rules(*f, start)]
+        mul, div = [r for r in rules if r[0]], [r for r in rules if not r[0]]
+        for r in mul[:]:
+            twin = next((x for x in div if x[1:] == r[1:]), None)  # equal at every n
+            if twin:
+                mul.remove(r)
+                div.remove(twin)
+        flat = [
+            (m, sg, t, *lo[0], *lo[-1], *(hi[0] + hi[-1] if hi else (None,) * 4))
+            for m, sg, t, lo, hi in mul + div
+        ]
+        return flat, any(_may_share(x, y, start) for x in mul for y in div if x[1] == y[1])
+
+    def exponent(self, n: int) -> int:
+        """e_n, or ``ValueError`` when it is not an integer."""
+        x = (self.a2 * n + self.a1) * n + self.a0
+        if x % self.d:
+            raise ValueError(f"non-integral exponent {Fraction(x, self.d)} at n={n}")
+        return x // self.d
+
+    def term(self, n: int) -> Optional[int]:
+        """The valuation of term n, or ``None`` when it is 0.
+
+        A term of scale 0 is 0 without a look at its factors; else P_n's
+        numerator may vanish (:meth:`valuation`).
+        """
+        e = self.exponent(n)
+        mu = self.valuation(n) if self.scale and (self.ratio or not n) else None
+        return None if mu is None else e + mu
+
+    def valuation(self, n: int) -> Optional[int]:
+        """The exact valuation of P_n, or ``None`` when a numerator vanishes.
+
+        It is the sum of its binomials' exponents <= 0, read off each factor
+        in closed form.  A negative length raises ``ValueError``, and a
+        denominator that vanishes :class:`NotInvertible`.
+        """
+        v, zero, pole = 0, False, False
+        for den, sign, k, slope, step, a, b in self.factors:
+            length = None if a is None else a * n + b
+            if length is not None and length <= 0:
+                if length:
+                    raise ValueError(f"negative Pochhammer length {length} at n={n}")
+                continue
+            o = k + slope * n
+            if o > 0:
+                continue
+            c = -o // step + 1
+            if length is not None and length < c:
+                c = length
+            elif sign == 1 and not -o % step:  # it holds 1 - q^0
+                pole, zero = pole or den, zero or not den
+                continue
+            u = c * o + step * c * (c - 1) // 2
+            v += -u if den else u
+        if pole:
+            raise NotInvertible("a denominator factor vanishes")
+        return None if zero else v
+
+    def at(self, n: int) -> Tuple[List[_Factor], List[_Factor]]:
+        """The numerator and denominator factors of P_n, as :func:`~qlab.series._apply` takes them."""
+        out: Tuple[List[_Factor], List[_Factor]] = ([], [])
+        for den, sign, k, slope, step, a, b in self.factors:
+            length = None if a is None else a * n + b
+            if length is not None and length <= 0:
+                if length:
+                    raise ValueError(f"negative Pochhammer length {length} at n={n}")
+                continue
+            out[den].append((sign, k + slope * n, step, length))
+        return out
+
+    def net(self, n: int, width: int) -> Tuple[list, list]:
+        """The binomials that multiply and divide P_n into P_(n+1), as runs (sign, lo, hi, step).
+
+        A run without an end stops at ``width``.
+        """
+        mul: list = []
+        div: list = []
+        rules, clash = self.steps
+        for m, sign, step, la, lb, ma, mb, ha, hb, ga, gb in rules:
+            lo = max(la * n + lb, ma * n + mb)
+            hi = width if ha is None else min(ha * n + hb, ga * n + gb)
+            if lo < hi:
+                (mul if m else div).append((sign, lo, hi, step))
+        if clash and mul and div:
+            mul, div = ([(s, e, e + 1, 1) for s, lo, hi, t in fs for e in range(lo, hi, t)] for fs in (mul, div))
+            for f in div[:]:
+                if f in mul:
+                    mul.remove(f)
+                    div.remove(f)
+        return mul, div
 
 
 def pochhammer(spec: PochhammerSpec, order: int) -> LaurentSeries:

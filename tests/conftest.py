@@ -11,19 +11,19 @@ from qlab import qfunctions as qf
 def scanned():
     """The number of terms each scan of a sum (``qfunctions._runs``) looks at, in call order.
 
-    The scan looks at a term with one ``_exponent_and_scale`` call.
+    The scan looks at a term with one call of its plan's ``_Plan.term``.
     """
     counts = []
-    runs, exponent_and_scale = qf._runs, qf._exponent_and_scale
+    runs, term = qf._runs, qf._Plan.term
 
-    def counted(spec, n):
+    def counted(plan, n):
         counts[-1] += 1
-        return exponent_and_scale(spec, n)
+        return term(plan, n)
 
-    def counted_runs(spec, order):
+    def counted_runs(spec, plan, order):
         counts.append(0)
-        with patch.object(qf, "_exponent_and_scale", counted):
-            return runs(spec, order)
+        with patch.object(qf._Plan, "term", counted):
+            return runs(spec, plan, order)
 
     with patch.object(qf, "_runs", counted_runs):
         yield counts

@@ -11,9 +11,11 @@ literal route that they do not take: every term built afresh from one
 denominator, and the terms added by ``sum_terms``.  The eta route of the
 factor-list rule ``_apply`` is checked against the literal binomial passes
 it replaces, and sums whose valuations dip or fall against references that
-do not share ``qsum``'s cutoff.  The enumeration oracle and the
-``builder_forms`` cross-checks stay the independent witnesses of the
-catalog's values.
+do not share ``qsum``'s cutoff.  Each term's integer plan (``_plan``) is
+checked against its literal factor lists at every step: the valuation, zero,
+pole or error of each term, and the binomials each step multiplies and
+divides by.  The enumeration oracle and the ``builder_forms`` cross-checks
+stay the independent witnesses of the catalog's values.
 """
 
 import itertools
@@ -28,9 +30,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlab import qfunctions as qf
+from qlab import registry
 from qlab import series as qs
 from qlab.qfunctions import (
+    HALF,
     MONO_ONE,
+    MONO_Q,
     MONO_ZERO,
     N,
     SIGN,
@@ -132,6 +137,34 @@ def test_qprod_is_exact_below_its_order(spec, order):
 # the literal product route as the reference
 
 
+def literal_factor_valuation(sign, offset, step, length):
+    """Exact valuation of (sign*q^offset; q^step)_length, or ``None`` if it is 0, binomial by binomial.
+
+    A binomial 1 - sign*q^e with e < 0 leads with -sign*q^e; at e = 0 it is
+    the constant 1 - sign, which vanishes for sign = 1.
+    """
+    v, k, e = 0, 0, offset
+    while e <= 0 and (length is None or k < length):
+        if e == 0 and sign == 1:
+            return None
+        v += e
+        k += 1
+        e += step
+    return v
+
+
+def literal_shift(num, den):
+    """Exact valuation of prod(num) / prod(den) of literal factors, or ``None`` when a numerator vanishes.
+
+    A denominator factor that vanishes raises ``NotInvertible``.
+    """
+    mu_den = [literal_factor_valuation(*f) for f in den]
+    if None in mu_den:
+        raise NotInvertible("a denominator factor vanishes")
+    mu_num = [literal_factor_valuation(*f) for f in num]
+    return None if None in mu_num else sum(mu_num) - sum(mu_den)
+
+
 def reference_product(scale, e, num, den, order):
     """scale * q^e * prod(num) / prod(den), exact below ``order``.
 
@@ -162,6 +195,24 @@ def reference_product(scale, e, num, den, order):
     return product(num).mul(product(den).invert()).scale(scale).shift(e)
 
 
+def literal_at(factors, n):
+    """The factors (sign, offset, step, length) of the ``Poch`` tuple ``factors`` at index n.
+
+    A factor that is 1 there (argument 0 or length 0) is left out, and a
+    negative length raises.  This is the literal route the plan compiles.
+    """
+    out = []
+    for p in factors:
+        sign = p.arg.coeff.numerator
+        length = None if p.length is None else p.length[0] * n + p.length[1]
+        if not sign or length == 0:
+            continue
+        if length is not None and length < 0:
+            raise ValueError(f"negative Pochhammer length {length} at n={n}")
+        out.append((sign, p.arg.power + p.slope * n, p.step, length))
+    return out
+
+
 def reference_term(spec, num, den, n, order):
     """Term n of the sum of ``spec`` over ``num``/``den``, by :func:`reference_product`."""
     e2, e1, e0 = spec.exp
@@ -169,7 +220,7 @@ def reference_term(spec, num, den, n, order):
     if e != int(e):
         raise ValueError(f"non-integral exponent {e} at n={n}")
     scale = spec.scale * spec.ratio.coeff**n * (n if spec.times_n else 1)
-    return reference_product(scale, int(e), qf._at(num, n), qf._at(den, n), order)
+    return reference_product(scale, int(e), literal_at(num, n), literal_at(den, n), order)
 
 
 def result(f, *args):
@@ -230,7 +281,7 @@ def factor_lists(draw):
         return (d(st.sampled_from([1, -1])), d(st.integers(-4, 3 * step)), step, length)
 
     drawn = [factor(draw) for _ in range(draw(st.integers(0, 4)))]
-    return [f for f in drawn if qs._valuation(*f) is not None]
+    return [f for f in drawn if literal_factor_valuation(*f) is not None]
 
 
 @example(width=800, num=[(1, 1, 1, None)], den=[(-1, 3, 2, None), (-1, -4, 4, None)])
@@ -251,7 +302,7 @@ def test_eta_route_equals_the_literal_passes(width, num, den):
     with patch.object(qs, "_eta_quotient", return_value=None):
         assert (got, c) == (literal, qs._apply(literal, num, den))
     if width:
-        mu = qs._shift(num, den)
+        mu = literal_shift(num, den)
         window = LaurentSeries(0, arr, width).mul(reference_product(1, 0, num, den, mu + width))
         applied = qs._make(mu, [x * c.numerator for x in got], c.denominator, mu + width)
         assert applied.equal_up_to(window, mu + width) == (True, None)
@@ -312,31 +363,41 @@ def test_far_factor_takes_the_literal_passes():
 
 
 # ----------------------------------------------------------------------
-# a step's rule: a factor at n minus the factor at n + 1
+# a step's rule: the plan's runs against the literal factor lists
 
 
-def exponents(factor, below=60):
-    """The exponents of the binomials of an instance ``factor`` below ``below``."""
-    if factor is None:
-        return []
-    _, offset, step, length = factor
-    end = below if length is None else min(below, offset + length * step)
-    return list(range(offset, end, step))
+def exponents(factors, below=60):
+    """The exponents below ``below`` of the binomials of literal factors (sign, offset, step, length)."""
+    ends = ((o, below if length is None else min(below, o + length * t), t) for _, o, t, length in factors)
+    return [e for o, end, t in ends for e in range(o, end, t)]
 
 
-def test_minus_is_the_difference_of_the_binomials():
-    """_minus(a, b) holds exactly the binomials of a that b lacks, in at most two runs of a."""
+def run_exponents(runs, below=60):
+    """The exponents below ``below`` of the binomials of plan runs (sign, lo, hi, step)."""
+    return [e for _, lo, hi, t in runs for e in range(lo, min(hi, below), t)]
+
+
+def test_a_factor_steps_by_the_difference_of_its_binomials():
+    """A numerator factor loses the binomials at n that n + 1 lacks and gains the converse.
+
+    Each way they are at most two runs of the factor's progression, and
+    single binomials (a run of at most 8 at every n is split into them).
+    """
     lengths = [None, *range(7)]
     for sign, step, offset in itertools.product((1, -1), (1, 2, 3), range(-4, 5)):
         # every shift from -3 to 4 steps, and the non-multiples of the step between
         for shift, la, lb in itertools.product(range(-3 * step, 4 * step + 1), lengths, lengths):
-            a = None if la == 0 else (sign, offset, step, la)
-            b = None if lb == 0 else (sign, offset + shift, step, lb)
-            runs = qf._minus(a, b)
-            assert len(runs) <= 2, (a, b, runs)
-            assert all(f[0] == sign and f[2] == step and f[3] != 0 for f in runs), (a, b, runs)
-            kept = sorted(e for f in runs for e in exponents(f))
-            assert kept == sorted(set(exponents(a)) - set(exponents(b))), (a, b, runs)
+            if (la is None) != (lb is None):
+                continue  # one factor is finite at every n or at none
+            factor = Poch(mono(sign, offset), step, None if la is None else (lb - la, la), shift)
+            a, b = (literal_at((factor,), n) for n in (0, 1))
+            gained, lost = qf._plan(QTerm(num=(factor,))).net(0, 60)
+            for runs, x, y in ((lost, a, b), (gained, b, a)):
+                # at most two runs of the factor's progression, and single binomials
+                progressions = [f for f in runs if f[2] - f[1] > 1]
+                assert len(progressions) <= 2 and all(f[3] == step for f in progressions), (factor, runs)
+                assert all(f[0] == sign and f[1] < f[2] for f in runs), (factor, runs)
+                assert sorted(run_exponents(runs)) == sorted(set(exponents(x)) - set(exponents(y))), (factor, runs)
 
 
 # ----------------------------------------------------------------------
@@ -514,7 +575,7 @@ def factor_valuation(spec, n):
 
     ``None`` when a numerator factor vanishes; a pole raises ``NotInvertible``.
     """
-    lead = [[pochhammer(PochhammerSpec(*f), 1) for f in qf._at(fs, n)] for fs in (spec.num, spec.den)]
+    lead = [[pochhammer(PochhammerSpec(*f), 1) for f in literal_at(fs, n)] for fs in (spec.num, spec.den)]
     if any(s.is_zero for s in lead[1]):
         raise NotInvertible("a denominator factor vanishes")
     if any(s.is_zero for s in lead[0]):
@@ -751,7 +812,7 @@ _SPLIT = QTerm((0, 1, 0), num=(one_minus(-2, 1),), den=(one_plus(0, 1),))
 @pytest.mark.parametrize("order", [1, 3, 40])
 def test_a_zero_term_splits_the_sum_into_runs_added_in_one_window(order):
     """Each run is nested on its own and the runs are added into one window with one ``_make``."""
-    runs = qf._runs(_SPLIT, order)
+    runs = qf._runs(_SPLIT, qf._plan(_SPLIT), order)
     # valuations -2 and 0, then 0 at n = 2, then n
     assert runs == [(0, [-2, 0]), (3, list(range(3, order)))] if order > 3 else [(0, [-2, 0])]
     counts = Counter()
@@ -762,3 +823,117 @@ def test_a_zero_term_splits_the_sum_into_runs_added_in_one_window(order):
     for n in range(order + 2):
         expected = expected.add(reference_term(_SPLIT, _SPLIT.num, _SPLIT.den, n, order))
     assert total.equal_up_to(expected, order) == (True, None)
+
+
+# ----------------------------------------------------------------------
+# the plan of a term against its literal factor lists
+
+
+def literal_binomials(factors, width):
+    """The binomials (sign, e), e < ``width``, of literal factors as a multiset."""
+    return Counter((f[0], e) for f in factors for e in exponents([f], width))
+
+
+def literal_valuation(spec, n):
+    """Term n's valuation from its literal factor lists, or ``None`` for a zero term.
+
+    The exponent is checked first, and a zero scale looks at no factor.
+    """
+    e2, e1, e0 = spec.exp
+    e = e2 * n * n + (e1 + spec.ratio.power) * n + e0
+    if e != int(e):
+        raise ValueError(f"non-integral exponent {e} at n={n}")
+    if not spec.scale or spec.ratio.is_zero and n:
+        return None
+    mu = literal_shift(literal_at(spec.num, n), literal_at(spec.den, n))
+    return None if mu is None else int(e) + mu
+
+
+def said(f, *args):
+    """``f(*args)``, or the type and message of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def check_plan(spec, steps=30, width=60):
+    """The plan of ``spec`` against its literal factor lists at n = start, ..., start + steps - 1.
+
+    Term n's valuation, or its zero, pole or error message, is the literal
+    one.  Where the lists at n and n + 1 both exist, the step multiplies by
+    each binomial as often as the numerator at n + 1 and the denominator at
+    n hold it more than the numerator at n and the denominator at n + 1, and
+    divides by it as often as they hold it less.  Binomials at exponents
+    from ``width`` on are not compared: no pass on the window sees them.
+    """
+    plan = qf._plan(spec)
+    for n in range(spec.start, spec.start + steps):
+        assert said(plan.term, n) == said(literal_valuation, spec, n), (spec, n)
+        try:
+            lists = [literal_at(fs, k) for k in (n, n + 1) for fs in (spec.num, spec.den)]
+        except ValueError:  # a negative length: no sum steps across it
+            continue
+        num0, den0, num1, den1 = (literal_binomials(f, width) for f in lists)
+        net = num1 + den0
+        net.subtract(num0 + den1)
+        mul, div = plan.net(n, width)
+        got = [Counter((s, e) for s, lo, hi, t in runs for e in range(lo, min(hi, width), t)) for runs in (mul, div)]
+        assert got == [+net, -net], (spec, n, mul, div)
+
+
+def catalog_terms():
+    """Every term that a catalog row or a named form sums or takes as a product, at the rows' parameters."""
+    specs = set()
+    compile_ = qf._plan
+
+    def recording(spec, *args):
+        specs.add(spec)
+        return compile_(spec, *args)
+
+    values = {"b": MONO_Q, "z": mono(1, 3), "a": MONO_ONE}
+    for memo in (qf.qsum, qf.qprod):  # _summed is not memoized here
+        memo.cache_clear()  # so that every term is compiled
+    with patch.object(qf, "_plan", recording):
+        registry.verify_all(order=30)
+        for name in qf.names():
+            params = {p: values[p] for p in qf.param_names(name)} or None
+            for form in range(len(qf.builder_forms(name))):
+                build(name, 30, params, form)
+    return sorted(specs, key=repr)
+
+
+def test_catalog_plans_equal_the_literal_factor_lists():
+    specs = catalog_terms()
+    assert len(specs) > 50
+    for spec in specs:
+        check_plan(spec)
+
+
+# falling lengths that reach 0 and then turn negative, on both sides
+@example(spec=QTerm(num=(Poch(mono(-1, 1), 1, (-1, 3)),), den=(Poch(mono(1, 2), 2, (-1, 4), 1),)))
+# slopes that are not multiples of the step, finite and infinite, reaching exponents <= 0
+@example(spec=QTerm(num=(Poch(mono(1, -3), 2, None, 1),), den=(Poch(mono(-1, -2), 3, (1, 1), 2),)))
+# 1 - q^n enters one denominator factor and leaves another at every n, as in spt_lhs
+@example(spec=QTerm((0, 1, 0), den=(one_minus(0, 1),) * 2 + (Poch(MONO_Q, 1, None, 1),), start=1))
+# an exponent that is not an integer at n = 1
+@example(spec=QTerm(exp=(HALF, 0, 0)))
+@settings(max_examples=300, deadline=None)
+@given(spec=st.one_of(stepper_qterms(steady=False), stepper_qterms(steady=True)))
+def test_plans_equal_the_literal_factor_lists(spec):
+    check_plan(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (QTerm(exp=(HALF, 0, 0)), "ValueError: non-integral exponent 1/2 at n=1"),
+        (QTerm(num=(Poch(mono(-1, 1), 1, (1, -3)),)), "ValueError: negative Pochhammer length -3 at n=0"),
+        (QTerm(den=(one_minus(0, 1),)), "NotInvertible: a denominator factor vanishes"),
+    ],
+)
+def test_qsum_error_messages(spec, message):
+    """A sum that cannot be evaluated says why, in these words."""
+    with pytest.raises(Exception) as info:
+        qsum.__wrapped__(spec, 10)
+    assert f"{type(info.value).__name__}: {info.value}" == message
