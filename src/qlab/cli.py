@@ -20,16 +20,21 @@ deterministic: rows are sorted before they are written.
 Each subcommand imports the modules it runs when it runs, so a process
 loads only those: ``compute`` the series builders, ``verify`` and ``list``
 the identity catalog, ``stats`` the partition oracle and the builders.
+
+``main(argv)`` returns the exit code, for callers in the same process;
+``run()`` is the entry point of a ``qlab`` process and ends it once its
+output is written, without the interpreter's teardown.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import io
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from . import registry as rg
@@ -60,9 +65,17 @@ def _default_order() -> int:
     return value
 
 
+def _cannot_write_stdout(exc: OSError) -> None:
+    print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+
+
 def _write(text: str, path: Optional[str], mode: str = "w") -> None:
     if path is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except OSError as exc:  # a full device, or a reader that closed the pipe
+            _cannot_write_stdout(exc)
+            raise SystemExit(USAGE_ERROR)
         return
     try:
         with open(path, mode, encoding="utf-8", newline="") as fh:
@@ -238,7 +251,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except (rg.UnknownIdentity, rg.UnknownSpecialization) as exc:
             print(f"error: unknown identity selector: {exc}", file=sys.stderr)
             return USAGE_ERROR
-        jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
+        jobs = 1 if args.jobs is None else args.jobs
         reports = rg.verify_all(order=args.order, entries=entries, jobs=jobs)
         for r in reports:
             if r.error is not None:
@@ -388,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for catalog selectors (default: the CPU count)",
+        help="worker processes for catalog selectors (default 1; a pool pays from order 400 on)",
     )
     _add_output(p, "json", flag="--report")
     p.set_defaults(func=cmd_verify)
@@ -425,5 +438,40 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return args.func(args)
 
 
+def run() -> NoReturn:
+    """Run :func:`main` on the process's arguments and end the process with its exit code.
+
+    The entry point of ``python -m qlab.cli`` and of the ``qlab`` script.  A
+    ``SystemExit`` gives its code as the interpreter would read it.  The
+    ``atexit`` handlers still run (multiprocessing's finalizers, after a
+    ``--jobs`` pool), and stdout and stderr are flushed; then ``os._exit``
+    skips the interpreter's teardown (the final garbage collection and the
+    freeing of every module and object), which only returns memory the
+    operating system reclaims anyway.  An exception other than
+    ``SystemExit`` is a bug and leaves by the interpreter's usual path, with
+    its traceback.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    if code is None:
+        code = 0
+    elif not isinstance(code, int):
+        print(code, file=sys.stderr)
+        code = 1
+    atexit._run_exitfuncs()  # what the interpreter calls at exit; os._exit would skip it
+    if sys.stdout is not None:  # None when the process started with stdout closed
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            if code != USAGE_ERROR:  # else _write has reported this stdout already
+                _cannot_write_stdout(exc)
+            code = USAGE_ERROR
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -209,6 +209,8 @@ class Poch(Record):
                 f"unsupported product argument coefficient {self.arg.coeff} "
                 "(monomial parameters must have coefficient 0, 1 or -1)"
             )
+        if self.step < 1:
+            raise ValueError("step must be a positive integer")
 
     @property
     def fixed(self) -> bool:

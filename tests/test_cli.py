@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import ExitStack
 from unittest.mock import patch
 
@@ -356,12 +357,148 @@ def test_format_rational():
     assert format_rational(Fraction(4, 2)) == "2"
 
 
+def _child_env():
+    """qlab on the path, and stdout buffered as a user has it, so a missing flush shows."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qf.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def run_cli(*argv):
-    src = os.path.dirname(os.path.dirname(qf.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, "-m", "qlab.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "qlab.cli", *argv], capture_output=True, text=True, env=_child_env()
     )
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output file"])
+def test_a_process_writes_what_main_writes(tmp_path, capsys, to_file):
+    """More than a pipe buffer of output arrives whole, byte for byte, through the exit path."""
+    argv = ["compute", "spt_lhs", "--order", "2000"]
+    path = tmp_path / "child.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlab.cli", *argv, *(["--output", str(path)] if to_file else [])],
+        capture_output=True,
+        env=_child_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    assert len(expected) > 65536
+    assert (path.read_bytes() if to_file else proc.stdout) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "eq-z-identity"], 0),
+        (["--help"], 0),
+        (["compute", "before_ac_rhs", "--param", "b=1", "--order", "2000"], 1),
+        (["verify", "all", "--bogus"], 2),
+        (["compute", "f3_def", "--order", "0"], 2),
+    ],
+)
+def test_exit_codes_of_a_process(argv, code):
+    proc = run_cli(*argv)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    if code == 0:
+        assert proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_is_a_usage_error():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlab.cli", "verify", "all", "--jobs", "1"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_child_env(),
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write standard output: No space left on device\n"
+
+
+def test_a_reader_that_closes_early_is_a_usage_error():
+    """The output (about 200 KB) overflows the pipe buffer, so a write meets the closed pipe."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "qlab.cli", "compute", "spt_lhs", "--order", "4000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    assert stderr == "error: cannot write standard output: Broken pipe\n"
+
+
+def test_a_process_started_without_stdout_still_writes_its_output_file(tmp_path):
+    path = tmp_path / "list.txt"
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m qlab.cli list --output "$1" >&-', sys.executable, str(path)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(path.read_text().splitlines()) >= 42
+
+
+def _run_script(prelude, argv):
+    """Python source that runs ``prelude``, then ``qlab.cli.run()`` on ``argv``."""
+    return f"{prelude}\nimport sys\nsys.argv[1:] = {argv!r}\nfrom qlab.cli import run\nrun()\n"
+
+
+def test_exit_handlers_run_before_the_output_is_flushed():
+    script = _run_script("import atexit, sys; atexit.register(print, 'handler ran')", ["list"])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    *rows, last = proc.stdout.splitlines()
+    assert len(rows) >= 42 and last == "handler ran"
+
+
+def _process_group(pgid):
+    """The live processes of a process group, read from /proc."""
+    members = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                state, _, group = fh.read().rpartition(")")[2].split()[:3]
+        except OSError:  # the process ended while the directory was read
+            continue
+        if int(group) == pgid and state != "Z":
+            members.append(int(pid))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process groups from /proc")
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_a_pool_ends_cleanly_through_the_exit_path(method):
+    """multiprocessing's exit handlers still run: no leaked-semaphore warning, no process left."""
+    script = _run_script(
+        f"import multiprocessing; multiprocessing.set_start_method({method!r})",
+        ["verify", "eq-z-identity", "--jobs", "2"],
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_child_env(),
+        start_new_session=True,  # its group holds every process it starts
+    )
+    stdout, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == 0, stderr
+    assert [r["pass"] for r in json.loads(stdout)] == [True] * 3
+    deadline = time.monotonic() + 10
+    while _process_group(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _process_group(proc.pid) == []
+    assert stderr == ""
 
 
 @pytest.mark.parametrize(

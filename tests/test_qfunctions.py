@@ -274,6 +274,22 @@ def test_a_float_parameter_or_scale_is_a_type_error(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        # once a bare ZeroDivisionError from the scan
+        lambda: qf.qsum(qf.QTerm(exp=(0, 1, 0), den=(qf.Poch(mono(1, 1), 0, qf.N, 1),)), 10),
+        # once a TruncationStall for a product that means nothing
+        lambda: qf.qsum(qf.QTerm(den=(qf.Poch(mono(1, 1), 0),)), 10),
+        lambda: qf.Poch(MONO_Q, -2),
+    ],
+    ids=["growing", "infinite", "negative"],
+)
+def test_a_pochhammer_step_below_one_is_refused(make):
+    with pytest.raises(ValueError, match="step must be a positive integer"):
+        make()
+
+
 def test_sums_that_differ_in_a_constant_factor_share_one_evaluation():
     """f(q), -f(q)/4 and f(q) (q;q)_inf run one summing loop."""
     qf.f3_def(50)
