@@ -72,7 +72,14 @@ def _cannot_write_stdout(exc: OSError) -> None:
 def _write(text: str, path: Optional[str], mode: str = "w") -> None:
     if path is None:
         try:
-            sys.stdout.write(text)
+            out = getattr(sys.stdout, "buffer", None)  # None for a text stream such as io.StringIO
+            if out is None:
+                sys.stdout.write(text)
+            else:  # every byte, since an unbuffered stdout's short write raises nothing
+                sys.stdout.flush()
+                data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+                while data:
+                    data = data[out.write(data) :]
         except OSError as exc:  # a full device, or a reader that closed the pipe
             _cannot_write_stdout(exc)
             raise SystemExit(USAGE_ERROR)
@@ -368,8 +375,16 @@ def _add_output(
     p.add_argument(flag, dest="output", metavar="PATH", help="write to this path instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        """Help to stdout goes through :func:`_write`: argparse would swallow a failed write."""
+        if file is None:
+            return _write(self.format_help(), None)
+        super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qlab",
         description="Exact q-series laboratory: compute series, verify identities, "
         "cross-check against integer partition counts.",

@@ -273,12 +273,12 @@ class QTerm(Record):
         )
 
 
-def _bounds(spec: QTerm, num: Tuple[Poch, ...], den: Tuple[Poch, ...]) -> Tuple[int, bool, bool]:
-    """(floor, never_falls, never_rises) for the term valuations of the sum of ``spec``.
+def _bounds(plan: _Plan) -> Tuple[int, bool, bool]:
+    """(floor, never_falls, never_rises) for the term valuations of the sum of ``plan``.
 
     From index ``floor`` on the valuation v_n = e_n + (valuation of P_n)
     never falls, or never rises, as the flags say.  It is bounded from the
-    spec, with E_n = e_(n+1) - e_n = e2*(2n+1) + e1:
+    compiled term, with E_n = e_(n+1) - e_n = e2*(2n+1) + e1:
 
     * a factor of slope >= 0 and length slope >= 0 settles: from some n on
       its binomials at exponents <= 0 stay fixed, so its valuation is
@@ -294,37 +294,26 @@ def _bounds(spec: QTerm, num: Tuple[Poch, ...], den: Tuple[Poch, ...]) -> Tuple[
     slope < 0 and sign 1 (its 1 - q^0 comes and goes), or valuations pushed
     both ways give no bound and raise :class:`UnsupportedParameter`.
     """
-    start = spec.start
-    live = [
-        (p, p_den)
-        for ps, p_den in ((num, False), (den, True))
-        for p in ps
-        if not p.arg.is_zero and p.length != (0, 0)
-    ]
-    if spec.ratio.is_zero:
+    start, factors = plan.start, plan.factors
+    if not plan.ratio:
         return start, True, False
-    e2, e1, _ = spec.exp
-    e1 += spec.ratio.power
-    large = e2 or e1  # the sign of E_n for large n
-    never_falls = large >= 0 and not any(p.slope < 0 and not p_den for p, p_den in live)
-    never_rises = large <= 0 and not any(p.slope < 0 and p_den for p, p_den in live)
-    if (
-        any((p.slope < 0 and p.arg.coeff == 1) or (p.length and p.length[0] < 0) for p, _ in live)
-        or not (never_falls or never_rises)
-    ):
+    large = plan.a2 or plan.a1  # the sign of E_n for large n
+    falling = [(den, sign) for den, sign, _, slope, *_ in factors if slope < 0]
+    never_falls = large >= 0 and all(den for den, _ in falling)
+    never_rises = large <= 0 and not any(den for den, _ in falling)
+    shrinks = any(a is not None and a < 0 for *_, a, _ in factors)
+    if shrinks or any(sign == 1 for _, sign in falling) or not (never_falls or never_rises):
         raise UnsupportedParameter(
             "no bound on the term valuations follows from this sum: a factor's length falls "
             "with n, a factor of slope < 0 has sign 1, or the valuations are pushed both ways"
         )
     settle = [start]
-    for p, _ in live:
-        k = p.arg.power
-        if p.slope > 0:  # the first exponent reaches 1
-            settle.append(-((k - 1) // p.slope))
-        elif p.slope == 0:  # the length reaches the binomials at exponents <= 0
-            a, b = p.length
-            settle.append(-((b - (-k // p.step + 1 if k <= 0 else 0)) // a))
-    turn = math.ceil((Fraction(-e1) / e2 - 1) / 2) if e2 else start
+    for _, _, k, slope, step, a, b in factors:
+        if slope > 0:  # the first exponent reaches 1
+            settle.append(-((k - 1) // slope))
+        elif slope == 0:  # the length reaches the binomials at exponents <= 0
+            settle.append(-((b - (-k // step + 1 if k <= 0 else 0)) // a))
+    turn = math.ceil((Fraction(-plan.a1, plan.a2) - 1) / 2) if plan.a2 else start
     return max(*settle, turn), never_falls, never_rises
 
 
@@ -402,16 +391,15 @@ def _summed(spec: QTerm, order: int) -> LaurentSeries:
     :func:`~qlab.series.sum_terms` is not on this path.
     """
     plan = _plan(spec)
-    return _total([_raw(*_nested(plan, s, vals, order), order) for s, vals in _runs(spec, plan, order)], order)
+    return _total([_raw(*_nested(plan, s, vals, order), order) for s, vals in _runs(plan, order)], order)
 
 
-def _runs(spec: QTerm, plan: _Plan, order: int) -> List[Tuple[int, List[int]]]:
-    """The terms of the sum of ``spec`` that reach below ``order``, in runs of consecutive n.
+def _runs(plan: _Plan, order: int) -> List[Tuple[int, List[int]]]:
+    """The terms of the sum of ``plan`` (scale 1) that reach below ``order``, in runs of consecutive n.
 
     A run is (s, the valuations of terms s, s + 1, ...).  Term n has
-    valuation e_n plus that of its factors, or is 0: a zero scale, whose
-    factors are not looked at, or a vanishing numerator.  ``plan`` is
-    ``spec`` compiled, and reads both off integers
+    valuation e_n plus that of its factors, or is 0: a zero ratio past
+    n = 0, or a vanishing numerator.  Both are read off integers
     (:meth:`~qlab.series._Plan.term`).  Past :func:`_bounds`' floor a term
     not below ``order`` ends the sum when valuations never fall or it
     vanishes, and a term below it stalls the sum
@@ -419,10 +407,10 @@ def _runs(spec: QTerm, plan: _Plan, order: int) -> List[Tuple[int, List[int]]]:
     term not below ``order`` ends a run.  A sum that no term ends within
     ``max(order, 0) + DEFAULT_TERM_CAP`` terms stalls too.
     """
-    floor, never_falls, never_rises = _bounds(spec, spec.num, spec.den)
+    floor, never_falls, never_rises = _bounds(plan)
     cap = max(order, 0) + DEFAULT_TERM_CAP
-    runs: list = [(spec.start, [])]
-    for n in range(spec.start, spec.start + cap):
+    runs: list = [(plan.start, [])]
+    for n in range(plan.start, plan.start + cap):
         v = plan.term(n)
         last = None if v is None or v >= order else v
         if last is not None:
@@ -437,7 +425,7 @@ def _runs(spec: QTerm, plan: _Plan, order: int) -> List[Tuple[int, List[int]]]:
             runs.append((n + 1, []))
         else:
             runs[-1] = (n + 1, [])
-        if n >= floor and (never_falls or v is None and plan.valuation(n) is None):
+        if n >= floor and (never_falls or v is None):
             return runs[:-1]
     suffix = f": term {cap - 1} has valuation {last}" if cap > 0 and last is not None else ""
     raise TruncationStall(f"no term cleared order {order} within {cap} evaluations{suffix}")

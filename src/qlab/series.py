@@ -22,8 +22,9 @@ block and ``min_exp == order``.
 Kernels.  The in-place binomial and pentagonal passes over integer windows,
 and :func:`_apply`, which multiplies a window by a list of q-product factors
 through them, are the engine behind :mod:`qlab.qfunctions`' products and sums.
-A sum's term is compiled once into integers (:class:`_Plan`): each term's
-valuation, and the binomials that step one term into the next.
+A sum's term is compiled once into integers (:class:`_Plan`), from which
+each term's valuation, and the binomials that step one term into the next,
+are worked out at n.
 
 Everything here is immutable and side-effect free, so series may be shared
 freely across threads.
@@ -32,7 +33,6 @@ freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -570,69 +570,6 @@ def _apply(arr: List[int], num: List[_Factor], den: List[_Factor]) -> Fraction:
 # ----------------------------------------------------------------------
 # compiled q-product terms
 
-#: (a, b) stands for a*n + b.
-_Affine = Tuple[int, int]
-
-
-def _below(f: _Affine, g: _Affine, start: int) -> bool:
-    """True when f(n) <= g(n) at every n >= start."""
-    return f[0] <= g[0] and f[0] * start + f[1] <= g[0] * start + g[1]
-
-
-def _end(x: _Affine, y: _Affine, start: int, top: bool) -> Tuple[_Affine, ...]:
-    """Those of x and y that are the larger (``top``) or the smaller of the two at some n >= start."""
-    if _below(y, x, start):
-        return (x,) if top else (y,)
-    if _below(x, y, start):
-        return (y,) if top else (x,)
-    return tuple(sorted((x, y)))
-
-
-def _rules(den: int, sign: int, k: int, slope: int, step: int, a: Optional[int], b: Optional[int], start: int) -> list:
-    """The binomials a factor loses and gains from n to n + 1, n >= start, as :class:`_Plan` rules.
-
-    A rule (multiplies, sign, step, lo, hi) is the run 1 - sign*q^e, e =
-    lo, lo + step, ... < hi, with lo the largest of its affine ends and hi
-    the least, or ``None`` for no end.  With o = k + slope*n and length L
-    the ends are o, o + slope, o + step*L_n and o + slope + step*L_(n+1).
-    When the slope is not a multiple of the step, the factor at n + 1 shares
-    no binomial with the one at n; else it starts slope/step binomials
-    along, and heads and tails leave and enter.  A run empty at every n is
-    dropped, and one of at most 8 binomials at every n is split into them,
-    so that equal binomials of two factors cancel once in the plan.
-    """
-    if slope == 0 and not a:
-        return []
-    p0, p1, p2, p3 = (slope, k), (slope, k + slope), None, None
-    if a is not None:
-        p2, p3 = (slope + step * a, k + step * b), (slope + step * a, k + slope + step * (a + b))
-    if slope % step:
-        runs = [(True, (p0,), p2 and (p2,)), (False, (p1,), p3 and (p3,))]
-    elif a is None:
-        runs = [(True, (p0,), (p1,)), (False, (p1,), (p0,))]
-    else:
-        runs = [
-            (True, (p0,), _end(p1, p2, start, False)),
-            (True, _end(p0, p3, start, True), (p2,)),
-            (False, (p1,), _end(p0, p3, start, False)),
-            (False, _end(p1, p2, start, True), (p3,)),
-        ]
-    rules: list = []
-    for leave, lo, hi in runs:
-        mul = leave == bool(den)
-        if hi and len(lo) == len(hi) == 1 and lo[0][0] == hi[0][0] and hi[0][1] - lo[0][1] <= 8 * step:
-            c = lo[0][0]
-            rules += [(mul, sign, 1, ((c, e),), ((c, e + 1),)) for e in range(lo[0][1], hi[0][1], step)]
-        elif not (hi and any(_below(h, l, start) for h in hi for l in lo)):
-            rules.append((mul, sign, step, lo, hi))
-    return rules
-
-
-def _may_share(x: tuple, y: tuple, start: int) -> bool:
-    """False when the ranges of rules x and y part at every n >= start."""
-    return not any(_below(h, l, start) for u, w in ((x, y), (y, x)) if u[4] for h in u[4] for l in w[3])
-
-
 class _Plan:
     """A q-product term compiled to integers once, for the scan and the steps of its sum.
 
@@ -641,39 +578,15 @@ class _Plan:
     nonzero exactly when ``scale != 0`` and (the ratio is not 0 or n = 0).
     P_n is the product of ``factors``, each (den, sign, k, slope, step, a,
     b) for (sign*q^(k + slope*n); q^step)_(a*n + b), ``a = None`` when
-    infinite, sign 1 or -1, in the numerator unless ``den``.  P_(n+1) / P_n
-    is the runs of :func:`_rules` for n >= ``start``, less each multiplying
-    run that a dividing one equals at every n (:attr:`steps`).  Only when
-    two runs left on opposite sides may share a binomial (``clash``) does a
-    step cancel binomial by binomial.
+    infinite, sign 1 or -1, in the numerator unless ``den``.  Each step's
+    binomials, P_(n+1) / P_n, are worked out from these tuples at n
+    (:meth:`net`).
     """
 
     def __init__(self, exp: tuple, factors: list, start: int, scale: Rational, ratio: Rational, times_n: bool):
         self.d = d = lcm(*(Fraction(x).denominator for x in exp if not isinstance(x, int)))
         self.a2, self.a1, self.a0 = (int(x * d) for x in exp)
         self.factors, self.start, self.scale, self.ratio, self.times_n = factors, start, scale, ratio, times_n
-
-    @cached_property
-    def steps(self) -> Tuple[list, bool]:
-        """(rules, clash), compiled on the first step: a single term takes none.
-
-        A rule is flat ints (multiplies, sign, step, la, lb, ma, mb, ha, hb,
-        ga, gb): lo = max(la*n + lb, ma*n + mb) and hi = min(ha*n + hb, ga*n
-        + gb), or no end when ``ha`` is ``None``.
-        """
-        start = self.start
-        rules = [r for f in self.factors for r in _rules(*f, start)]
-        mul, div = [r for r in rules if r[0]], [r for r in rules if not r[0]]
-        for r in mul[:]:
-            twin = next((x for x in div if x[1:] == r[1:]), None)  # equal at every n
-            if twin:
-                mul.remove(r)
-                div.remove(twin)
-        flat = [
-            (m, sg, t, *lo[0], *lo[-1], *(hi[0] + hi[-1] if hi else (None,) * 4))
-            for m, sg, t, lo, hi in mul + div
-        ]
-        return flat, any(_may_share(x, y, start) for x in mul for y in div if x[1] == y[1])
 
     def exponent(self, n: int) -> int:
         """e_n, or ``ValueError`` when it is not an integer."""
@@ -736,22 +649,50 @@ class _Plan:
     def net(self, n: int, width: int) -> Tuple[list, list]:
         """The binomials that multiply and divide P_n into P_(n+1), as runs (sign, lo, hi, step).
 
-        A run without an end stops at ``width``.
+        A factor at n is the progression of L_n = a*n + b binomials
+        1 - sign*q^e from e = o = k + slope*n by ``step``.  The step loses
+        those that the factor at n + 1 lacks and gains the converse: when the
+        slope is a multiple of the step, at most two runs each way, with ends
+        among o, o + slope, o + step*L_n and o + slope + step*L_(n+1); else
+        all of n and all of n + 1.  An infinite factor's run with no end stops
+        at ``width``.  Lost numerator and gained denominator binomials divide.
+        A run of at most 8 binomials is split into them, equal runs on the
+        two sides cancel, and only when a longer run is left and a run of its
+        sign on the other side overlaps it does the step cancel binomial by
+        binomial.
         """
         mul: list = []
         div: list = []
-        rules, clash = self.steps
-        for m, sign, step, la, lb, ma, mb, ha, hb, ga, gb in rules:
-            lo = max(la * n + lb, ma * n + mb)
-            hi = width if ha is None else min(ha * n + hb, ga * n + gb)
-            if lo < hi:
-                (mul if m else div).append((sign, lo, hi, step))
-        if clash and mul and div:
-            mul, div = ([(s, e, e + 1, 1) for s, lo, hi, t in fs for e in range(lo, hi, t)] for fs in (mul, div))
+        long = False
+        for den, sign, k, slope, step, a, b in self.factors:
+            o = k + slope * n
+            p = o + slope
+            if a is None:
+                runs = ((o, width, den), (p, width, not den)) if slope % step else ((o, p, den), (p, o, not den))
+            else:
+                h, g = o + step * (a * n + b), p + step * (a * (n + 1) + b)
+                if slope % step:
+                    runs = ((o, h, den), (p, g, not den))
+                else:
+                    runs = ((o, min(h, p), den), (max(o, g), h, den), (p, min(g, o), not den), (max(p, h), g, not den))
+            for lo, hi, m in runs:  # (lo, hi, multiplies): a lost binomial multiplies in a denominator
+                if hi <= lo:
+                    continue
+                if hi - lo <= step:
+                    (mul if m else div).append((sign, lo, lo + 1, 1))
+                elif hi - lo > 8 * step:
+                    (mul if m else div).append((sign, lo, hi, step))
+                    long = True
+                else:
+                    (mul if m else div).extend([(sign, e, e + 1, 1) for e in range(lo, hi, step)])
+        while mul and div:
             for f in div[:]:
                 if f in mul:
                     mul.remove(f)
                     div.remove(f)
+            if not (long and any(x[0] == y[0] and x[1] < y[2] and y[1] < x[2] for x in mul for y in div)):
+                break
+            mul, div = ([(s, e, e + 1, 1) for s, lo, hi, t in fs for e in range(lo, hi, t)] for fs in (mul, div))
         return mul, div
 
 

@@ -20,10 +20,10 @@ def scanned():
         counts[-1] += 1
         return term(plan, n)
 
-    def counted_runs(spec, plan, order):
+    def counted_runs(plan, order):
         counts.append(0)
         with patch.object(qf._Plan, "term", counted):
-            return runs(spec, plan, order)
+            return runs(plan, order)
 
     with patch.object(qf, "_runs", counted_runs):
         yield counts

@@ -357,10 +357,15 @@ def test_format_rational():
     assert format_rational(Fraction(4, 2)) == "2"
 
 
-def _child_env():
-    """qlab on the path, and stdout buffered as a user has it, so a missing flush shows."""
+def _child_env(unbuffered=False):
+    """qlab on the path, and stdout buffered as a user has it, so a missing flush shows.
+
+    With ``unbuffered`` stdout is unbuffered instead (``PYTHONUNBUFFERED``).
+    """
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qf.__file__)))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return env
 
 
@@ -405,27 +410,41 @@ def test_exit_codes_of_a_process(argv, code):
         assert proc.stdout
 
 
+# unbuffered, stdout's binary layer is a raw file that each write goes straight to
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_a_full_stdout_is_a_usage_error():
+# help too, whose write argparse would let fail silently
+@pytest.mark.parametrize(
+    "argv", [["verify", "all", "--jobs", "1"], ["list"], ["--help"]], ids=["verify", "list", "help"]
+)
+@BUFFERING
+def test_a_full_stdout_is_a_usage_error(unbuffered, argv):
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "qlab.cli", "verify", "all", "--jobs", "1"],
+            [sys.executable, "-m", "qlab.cli", *argv],
             stdout=full,
             stderr=subprocess.PIPE,
             text=True,
-            env=_child_env(),
+            env=_child_env(unbuffered),
         )
     assert proc.returncode == 2
     assert proc.stderr == "error: cannot write standard output: No space left on device\n"
 
 
-def test_a_reader_that_closes_early_is_a_usage_error():
-    """The output (about 200 KB) overflows the pipe buffer, so a write meets the closed pipe."""
+@BUFFERING
+def test_a_reader_that_closes_early_is_a_usage_error(unbuffered):
+    """The output (about 200 KB) overflows the pipe buffer, so a write meets the closed pipe.
+
+    Unbuffered, the pipe may take part of a write before it closes: that
+    short write must not pass as success.
+    """
     with subprocess.Popen(
         [sys.executable, "-m", "qlab.cli", "compute", "spt_lhs", "--order", "4000"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=_child_env(),
+        env=_child_env(unbuffered),
     ) as proc:
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()

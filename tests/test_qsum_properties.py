@@ -426,7 +426,7 @@ def literal_summed(spec, order, cap=CAP):
     0 is 0, poles or not).  qsum's rule for where a sum ends or stalls is
     restated on the built terms, with ``qf._bounds``' floor and flags.
     """
-    floor, never_falls, never_rises = qf._bounds(spec, spec.num, spec.den)
+    floor, never_falls, never_rises = qf._bounds(qf._plan(spec))
 
     def term(i):
         n = spec.start + i
@@ -812,7 +812,7 @@ _SPLIT = QTerm((0, 1, 0), num=(one_minus(-2, 1),), den=(one_plus(0, 1),))
 @pytest.mark.parametrize("order", [1, 3, 40])
 def test_a_zero_term_splits_the_sum_into_runs_added_in_one_window(order):
     """Each run is nested on its own and the runs are added into one window with one ``_make``."""
-    runs = qf._runs(_SPLIT, qf._plan(_SPLIT), order)
+    runs = qf._runs(qf._plan(_SPLIT), order)
     # valuations -2 and 0, then 0 at n = 2, then n
     assert runs == [(0, [-2, 0]), (3, list(range(3, order)))] if order > 3 else [(0, [-2, 0])]
     counts = Counter()
@@ -918,6 +918,12 @@ def test_catalog_plans_equal_the_literal_factor_lists():
 @example(spec=QTerm((0, 1, 0), den=(one_minus(0, 1),) * 2 + (Poch(MONO_Q, 1, None, 1),), start=1))
 # an exponent that is not an integer at n = 1
 @example(spec=QTerm(exp=(HALF, 0, 0)))
+# the 1 + q^n that one denominator loses lies in a long run that another gains,
+# so the step cancels binomial by binomial
+@example(spec=QTerm((0, 1, 0), den=(Poch(mono(-1, 0), 1, None, 1), Poch(mono(-1, -1), 2, None, 1))))
+# a long run that a numerator gains holds the 1 + q^(n+1) that a denominator
+# gains, and no long run is on the other side
+@example(spec=QTerm((0, 1, 0), num=(Poch(mono(-1, 10), 1, None, -20),), den=(one_plus(0, 1),)))
 @settings(max_examples=300, deadline=None)
 @given(spec=st.one_of(stepper_qterms(steady=False), stepper_qterms(steady=True)))
 def test_plans_equal_the_literal_factor_lists(spec):
