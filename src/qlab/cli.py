@@ -178,18 +178,12 @@ def _report_dict(r: rg.VerificationReport) -> dict:
     }
 
 
-def _report_csv_row(r: rg.VerificationReport) -> tuple:
-    m = r.first_mismatch
-    return (
-        r.id,
-        r.specialization or "",
-        r.order,
-        r.passed,
-        m.exponent if m else None,
-        format_rational(m.lhs) if m else None,
-        format_rational(m.rhs) if m else None,
-        round(r.elapsed_ms, 3),
-    )
+def _report_csv_row(report: dict) -> tuple:
+    """A report dict as one CSV row under :data:`_REPORT_HEADER`, its mismatch flattened."""
+    mismatch = report["first_mismatch"] or {}
+    row = {**report, "specialization": report["specialization"] or ""}
+    row.update({f"mismatch_{k}": mismatch.get(k) for k in ("exponent", "lhs", "rhs")})
+    return tuple(row[k] for k in _REPORT_HEADER)
 
 
 _REPORT_HEADER = (
@@ -263,10 +257,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for r in reports:
             if r.error is not None:
                 print(f"{r.row_id} failed: {r.error}", file=sys.stderr)
+    rows = [_report_dict(r) for r in reports]
     if args.format == "json":
-        _write(_json([_report_dict(r) for r in reports]), args.output)
+        _write(_json(rows), args.output)
     else:
-        _write(_csv([_report_csv_row(r) for r in reports], _REPORT_HEADER), args.output)
+        _write(_csv([_report_csv_row(row) for row in rows], _REPORT_HEADER), args.output)
     return 0 if all(r.passed for r in reports) else MISMATCH_ERROR
 
 

@@ -60,6 +60,7 @@ from .series import (
     _apply,
     _binomial_divide_inplace,
     _binomial_factor_inplace,
+    _low,
     _make,
     _raw,
     _total,
@@ -88,6 +89,12 @@ class UnsupportedParameter(ValueError):
 # monomial parameters
 
 
+def _integer(field: str, x: object) -> None:
+    """A float or anything else but an int in an integer field raises TypeError."""
+    if not isinstance(x, int):
+        raise TypeError(f"{field} {x!r} is not an int")
+
+
 class Monomial(Record):
     """An exact monomial c*q^power used as a specialization value."""
 
@@ -96,6 +103,7 @@ class Monomial(Record):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeff", Fraction(exact(self.coeff)))
+        _integer("power", self.power)
         if self.coeff == 0 and self.power != 0:
             raise ValueError("the zero monomial must carry power 0")
 
@@ -209,6 +217,8 @@ class Poch(Record):
                 f"unsupported product argument coefficient {self.arg.coeff} "
                 "(monomial parameters must have coefficient 0, 1 or -1)"
             )
+        for field, x in (("step", self.step), ("slope", self.slope), *(("length", x) for x in self.length or ())):
+            _integer(field, x)
         if self.step < 1:
             raise ValueError("step must be a positive integer")
 
@@ -251,7 +261,9 @@ class QTerm(Record):
     start: int = 0
 
     def __post_init__(self) -> None:
-        exact(self.scale)
+        for x in (self.scale, *self.exp):
+            exact(x)
+        _integer("start", self.start)
         if self.times_n and self.start < 1:
             raise ValueError("a term with the factor n must start at n >= 1")
 
@@ -442,33 +454,28 @@ def _nested(plan: _Plan, s: int, vals: List[int], order: int) -> Tuple[int, List
         X_n = w_n q^(v_n) + (c_(n+1) / c_n) (W_(n+1) / W_n) X_(n+1),
 
     one integer window A / d on [lo, order), lo the least valuation so far.
-    W_(n+1) / W_n is one kernel pass per binomial of the runs that
-    ``plan``, the compiled term, gives the step
-    (:meth:`~qlab.series._Plan.net`), through :func:`~qlab.series._apply`
-    for the constant only when a binomial at an exponent <= 0 moves.
-    c_(n+1) / c_n, the ratio, goes into d, and into a pass over A only for a
-    numerator other than 1 or -1.  Last, ``_apply`` applies W_s, the first
-    term's whole factor list, once.
+    W_(n+1) / W_n is one kernel pass per binomial that ``plan``, the
+    compiled term, gives the step (:meth:`~qlab.series._Plan.net`); one at
+    an exponent <= 0 goes by :func:`~qlab.series._low`, and its constant
+    joins c_(n+1) / c_n.  That ratio goes into d, and into a pass over A
+    only for a numerator other than 1 or -1.  Last,
+    :func:`~qlab.series._apply` applies W_s, the first term's whole factor
+    list, once.
     """
     n = s + len(vals) - 1
     coeff, d, lo = plan.ratio, 1, vals[-1]
-    ratio = coeff.numerator, coeff.denominator
+    passes = (_binomial_factor_inplace, _binomial_divide_inplace)
     arr = [n if plan.times_n else 1] + [0] * (order - lo - 1)
     for v in vals[-2::-1]:
         n -= 1
-        mul, div = plan.net(n, len(arr))
-        p, q = ratio
-        if any(f[1] <= 0 for f in mul + div):
-            runs = ([(sign, e, t, len(range(e, h, t))) for sign, e, h, t in fs] for fs in (mul, div))
-            k = coeff * _apply(arr, *runs)
-            p, q = k.numerator, k.denominator
-        else:
-            for sign, e, h, t in mul:
-                for x in range(e, h, t):
-                    _binomial_factor_inplace(arr, sign, x)
-            for sign, e, h, t in div:
-                for x in range(e, h, t):
-                    _binomial_divide_inplace(arr, sign, x)
+        c = [coeff.numerator, coeff.denominator]
+        for i, binomials in enumerate(plan.net(n, len(arr))):
+            for sign, e in binomials:
+                if e > 0:
+                    passes[i](arr, sign, e)
+                else:
+                    c[i] *= _low(passes[i], arr, sign, e)
+        p, q = c
         if p != 1 or q != 1:  # X = (p / (q d)) A + w q^v, in lowest terms with p > 0
             g = math.gcd(p, q * d) * (1 if p > 0 else -1)
             p, d = p // g, q * d // g

@@ -529,18 +529,30 @@ def _eta_quotient(sign: int, a: int, step: int) -> Optional[Tuple[int, Tuple[Tup
     return t, ((t, 1), (step, -1)) if sign == 1 else ((step, 2), (t, -1), (2 * step, -1))
 
 
+def _low(kernel: Callable[[list, int, int], None], arr: list, sign: int, e: int) -> int:
+    """Apply 1 - sign*q^e, e <= 0, to ``arr`` by ``kernel``, up to the returned constant.
+
+    1 - sign*q^e is -sign * q^e * (1 - sign*q^-e), and 1 + q^0 is 2 (no
+    factor may hold 1 - q^0): the window takes 1 - sign*q^-e by ``kernel``,
+    a multiply or an exact divide, the q^e is the caller's
+    (:meth:`_Plan.valuation`), and -sign, or 2, is returned.
+    """
+    if not e:
+        return 2
+    kernel(arr, sign, -e)
+    return -sign
+
+
 def _apply(arr: List[int], num: List[_Factor], den: List[_Factor]) -> Fraction:
     """Multiply ``arr`` in place by prod(num) / prod(den), up to the returned constant.
 
-    1 - s*q^e with e < 0 is -s * q^e * (1 - s*q^-e) and 1 + q^0 is 2 (no
-    factor may hold 1 - q^0): the window takes 1 - s*q^-e, the q^e are the
-    caller's (:meth:`_Plan.valuation`), and the quotient of the constants is
-    returned.  An infinite factor's binomials from q^a on, a >= 1, go by the
-    pentagonal number theorem when step | 2a (:func:`_eta_quotient` and
-    :func:`_eta`) and that takes fewer passes over the window:
-    the finite run below q^a plus one per pentagonal exponent, against one
-    per binomial from q^a.  Every other binomial below the width is one
-    literal multiply or exact divide.
+    Binomials at exponents <= 0 go by :func:`_low`, and the quotient of
+    their constants is returned.  An infinite factor's binomials from q^a
+    on, a >= 1, go by the pentagonal number theorem when step | 2a
+    (:func:`_eta_quotient` and :func:`_eta`) and that takes fewer passes
+    over the window: the finite run below q^a plus one per pentagonal
+    exponent, against one per binomial from q^a.  Every other binomial below
+    the width is one literal multiply or exact divide.
     """
     c, width = [1, 1], len(arr)
     passes = (_binomial_factor_inplace, _binomial_divide_inplace)
@@ -549,9 +561,7 @@ def _apply(arr: List[int], num: List[_Factor], den: List[_Factor]) -> Fraction:
             end = width if length is None else min(offset + length * step, width)
             a = offset if offset > 0 else offset % step or step  # the first exponent >= 1
             for e in range(offset, min(a, end), step):
-                c[i] *= 2 if e == 0 else -sign
-                if e < 0:
-                    passes[i](arr, sign, -e)
+                c[i] *= _low(passes[i], arr, sign, e)
             eta = length is None and a < end and _eta_quotient(sign, a, step)
             base, powers = eta or (a, ())
             pent = sum(abs(p) * len(list(_pentagonal(-(-width // t)))) for t, p in powers)
@@ -646,8 +656,8 @@ class _Plan:
             out[den].append((sign, k + slope * n, step, length))
         return out
 
-    def net(self, n: int, width: int) -> Tuple[list, list]:
-        """The binomials that multiply and divide P_n into P_(n+1), as runs (sign, lo, hi, step).
+    def net(self, n: int, width: int) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+        """The binomials 1 - sign*q^e that multiply and divide P_n into P_(n+1), as pairs (sign, e).
 
         A factor at n is the progression of L_n = a*n + b binomials
         1 - sign*q^e from e = o = k + slope*n by ``step``.  The step loses
@@ -655,15 +665,11 @@ class _Plan:
         slope is a multiple of the step, at most two runs each way, with ends
         among o, o + slope, o + step*L_n and o + slope + step*L_(n+1); else
         all of n and all of n + 1.  An infinite factor's run with no end stops
-        at ``width``.  Lost numerator and gained denominator binomials divide.
-        A run of at most 8 binomials is split into them, equal runs on the
-        two sides cancel, and only when a longer run is left and a run of its
-        sign on the other side overlaps it does the step cancel binomial by
-        binomial.
+        at ``width``; finite ends are not clipped.  Lost numerator and gained
+        denominator binomials divide, and a binomial on both sides cancels.
         """
         mul: list = []
         div: list = []
-        long = False
         for den, sign, k, slope, step, a, b in self.factors:
             o = k + slope * n
             p = o + slope
@@ -676,23 +682,14 @@ class _Plan:
                 else:
                     runs = ((o, min(h, p), den), (max(o, g), h, den), (p, min(g, o), not den), (max(p, h), g, not den))
             for lo, hi, m in runs:  # (lo, hi, multiplies): a lost binomial multiplies in a denominator
-                if hi <= lo:
-                    continue
-                if hi - lo <= step:
-                    (mul if m else div).append((sign, lo, lo + 1, 1))
-                elif hi - lo > 8 * step:
-                    (mul if m else div).append((sign, lo, hi, step))
-                    long = True
-                else:
-                    (mul if m else div).extend([(sign, e, e + 1, 1) for e in range(lo, hi, step)])
-        while mul and div:
-            for f in div[:]:
-                if f in mul:
-                    mul.remove(f)
-                    div.remove(f)
-            if not (long and any(x[0] == y[0] and x[1] < y[2] and y[1] < x[2] for x in mul for y in div)):
-                break
-            mul, div = ([(s, e, e + 1, 1) for s, lo, hi, t in fs for e in range(lo, hi, t)] for fs in (mul, div))
+                if hi - lo > step:
+                    (mul if m else div).extend([(sign, e) for e in range(lo, hi, step)])
+                elif lo < hi:  # most runs are empty or one binomial, which a comprehension would slow
+                    (mul if m else div).append((sign, lo))
+        for f in div[:]:
+            if f in mul:
+                mul.remove(f)
+                div.remove(f)
         return mul, div
 
 

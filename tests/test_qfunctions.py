@@ -275,6 +275,26 @@ def test_a_float_parameter_or_scale_is_a_type_error(make):
 
 
 @pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: qf.QTerm(exp=(0.1, 0, 0)), r"coefficient 0\.1 is not an int or a Fraction"),
+        (lambda: qf.QTerm(exp=(0, 0.5, 0)), r"coefficient 0\.5 is not an int or a Fraction"),
+        (lambda: qf.QTerm(exp=(1, 0, 0.0)), r"coefficient 0\.0 is not an int or a Fraction"),
+        (lambda: Monomial(1, 0.5), r"power 0\.5 is not an int"),
+        (lambda: qf.QTerm(exp=(0, 1, 0), start=1.0), r"start 1\.0 is not an int"),
+        (lambda: qf.Poch(MONO_Q, 2.0), r"step 2\.0 is not an int"),
+        (lambda: qf.Poch(MONO_Q, 1, None, 1.0), r"slope 1\.0 is not an int"),
+        (lambda: qf.Poch(MONO_Q, 1, (1, 0.0)), r"length 0\.0 is not an int"),
+    ],
+    ids=["exp-e2", "exp-e1", "exp-e0", "Monomial.power", "QTerm.start", "Poch.step", "Poch.slope", "Poch.length"],
+)
+def test_a_float_in_an_integer_field_is_a_type_error(make, message):
+    """Refused when the value is made, not summed silently or failing only when evaluated."""
+    with pytest.raises(TypeError, match=message):
+        make()
+
+
+@pytest.mark.parametrize(
     "make",
     [
         # once a bare ZeroDivisionError from the scan

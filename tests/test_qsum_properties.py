@@ -363,7 +363,7 @@ def test_far_factor_takes_the_literal_passes():
 
 
 # ----------------------------------------------------------------------
-# a step's rule: the plan's runs against the literal factor lists
+# a step's rule: the plan's binomials against the literal factor lists
 
 
 def exponents(factors, below=60):
@@ -372,16 +372,11 @@ def exponents(factors, below=60):
     return [e for o, end, t in ends for e in range(o, end, t)]
 
 
-def run_exponents(runs, below=60):
-    """The exponents below ``below`` of the binomials of plan runs (sign, lo, hi, step)."""
-    return [e for _, lo, hi, t in runs for e in range(lo, min(hi, below), t)]
-
-
 def test_a_factor_steps_by_the_difference_of_its_binomials():
     """A numerator factor loses the binomials at n that n + 1 lacks and gains the converse.
 
-    Each way they are at most two runs of the factor's progression, and
-    single binomials (a run of at most 8 at every n is split into them).
+    Each way they are single binomials (sign, e) of the factor's sign, none
+    twice, on at most two runs of the factor's progression.
     """
     lengths = [None, *range(7)]
     for sign, step, offset in itertools.product((1, -1), (1, 2, 3), range(-4, 5)):
@@ -392,12 +387,12 @@ def test_a_factor_steps_by_the_difference_of_its_binomials():
             factor = Poch(mono(sign, offset), step, None if la is None else (lb - la, la), shift)
             a, b = (literal_at((factor,), n) for n in (0, 1))
             gained, lost = qf._plan(QTerm(num=(factor,))).net(0, 60)
-            for runs, x, y in ((lost, a, b), (gained, b, a)):
-                # at most two runs of the factor's progression, and single binomials
-                progressions = [f for f in runs if f[2] - f[1] > 1]
-                assert len(progressions) <= 2 and all(f[3] == step for f in progressions), (factor, runs)
-                assert all(f[0] == sign and f[1] < f[2] for f in runs), (factor, runs)
-                assert sorted(run_exponents(runs)) == sorted(set(exponents(x)) - set(exponents(y))), (factor, runs)
+            for pairs, x, y in ((lost, a, b), (gained, b, a)):
+                es = [e for _, e in pairs]
+                assert all(s == sign for s, _ in pairs) and len(set(es)) == len(es), (factor, pairs)
+                # a run starts at each exponent whose predecessor by the step is missing
+                assert sum(e - step not in es for e in es) <= 2, (factor, pairs)
+                assert sorted(e for e in es if e < 60) == sorted(set(exponents(x)) - set(exponents(y))), (factor, pairs)
 
 
 # ----------------------------------------------------------------------
@@ -507,6 +502,16 @@ def stepper_qterms(draw, steady):
 
 # a length that falls with n is refused on both routes
 @example(spec=QTerm((1, 0, 0), (Poch(mono(-1, 1), 1, (-1, 3)),)), order=30)
+# (-q^(n-3);q)_2 loses 1 + q^(n-3) and gains 1 + q^(n-1): steps that move 1 + q^e
+# with e < 0 and 1 + q^0 on both sides, in the numerator and in the denominator,
+# under an alternating and a rational ratio
+@example(spec=QTerm((0, 1, 0), (Poch(mono(-1, -3), 1, (0, 2), 1),), ratio=SIGN), order=12)
+@example(spec=QTerm((0, 1, 0), (Poch(mono(-1, -3), 1, (0, 2), 1),), ratio=mono(Fraction(-2, 3))), order=12)
+@example(spec=QTerm((0, 1, 0), den=(Poch(mono(-1, -3), 1, (0, 2), 1),), ratio=SIGN), order=12)
+@example(spec=QTerm((0, 1, 0), den=(Poch(mono(-1, -3), 1, (0, 2), 1),), ratio=mono(Fraction(-2, 3))), order=12)
+# (q^(n-3);q)_2: the step from n = 0 divides by 1 - q^-3 and multiplies by 1 - q^-1
+@example(spec=QTerm((0, 1, 0), (Poch(mono(1, -3), 1, (0, 2), 1),), ratio=SIGN), order=12)
+@example(spec=QTerm((0, 1, 0), (Poch(mono(1, -3), 1, (0, 2), 1),), ratio=mono(Fraction(-2, 3))), order=12)
 @settings(max_examples=200, deadline=None)
 @given(spec=stepper_qterms(steady=False), order=st.integers(1, 40))
 def test_stepped_qsum_equals_rebuilt_terms(spec, order):
@@ -758,11 +763,11 @@ def counted(owner, name, counts):
 def test_catalog_sums_step_instead_of_rebuilding(name, params, scanned):
     """A silent fall-back to a product of every term's factors fails here, not only runs slowly.
 
-    A sum applies its first term's whole factor list with ``_apply``, and
-    only a step that moves a binomial at an exponent <= 0 goes through it
-    too, so a count of 0 means the hook no longer sits on the route.  One
-    ``_make`` builds the sum, and the series of its one part is that sum: no
-    term is a series of its own, and the sum is not copied.
+    A sum applies each run's first term's whole factor list with ``_apply``,
+    and no step goes through it, so a count of 0 means the hook no longer
+    sits on the route.  One ``_make`` builds the sum, and the series of its
+    one part is that sum: no term is a series of its own, and the sum is
+    not copied.
     """
     counts = Counter()
     qf.qsum.cache_clear()
@@ -803,6 +808,60 @@ def test_spt_sum_makes_three_passes_per_step():
     assert calls == expected
     assert sum(calls.values()) == 3 * 198
     assert total.equal_up_to(qf.spt_rhs(200), 200) == (True, None)
+
+
+def test_catalog_sums_step_by_their_literal_net_binomials():
+    """Every step of every catalog sum at order 200 makes exactly the passes of its literal net binomials.
+
+    From n + 1 back to n a step multiplies by each binomial 1 - s*q^e as
+    often as the numerator at n + 1 and the denominator at n hold it more
+    than the numerator at n and the denominator at n + 1, and divides by it
+    as often as they hold it less.  A binomial at e > 0 is one pass at e,
+    one at e < 0 a pass at -e, and 1 + q^0 no pass.  Passes at exponents
+    from the window's width on are not compared: they change nothing.
+    """
+    steps, specs = [], {}
+    compile_, net = qf._plan, qs._Plan.net
+
+    def recording(spec, fixed=False):
+        plan = compile_(spec, fixed)
+        specs[plan] = spec
+        return plan
+
+    def stepping(plan, n, width):
+        steps.append((specs[plan], n, width, Counter()))
+        return net(plan, n, width)
+
+    def logged(name):
+        fn = getattr(qf, name)
+
+        def call(arr, sign, e):
+            steps[-1][3][name, sign, e] += 1
+            return fn(arr, sign, e)
+
+        return patch.object(qf, name, call)
+
+    with ExitStack() as stack:
+        stack.enter_context(patch.object(qf, "_plan", recording))
+        stack.enter_context(patch.object(qs._Plan, "net", stepping))
+        for name in ("_binomial_factor_inplace", "_binomial_divide_inplace"):
+            stack.enter_context(logged(name))
+        run_catalog(200)
+    low = 0
+    for spec, n, width, calls in steps:
+        num0, den0, num1, den1 = (
+            literal_binomials(literal_at(fs, k), width) for k in (n, n + 1) for fs in (spec.num, spec.den)
+        )
+        net_ = num1 + den0
+        net_.subtract(num0 + den1)
+        expected = Counter()
+        for kernel, binomials in (("_binomial_factor_inplace", +net_), ("_binomial_divide_inplace", -net_)):
+            for (sign, e), count in binomials.items():
+                if e and abs(e) < width:
+                    expected[kernel, sign, abs(e)] += count
+                low += e <= 0
+        assert Counter({c: k for c, k in calls.items() if c[2] < width}) == expected, (spec, n, calls)
+    assert len(steps) > 5000 and low > 0, (len(steps), low)
 
 
 # 1 - q^(n-2) vanishes at n = 2 only: terms 0 and 1 form one run, n >= 3 another
@@ -864,8 +923,9 @@ def check_plan(spec, steps=30, width=60):
     one.  Where the lists at n and n + 1 both exist, the step multiplies by
     each binomial as often as the numerator at n + 1 and the denominator at
     n hold it more than the numerator at n and the denominator at n + 1, and
-    divides by it as often as they hold it less.  Binomials at exponents
-    from ``width`` on are not compared: no pass on the window sees them.
+    divides by it as often as they hold it less, so no binomial is on both
+    sides.  Binomials at exponents from ``width`` on are not compared: no
+    pass on the window sees them.
     """
     plan = qf._plan(spec)
     for n in range(spec.start, spec.start + steps):
@@ -878,8 +938,21 @@ def check_plan(spec, steps=30, width=60):
         net = num1 + den0
         net.subtract(num0 + den1)
         mul, div = plan.net(n, width)
-        got = [Counter((s, e) for s, lo, hi, t in runs for e in range(lo, min(hi, width), t)) for runs in (mul, div)]
+        got = [Counter(f for f in pairs if f[1] < width) for pairs in (mul, div)]
         assert got == [+net, -net], (spec, n, mul, div)
+        assert not Counter(mul) & Counter(div), (spec, n, mul, div)
+
+
+def run_catalog(order):
+    """Every catalog row, and every named form at the rows' parameters, at ``order``."""
+    values = {"b": MONO_Q, "z": mono(1, 3), "a": MONO_ONE}
+    for memo in (qf.qsum, qf.qprod):  # _summed is not memoized here
+        memo.cache_clear()  # so that every term is compiled
+    registry.verify_all(order=order)
+    for name in qf.names():
+        params = {p: values[p] for p in qf.param_names(name)} or None
+        for form in range(len(qf.builder_forms(name))):
+            build(name, order, params, form)
 
 
 def catalog_terms():
@@ -891,15 +964,8 @@ def catalog_terms():
         specs.add(spec)
         return compile_(spec, *args)
 
-    values = {"b": MONO_Q, "z": mono(1, 3), "a": MONO_ONE}
-    for memo in (qf.qsum, qf.qprod):  # _summed is not memoized here
-        memo.cache_clear()  # so that every term is compiled
     with patch.object(qf, "_plan", recording):
-        registry.verify_all(order=30)
-        for name in qf.names():
-            params = {p: values[p] for p in qf.param_names(name)} or None
-            for form in range(len(qf.builder_forms(name))):
-                build(name, 30, params, form)
+        run_catalog(30)
     return sorted(specs, key=repr)
 
 
@@ -918,11 +984,11 @@ def test_catalog_plans_equal_the_literal_factor_lists():
 @example(spec=QTerm((0, 1, 0), den=(one_minus(0, 1),) * 2 + (Poch(MONO_Q, 1, None, 1),), start=1))
 # an exponent that is not an integer at n = 1
 @example(spec=QTerm(exp=(HALF, 0, 0)))
-# the 1 + q^n that one denominator loses lies in a long run that another gains,
-# so the step cancels binomial by binomial
+# the 1 + q^n that one denominator loses is among the many that another gains,
+# so it cancels
 @example(spec=QTerm((0, 1, 0), den=(Poch(mono(-1, 0), 1, None, 1), Poch(mono(-1, -1), 2, None, 1))))
-# a long run that a numerator gains holds the 1 + q^(n+1) that a denominator
-# gains, and no long run is on the other side
+# of the many binomials that a numerator gains, the 1 + q^(n+1) that a
+# denominator gains cancels
 @example(spec=QTerm((0, 1, 0), num=(Poch(mono(-1, 10), 1, None, -20),), den=(one_plus(0, 1),)))
 @settings(max_examples=300, deadline=None)
 @given(spec=st.one_of(stepper_qterms(steady=False), stepper_qterms(steady=True)))
