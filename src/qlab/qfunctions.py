@@ -62,7 +62,6 @@ from .series import (
     _binomial_factor_inplace,
     _low,
     _make,
-    _raw,
     _total,
     exact,
     pochhammer,
@@ -217,6 +216,8 @@ class Poch(Record):
                 f"unsupported product argument coefficient {self.arg.coeff} "
                 "(monomial parameters must have coefficient 0, 1 or -1)"
             )
+        if self.length is not None and (not isinstance(self.length, tuple) or len(self.length) != 2):
+            raise TypeError(f"length {self.length!r} is not None or a pair of ints")
         for field, x in (("step", self.step), ("slope", self.slope), *(("length", x) for x in self.length or ())):
             _integer(field, x)
         if self.step < 1:
@@ -261,8 +262,8 @@ class QTerm(Record):
     start: int = 0
 
     def __post_init__(self) -> None:
-        for x in (self.scale, *self.exp):
-            exact(x)
+        for field, x in (("scale", self.scale), *(("exp", x) for x in self.exp)):
+            exact(x, field)
         _integer("start", self.start)
         if self.times_n and self.start < 1:
             raise ValueError("a term with the factor n must start at n >= 1")
@@ -349,7 +350,7 @@ def _plan(spec: QTerm, fixed: bool = False) -> _Plan:
 def qprod(spec: QTerm, order: int) -> LaurentSeries:
     """The single term of ``spec`` at n = ``spec.start``, exact below ``order``.
 
-    Closed product sides are stated this way; the term is a run of one
+    Closed product sides are stated this way; the term is a chain of one
     (:func:`_nested`), and a zero scale gives 0 before any factor's
     valuation is looked at.  Memoized by (spec, order).
     """
@@ -357,7 +358,7 @@ def qprod(spec: QTerm, order: int) -> LaurentSeries:
     v, _ = plan.term(n), plan.at(n)  # a negative length raises even at scale 0
     if v is None or v >= order:
         return zero(order)
-    return _make(*_nested(plan, n, [v], order), order)
+    return _make(*_nested(plan, [(n, v)], order), order)
 
 
 @lru_cache(maxsize=None)
@@ -368,10 +369,14 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
     every term's exponent, and :func:`~qlab.series._apply` applies the rest
     to the summed window (eta-type factors by the pentagonal number
     theorem), so the sum, its windows and its stall messages are in the
-    caller's frame.  The rest is :func:`_summed`, a nested evaluation
-    memoized too, so f(q), f(q)/4 and f(q) (q;q)_inf share one.  A sum whose
-    first term has scale 0 (a zero scale, or a zero ratio from n = 1 on) is
-    0, whatever poles its factors hold.
+    caller's frame.  The term that is left, of scale 1, is summed by
+    ``qsum`` itself under the same memo, so f(q), f(q)/4 and f(q) (q;q)_inf
+    share one evaluation.  A term with nothing to pull out is compiled once
+    (:func:`_plan`), :func:`_scan` finds from exact valuations which terms
+    reach below ``order``, and :func:`_nested` sums them as one chain of
+    nested products: no term is a series of its own.  A sum whose first
+    term has scale 0 (a zero scale, or a zero ratio from n = 1 on) is 0,
+    whatever poles its factors hold.
     """
     outer = _plan(spec, True)
     outer.exponent(spec.start)  # a non-integral first exponent raises, even at scale 0
@@ -382,46 +387,34 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
     # pole or a stall in it is reported rather than multiplied by zero.
     mu = outer.valuation(0)
     num, den = (tuple(f for f in fs if not f.fixed) for fs in (spec.num, spec.den))
-    total = _summed(replace(spec, num=num, den=den, scale=1).times(e=mu or 0), order)
+    inner = replace(spec, num=num, den=den, scale=1).times(e=mu or 0)
+    if inner == spec:
+        plan = _plan(spec)
+        terms = _scan(plan, order)
+        return _make(*_nested(plan, terms, order), order) if terms else zero(order)
+    total = qsum(inner, order)
     if mu is None:
         return zero(order)
-    if not (outer_num or outer_den) and spec.scale == 1:
-        return total
     arr = list(total.nums)
     c = spec.scale * _apply(arr, outer_num, outer_den) / total.den
     return _make(total.min_exp, [x * c.numerator for x in arr], c.denominator, order)
 
 
-@lru_cache(maxsize=None)
-def _summed(spec: QTerm, order: int) -> LaurentSeries:
-    """The sum of ``spec``, a term with no factor fixed in n, for :func:`qsum`.
+def _scan(plan: _Plan, order: int) -> List[Tuple[int, int]]:
+    """The terms of the sum of ``plan`` (scale 1) that reach below ``order``, as pairs (n, valuation).
 
-    The term is compiled once (:func:`_plan`).  :func:`_runs` finds from
-    exact valuations which terms reach below ``order``, :func:`_nested` sums
-    each run of them backward as nested products, and the runs are added
-    into one window normalised once.  No term is a series of its own, and
-    :func:`~qlab.series.sum_terms` is not on this path.
-    """
-    plan = _plan(spec)
-    return _total([_raw(*_nested(plan, s, vals, order), order) for s, vals in _runs(plan, order)], order)
-
-
-def _runs(plan: _Plan, order: int) -> List[Tuple[int, List[int]]]:
-    """The terms of the sum of ``plan`` (scale 1) that reach below ``order``, in runs of consecutive n.
-
-    A run is (s, the valuations of terms s, s + 1, ...).  Term n has
-    valuation e_n plus that of its factors, or is 0: a zero ratio past
-    n = 0, or a vanishing numerator.  Both are read off integers
+    Term n has valuation e_n plus that of its factors, or is 0: a zero
+    ratio past n = 0, or a vanishing numerator.  Both are read off integers
     (:meth:`~qlab.series._Plan.term`).  Past :func:`_bounds`' floor a term
     not below ``order`` ends the sum when valuations never fall or it
     vanishes, and a term below it stalls the sum
     (:class:`~qlab.series.TruncationStall`) when they never rise; any other
-    term not below ``order`` ends a run.  A sum that no term ends within
+    term not below ``order`` is passed over.  A sum that no term ends within
     ``max(order, 0) + DEFAULT_TERM_CAP`` terms stalls too.
     """
     floor, never_falls, never_rises = _bounds(plan)
     cap = max(order, 0) + DEFAULT_TERM_CAP
-    runs: list = [(plan.start, [])]
+    terms = []
     for n in range(plan.start, plan.start + cap):
         v = plan.term(n)
         last = None if v is None or v >= order else v
@@ -431,45 +424,41 @@ def _runs(plan: _Plan, order: int) -> List[Tuple[int, List[int]]]:
                     f"from term n={n} on every term has valuation at most {last} "
                     f"below order {order}, so no term can clear the window"
                 )
-            runs[-1][1].append(last)
-            continue
-        if runs[-1][1]:
-            runs.append((n + 1, []))
-        else:
-            runs[-1] = (n + 1, [])
-        if n >= floor and (never_falls or v is None):
-            return runs[:-1]
+            terms.append((n, last))
+        elif n >= floor and (never_falls or v is None):
+            return terms
     suffix = f": term {cap - 1} has valuation {last}" if cap > 0 and last is not None else ""
     raise TruncationStall(f"no term cleared order {order} within {cap} evaluations{suffix}")
 
 
-def _nested(plan: _Plan, s: int, vals: List[int], order: int) -> Tuple[int, List[int], int]:
-    """Terms s, s + 1, ... of valuations ``vals`` summed as (lo, nums, den).
+def _nested(plan: _Plan, terms: List[Tuple[int, int]], order: int) -> Tuple[int, List[int], int]:
+    """The terms (n, v_n) of ``terms``, n rising, summed as (lo, nums, den).
 
     The sum is sum nums[i] q^(lo + i) / den, exact below ``order``.  Term n
     is w_n c_n q^(v_n) W_n: w_n = n for a ``times_n`` term, else 1, a
-    constant c_n and W_n = 1 + O(q).  The run sums to c_s W_s X_s, where
-    X = w q^v at its last term and backward
+    constant c_n and W_n = 1 + O(q).  With s the first term, the sum is
+    c_s W_s X_s, where X = w q^v at the last term and backward, from each
+    term m to the one before it, n,
 
-        X_n = w_n q^(v_n) + (c_(n+1) / c_n) (W_(n+1) / W_n) X_(n+1),
+        X_n = w_n q^(v_n) + (c_m / c_n) (W_m / W_n) X_m,
 
     one integer window A / d on [lo, order), lo the least valuation so far.
-    W_(n+1) / W_n is one kernel pass per binomial that ``plan``, the
+    Terms left out of ``terms`` (0, or above the window) are stepped
+    across.  W_m / W_n is one kernel pass per binomial that ``plan``, the
     compiled term, gives the step (:meth:`~qlab.series._Plan.net`); one at
     an exponent <= 0 goes by :func:`~qlab.series._low`, and its constant
-    joins c_(n+1) / c_n.  That ratio goes into d, and into a pass over A
-    only for a numerator other than 1 or -1.  Last,
+    joins c_m / c_n.  That ratio goes into d, and into a pass over A only
+    for a numerator other than 1 or -1.  Last,
     :func:`~qlab.series._apply` applies W_s, the first term's whole factor
     list, once.
     """
-    n = s + len(vals) - 1
-    coeff, d, lo = plan.ratio, 1, vals[-1]
+    m, lo = terms[-1]
+    coeff, d = plan.ratio, 1
     passes = (_binomial_factor_inplace, _binomial_divide_inplace)
-    arr = [n if plan.times_n else 1] + [0] * (order - lo - 1)
-    for v in vals[-2::-1]:
-        n -= 1
-        c = [coeff.numerator, coeff.denominator]
-        for i, binomials in enumerate(plan.net(n, len(arr))):
+    arr = [m if plan.times_n else 1] + [0] * (order - lo - 1)
+    for n, v in terms[-2::-1]:
+        c = [coeff.numerator ** (m - n), coeff.denominator ** (m - n)]
+        for i, binomials in enumerate(plan.net(n, m, len(arr))):
             for sign, e in binomials:
                 if e > 0:
                     passes[i](arr, sign, e)
@@ -485,7 +474,8 @@ def _nested(plan: _Plan, s: int, vals: List[int], order: int) -> Tuple[int, List
             arr[:0] = [0] * (lo - v)
             lo = v
         arr[v - lo] += d * (n if plan.times_n else 1)
-    c = plan.scale * coeff**s * _apply(arr, *plan.at(s)) / d
+        m = n
+    c = plan.scale * coeff**m * _apply(arr, *plan.at(m)) / d
     return lo, arr if c.numerator == 1 else [x * c.numerator for x in arr], c.denominator
 
 

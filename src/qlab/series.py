@@ -23,8 +23,8 @@ Kernels.  The in-place binomial and pentagonal passes over integer windows,
 and :func:`_apply`, which multiplies a window by a list of q-product factors
 through them, are the engine behind :mod:`qlab.qfunctions`' products and sums.
 A sum's term is compiled once into integers (:class:`_Plan`), from which
-each term's valuation, and the binomials that step one term into the next,
-are worked out at n.
+each term's valuation, and the binomials that step one term into a later
+one, are worked out at their indices.
 
 Everything here is immutable and side-effect free, so series may be shared
 freely across threads.
@@ -289,10 +289,10 @@ class LaurentSeries:
 # construction helpers
 
 
-def exact(c: object) -> Rational:
-    """``c`` itself if it is an int or a Fraction; a float or anything else raises TypeError."""
+def exact(c: object, field: str = "coefficient") -> Rational:
+    """``c`` itself if it is an int or a Fraction; a float or anything else raises TypeError naming ``field``."""
     if not isinstance(c, (int, Fraction)):
-        raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+        raise TypeError(f"{field} {c!r} is not an int or a Fraction")
     return c
 
 
@@ -589,8 +589,8 @@ class _Plan:
     P_n is the product of ``factors``, each (den, sign, k, slope, step, a,
     b) for (sign*q^(k + slope*n); q^step)_(a*n + b), ``a = None`` when
     infinite, sign 1 or -1, in the numerator unless ``den``.  Each step's
-    binomials, P_(n+1) / P_n, are worked out from these tuples at n
-    (:meth:`net`).
+    binomials, P_m / P_n for m > n, are worked out from these tuples at n
+    and m (:meth:`net`).
     """
 
     def __init__(self, exp: tuple, factors: list, start: int, scale: Rational, ratio: Rational, times_n: bool):
@@ -656,36 +656,36 @@ class _Plan:
             out[den].append((sign, k + slope * n, step, length))
         return out
 
-    def net(self, n: int, width: int) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
-        """The binomials 1 - sign*q^e that multiply and divide P_n into P_(n+1), as pairs (sign, e).
+    def net(self, n: int, m: int, width: int) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+        """The binomials 1 - sign*q^e that multiply and divide P_n into P_m, as pairs (sign, e).
 
         A factor at n is the progression of L_n = a*n + b binomials
         1 - sign*q^e from e = o = k + slope*n by ``step``.  The step loses
-        those that the factor at n + 1 lacks and gains the converse: when the
-        slope is a multiple of the step, at most two runs each way, with ends
-        among o, o + slope, o + step*L_n and o + slope + step*L_(n+1); else
-        all of n and all of n + 1.  An infinite factor's run with no end stops
-        at ``width``; finite ends are not clipped.  Lost numerator and gained
-        denominator binomials divide, and a binomial on both sides cancels.
+        those that the factor at m lacks and gains the converse: when the
+        factor moves by a multiple of the step, at most two runs each way,
+        with ends among o, p = k + slope*m, o + step*L_n and p + step*L_m;
+        else all of n and all of m.  An infinite factor's run with no end
+        stops at ``width``; finite ends are not clipped.  Lost numerator and
+        gained denominator binomials divide, and a binomial on both sides
+        cancels.
         """
         mul: list = []
         div: list = []
         for den, sign, k, slope, step, a, b in self.factors:
-            o = k + slope * n
-            p = o + slope
+            o, p = k + slope * n, k + slope * m
             if a is None:
-                runs = ((o, width, den), (p, width, not den)) if slope % step else ((o, p, den), (p, o, not den))
+                runs = ((o, width, den), (p, width, not den)) if (p - o) % step else ((o, p, den), (p, o, not den))
             else:
-                h, g = o + step * (a * n + b), p + step * (a * (n + 1) + b)
-                if slope % step:
+                h, g = o + step * (a * n + b), p + step * (a * m + b)
+                if (p - o) % step:
                     runs = ((o, h, den), (p, g, not den))
                 else:
                     runs = ((o, min(h, p), den), (max(o, g), h, den), (p, min(g, o), not den), (max(p, h), g, not den))
-            for lo, hi, m in runs:  # (lo, hi, multiplies): a lost binomial multiplies in a denominator
+            for lo, hi, multiplies in runs:  # a lost binomial multiplies in a denominator
                 if hi - lo > step:
-                    (mul if m else div).extend([(sign, e) for e in range(lo, hi, step)])
+                    (mul if multiplies else div).extend([(sign, e) for e in range(lo, hi, step)])
                 elif lo < hi:  # most runs are empty or one binomial, which a comprehension would slow
-                    (mul if m else div).append((sign, lo))
+                    (mul if multiplies else div).append((sign, lo))
         for f in div[:]:
             if f in mul:
                 mul.remove(f)

@@ -9,21 +9,21 @@ from qlab import qfunctions as qf
 
 @pytest.fixture
 def scanned():
-    """The number of terms each scan of a sum (``qfunctions._runs``) looks at, in call order.
+    """The number of terms each scan of a sum (``qfunctions._scan``) looks at, in call order.
 
     The scan looks at a term with one call of its plan's ``_Plan.term``.
     """
     counts = []
-    runs, term = qf._runs, qf._Plan.term
+    scan, term = qf._scan, qf._Plan.term
 
     def counted(plan, n):
         counts[-1] += 1
         return term(plan, n)
 
-    def counted_runs(plan, order):
+    def counted_scan(plan, order):
         counts.append(0)
         with patch.object(qf._Plan, "term", counted):
-            return runs(plan, order)
+            return scan(plan, order)
 
-    with patch.object(qf, "_runs", counted_runs):
+    with patch.object(qf, "_scan", counted_scan):
         yield counts

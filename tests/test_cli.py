@@ -244,7 +244,7 @@ def test_stats_csv_and_json_same_content(capsys):
 def test_stats_columns_take_no_series_arithmetic(capsys):
     """Each ``stats`` column is one ``QSeries``; none adds, scales or shifts series."""
     names = ("add", "neg", "sub", "scale", "shift", "mul", "invert")
-    for memo in (qf.qsum, qf.qprod, qf._summed):
+    for memo in (qf.qsum, qf.qprod):
         memo.cache_clear()  # so that no column is a memo hit
     with ExitStack() as stack:
         for name in names:

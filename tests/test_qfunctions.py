@@ -2,6 +2,7 @@
 
 import inspect
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given
@@ -264,22 +265,22 @@ def test_monomial_str_roundtrip(m):
 
 
 @pytest.mark.parametrize(
-    "make",
-    [lambda: Monomial(0.1, 1), lambda: mono(0.1, 1), lambda: qf.QTerm(scale=0.1)],
+    "make, field",
+    [(lambda: Monomial(0.1, 1), "coefficient"), (lambda: mono(0.1, 1), "coefficient"), (lambda: qf.QTerm(scale=0.1), "scale")],
     ids=["Monomial", "mono", "QTerm"],
 )
-def test_a_float_parameter_or_scale_is_a_type_error(make):
-    """0.1 would otherwise become 3602879701896397/36028797018963968."""
-    with pytest.raises(TypeError, match=r"coefficient 0\.1 is not an int or a Fraction"):
+def test_a_float_parameter_or_scale_is_a_type_error(make, field):
+    """0.1 would otherwise become 3602879701896397/36028797018963968; the error names the field."""
+    with pytest.raises(TypeError, match=rf"^{field} 0\.1 is not an int or a Fraction$"):
         make()
 
 
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: qf.QTerm(exp=(0.1, 0, 0)), r"coefficient 0\.1 is not an int or a Fraction"),
-        (lambda: qf.QTerm(exp=(0, 0.5, 0)), r"coefficient 0\.5 is not an int or a Fraction"),
-        (lambda: qf.QTerm(exp=(1, 0, 0.0)), r"coefficient 0\.0 is not an int or a Fraction"),
+        (lambda: qf.QTerm(exp=(0.1, 0, 0)), r"^exp 0\.1 is not an int or a Fraction$"),
+        (lambda: qf.QTerm(exp=(0, 0.5, 0)), r"^exp 0\.5 is not an int or a Fraction$"),
+        (lambda: qf.QTerm(exp=(1, 0, 0.0)), r"^exp 0\.0 is not an int or a Fraction$"),
         (lambda: Monomial(1, 0.5), r"power 0\.5 is not an int"),
         (lambda: qf.QTerm(exp=(0, 1, 0), start=1.0), r"start 1\.0 is not an int"),
         (lambda: qf.Poch(MONO_Q, 2.0), r"step 2\.0 is not an int"),
@@ -292,6 +293,13 @@ def test_a_float_in_an_integer_field_is_a_type_error(make, message):
     """Refused when the value is made, not summed silently or failing only when evaluated."""
     with pytest.raises(TypeError, match=message):
         make()
+
+
+@pytest.mark.parametrize("length", [(1,), (1, 0, 0), [1, 0]], ids=["short", "long", "list"])
+def test_a_length_that_is_not_a_pair_is_a_type_error(length):
+    """Refused when the factor is made, not with a bare unpack or hash error when it is summed."""
+    with pytest.raises(TypeError, match=r"^length .* is not None or a pair of ints$"):
+        qf.Poch(MONO_Q, 1, length)
 
 
 @pytest.mark.parametrize(
@@ -311,12 +319,13 @@ def test_a_pochhammer_step_below_one_is_refused(make):
 
 
 def test_sums_that_differ_in_a_constant_factor_share_one_evaluation():
-    """f(q), -f(q)/4 and f(q) (q;q)_inf run one summing loop."""
-    qf.f3_def(50)
-    misses = qf._summed.cache_info().misses
-    assert qf.f3_def.times(Fraction(-1, 4))(50) == qf.f3_def(50).scale(Fraction(-1, 4))
-    assert qf.f3_def.times(num=(qf.EULER,))(50) == qf.f3_def(50).mul(qf.euler_product_direct(50))
-    assert qf._summed.cache_info().misses == misses
+    """f(q), -f(q)/4 and f(q) (q;q)_inf run one summing loop (``_nested``)."""
+    qf.qsum.cache_clear()
+    with patch.object(qf, "_nested", wraps=qf._nested) as nested:
+        f = qf.f3_def(50)
+        assert qf.f3_def.times(Fraction(-1, 4))(50) == f.scale(Fraction(-1, 4))
+        assert qf.f3_def.times(num=(qf.EULER,))(50) == f.mul(qf.euler_product_direct(50))
+    assert nested.call_count == 1
 
 
 def test_a_series_adds_its_parts_in_one_window():

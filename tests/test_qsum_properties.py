@@ -68,11 +68,11 @@ MAX_NEG_VALUATION = 6
 
 @pytest.fixture(autouse=True, scope="module")
 def unmemoized_summing():
-    """``qsum.__wrapped__`` here runs with no memo at all: its summing loop is not memoized either.
+    """``qsum.__wrapped__`` here runs with no memo at all: the sum it pulls factors out of is not memoized either.
 
     Otherwise a route compared with another, or counted, could be a memo hit.
     """
-    with patch.object(qf, "_summed", qf._summed.__wrapped__):
+    with patch.object(qf, "qsum", qsum.__wrapped__):
         yield
 
 
@@ -373,26 +373,38 @@ def exponents(factors, below=60):
 
 
 def test_a_factor_steps_by_the_difference_of_its_binomials():
-    """A numerator factor loses the binomials at n that n + 1 lacks and gains the converse.
+    """A numerator factor loses the binomials at 0 that m lacks and gains the converse, for m = 1, 2, 3.
 
     Each way they are single binomials (sign, e) of the factor's sign, none
-    twice, on at most two runs of the factor's progression.
+    twice, on at most two runs of the factor's progression.  A step from 0
+    to m > 1 passes over the factors in between, among them factors that
+    hold 1 - q^0 (a zero term), and starts from factors of length 0.
     """
     lengths = [None, *range(7)]
+    across_zero = from_empty = 0
     for sign, step, offset in itertools.product((1, -1), (1, 2, 3), range(-4, 5)):
         # every shift from -3 to 4 steps, and the non-multiples of the step between
         for shift, la, lb in itertools.product(range(-3 * step, 4 * step + 1), lengths, lengths):
             if (la is None) != (lb is None):
                 continue  # one factor is finite at every n or at none
             factor = Poch(mono(sign, offset), step, None if la is None else (lb - la, la), shift)
-            a, b = (literal_at((factor,), n) for n in (0, 1))
-            gained, lost = qf._plan(QTerm(num=(factor,))).net(0, 60)
-            for pairs, x, y in ((lost, a, b), (gained, b, a)):
-                es = [e for _, e in pairs]
-                assert all(s == sign for s, _ in pairs) and len(set(es)) == len(es), (factor, pairs)
-                # a run starts at each exponent whose predecessor by the step is missing
-                assert sum(e - step not in es for e in es) <= 2, (factor, pairs)
-                assert sorted(e for e in es if e < 60) == sorted(set(exponents(x)) - set(exponents(y))), (factor, pairs)
+            plan = qf._plan(QTerm(num=(factor,)))
+            for m in (1, 2, 3):
+                try:
+                    a, b = (literal_at((factor,), n) for n in (0, m))
+                except ValueError:  # a negative length at m: no sum steps to it
+                    continue
+                across_zero += any(plan.term(k) is None for k in range(1, m))
+                from_empty += la == 0
+                gained, lost = plan.net(0, m, 60)
+                for pairs, x, y in ((lost, a, b), (gained, b, a)):
+                    es = [e for _, e in pairs]
+                    assert all(s == sign for s, _ in pairs) and len(set(es)) == len(es), (factor, m, pairs)
+                    # a run starts at each exponent whose predecessor by the step is missing
+                    assert sum(e - step not in es for e in es) <= 2, (factor, m, pairs)
+                    literal = sorted(set(exponents(x)) - set(exponents(y)))
+                    assert sorted(e for e in es if e < 60) == literal, (factor, m, pairs)
+    assert across_zero and from_empty, (across_zero, from_empty)
 
 
 # ----------------------------------------------------------------------
@@ -415,7 +427,7 @@ def capped(order, cap=CAP):
 
 
 def literal_summed(spec, order, cap=CAP):
-    """What ``qf._summed`` returns, from literal terms added by ``sum_terms``.
+    """What ``qsum`` returns for a term with nothing to pull out, from literal terms added by ``sum_terms``.
 
     Every term is built afresh by the literal product route (a term of scale
     0 is 0, poles or not).  qsum's rule for where a sum ends or stalls is
@@ -443,14 +455,21 @@ def literal_summed(spec, order, cap=CAP):
 def outcome(spec, order, nested, cap=CAP):
     """``qsum(spec, order)`` without its memo, or the name of the exception it raised.
 
-    With ``nested`` false the sum left once the fixed factors are pulled out
-    is :func:`literal_summed`.
+    With ``nested`` false a term with nothing to pull out (scale 1, no
+    factor fixed in n), the one left once qsum has pulled out the rest, is
+    summed by :func:`literal_summed`.
     """
+
+    def literal(spec, order):
+        if spec.scale == 1 and not any(p.fixed for p in spec.num + spec.den):
+            return literal_summed(spec, order, cap)
+        return qsum.__wrapped__(spec, order)
+
     with ExitStack() as stack:
         stack.enter_context(capped(order, cap))
         if not nested:
-            stack.enter_context(patch.object(qf, "_summed", lambda s, o: literal_summed(s, o, cap)))
-        return result(qf.qsum.__wrapped__, spec, order)
+            stack.enter_context(patch.object(qf, "qsum", literal))
+        return result(qf.qsum, spec, order)
 
 
 @st.composite
@@ -500,6 +519,13 @@ def stepper_qterms(draw, steady):
     )
 
 
+# 1 - q^(n-2) vanishes at n = 2 only
+_SPLIT = QTerm((0, 1, 0), num=(one_minus(-2, 1),), den=(one_plus(0, 1),))
+# q^(n^2-6n) / (q^(2n-9);q^2)_n has valuations 0, 2, 0, -5, -7, -5, 0, 7, ...:
+# below order 1 or 2, term 1 is above the window between terms 0 and 2
+_ABOVE = QTerm((1, -6, 0), den=(Poch(mono(1, -9), 2, N, 2),))
+
+
 # a length that falls with n is refused on both routes
 @example(spec=QTerm((1, 0, 0), (Poch(mono(-1, 1), 1, (-1, 3)),)), order=30)
 # (-q^(n-3);q)_2 loses 1 + q^(n-3) and gains 1 + q^(n-1): steps that move 1 + q^e
@@ -512,6 +538,12 @@ def stepper_qterms(draw, steady):
 # (q^(n-3);q)_2: the step from n = 0 divides by 1 - q^-3 and multiplies by 1 - q^-1
 @example(spec=QTerm((0, 1, 0), (Poch(mono(1, -3), 1, (0, 2), 1),), ratio=SIGN), order=12)
 @example(spec=QTerm((0, 1, 0), (Poch(mono(1, -3), 1, (0, 2), 1),), ratio=mono(Fraction(-2, 3))), order=12)
+# term 1 (valuation 2), or terms 2 and 3, above the window between two terms
+# below it, or the zero term 2: the step across them takes the ratio's power
+# and the factors' binomials between the two terms, from a factor of length 0
+@example(spec=replace(_ABOVE, ratio=mono(Fraction(-2, 3))), order=2)
+@example(spec=replace(_SPLIT, ratio=mono(Fraction(-2, 3))), order=12)
+@example(spec=QTerm((1, -7, 2), den=(Poch(mono(1, -13), 2, (1, -1), 2),), ratio=SIGN, times_n=True, start=1), order=1)
 @settings(max_examples=200, deadline=None)
 @given(spec=stepper_qterms(steady=False), order=st.integers(1, 40))
 def test_stepped_qsum_equals_rebuilt_terms(spec, order):
@@ -546,7 +578,7 @@ def test_steady_terms_give_equal_series_or_both_stall(spec, order):
     """
     with capped(order):
         try:
-            got = qf.qsum.__wrapped__(spec, order)
+            got = qsum.__wrapped__(spec, order)
         except Exception as exc:
             got = exc
     first = range(spec.start, spec.start + LOOK)
@@ -763,14 +795,14 @@ def counted(owner, name, counts):
 def test_catalog_sums_step_instead_of_rebuilding(name, params, scanned):
     """A silent fall-back to a product of every term's factors fails here, not only runs slowly.
 
-    A sum applies each run's first term's whole factor list with ``_apply``,
-    and no step goes through it, so a count of 0 means the hook no longer
+    A sum applies its first term's whole factor list with ``_apply``, and
+    no step goes through it, so a count of 0 means the hook no longer
     sits on the route.  One ``_make`` builds the sum, and the series of its
     one part is that sum: no term is a series of its own, and the sum is
     not copied.
     """
     counts = Counter()
-    qf.qsum.cache_clear()
+    qsum.cache_clear()
     with counted(qf, "_apply", counts), counted(qf, "_make", counts), counted(qs, "_make", counts):
         build(name, 200, params)
     assert len(scanned) == 1 and scanned[0] > 10, scanned
@@ -798,7 +830,7 @@ def test_spt_sum_makes_three_passes_per_step():
 
         return patch.object(qf, name, call)
 
-    qf.qsum.cache_clear()
+    qsum.cache_clear()
     with logged("_binomial_factor_inplace"), logged("_binomial_divide_inplace"):
         total = build("spt_lhs", 200)
     expected = Counter()
@@ -813,12 +845,13 @@ def test_spt_sum_makes_three_passes_per_step():
 def test_catalog_sums_step_by_their_literal_net_binomials():
     """Every step of every catalog sum at order 200 makes exactly the passes of its literal net binomials.
 
-    From n + 1 back to n a step multiplies by each binomial 1 - s*q^e as
-    often as the numerator at n + 1 and the denominator at n hold it more
-    than the numerator at n and the denominator at n + 1, and divides by it
-    as often as they hold it less.  A binomial at e > 0 is one pass at e,
-    one at e < 0 a pass at -e, and 1 + q^0 no pass.  Passes at exponents
-    from the window's width on are not compared: they change nothing.
+    From a term m back to the term n before it a step multiplies by each
+    binomial 1 - s*q^e as often as the numerator at m and the denominator at
+    n hold it more than the numerator at n and the denominator at m, and
+    divides by it as often as they hold it less.  A binomial at e > 0 is one
+    pass at e, one at e < 0 a pass at -e, and 1 + q^0 no pass.  Passes at
+    exponents from the window's width on are not compared: they change
+    nothing.
     """
     steps, specs = [], {}
     compile_, net = qf._plan, qs._Plan.net
@@ -828,15 +861,15 @@ def test_catalog_sums_step_by_their_literal_net_binomials():
         specs[plan] = spec
         return plan
 
-    def stepping(plan, n, width):
-        steps.append((specs[plan], n, width, Counter()))
-        return net(plan, n, width)
+    def stepping(plan, n, m, width):
+        steps.append((specs[plan], n, m, width, Counter()))
+        return net(plan, n, m, width)
 
     def logged(name):
         fn = getattr(qf, name)
 
         def call(arr, sign, e):
-            steps[-1][3][name, sign, e] += 1
+            steps[-1][-1][name, sign, e] += 1
             return fn(arr, sign, e)
 
         return patch.object(qf, name, call)
@@ -848,9 +881,9 @@ def test_catalog_sums_step_by_their_literal_net_binomials():
             stack.enter_context(logged(name))
         run_catalog(200)
     low = 0
-    for spec, n, width, calls in steps:
+    for spec, n, m, width, calls in steps:
         num0, den0, num1, den1 = (
-            literal_binomials(literal_at(fs, k), width) for k in (n, n + 1) for fs in (spec.num, spec.den)
+            literal_binomials(literal_at(fs, k), width) for k in (n, m) for fs in (spec.num, spec.den)
         )
         net_ = num1 + den0
         net_.subtract(num0 + den1)
@@ -860,27 +893,36 @@ def test_catalog_sums_step_by_their_literal_net_binomials():
                 if e and abs(e) < width:
                     expected[kernel, sign, abs(e)] += count
                 low += e <= 0
-        assert Counter({c: k for c, k in calls.items() if c[2] < width}) == expected, (spec, n, calls)
+        assert Counter({c: k for c, k in calls.items() if c[2] < width}) == expected, (spec, n, m, calls)
     assert len(steps) > 5000 and low > 0, (len(steps), low)
 
 
-# 1 - q^(n-2) vanishes at n = 2 only: terms 0 and 1 form one run, n >= 3 another
-_SPLIT = QTerm((0, 1, 0), num=(one_minus(-2, 1),), den=(one_plus(0, 1),))
+@pytest.mark.parametrize(
+    "spec, order, terms",
+    [
+        # valuations -2 and 0, then 0 at n = 2, then n
+        *((_SPLIT, order, [(0, -2), (1, 0)] + [(n, n) for n in range(3, order)]) for order in (1, 3, 40)),
+        *((_ABOVE, order, [(0, 0), (2, 0), (3, -5), (4, -7), (5, -5), (6, 0)]) for order in (1, 2)),
+    ],
+    ids=["zero-1", "zero-3", "zero-40", "above-1", "above-2"],
+)
+def test_a_zero_term_or_one_above_the_window_is_stepped_across(spec, order, terms):
+    """The sum is one chain of the terms below the window: one ``_apply``, of the first term's factors, and one ``_make``.
 
-
-@pytest.mark.parametrize("order", [1, 3, 40])
-def test_a_zero_term_splits_the_sum_into_runs_added_in_one_window(order):
-    """Each run is nested on its own and the runs are added into one window with one ``_make``."""
-    runs = qf._runs(qf._plan(_SPLIT), order)
-    # valuations -2 and 0, then 0 at n = 2, then n
-    assert runs == [(0, [-2, 0]), (3, list(range(3, order)))] if order > 3 else [(0, [-2, 0])]
+    It equals the sum of the literal terms n < order + 10, past which every
+    term clears the window.
+    """
+    plan = qf._plan(spec)
+    assert qf._scan(plan, order) == terms
     counts = Counter()
     with counted(qf, "_make", counts), counted(qs, "_make", counts):
-        total = qsum.__wrapped__(_SPLIT, order)
+        with patch.object(qf, "_apply", wraps=qf._apply) as apply:
+            total = qsum.__wrapped__(spec, order)
     assert counts["_make"] == 1
+    assert [c.args[1:] for c in apply.call_args_list] == [plan.at(terms[0][0])]
     expected = zero(order)
-    for n in range(order + 2):
-        expected = expected.add(reference_term(_SPLIT, _SPLIT.num, _SPLIT.den, n, order))
+    for n in range(order + 10):
+        expected = expected.add(reference_term(spec, spec.num, spec.den, n, order))
     assert total.equal_up_to(expected, order) == (True, None)
 
 
@@ -920,33 +962,36 @@ def check_plan(spec, steps=30, width=60):
     """The plan of ``spec`` against its literal factor lists at n = start, ..., start + steps - 1.
 
     Term n's valuation, or its zero, pole or error message, is the literal
-    one.  Where the lists at n and n + 1 both exist, the step multiplies by
-    each binomial as often as the numerator at n + 1 and the denominator at
-    n hold it more than the numerator at n and the denominator at n + 1, and
-    divides by it as often as they hold it less, so no binomial is on both
-    sides.  Binomials at exponents from ``width`` on are not compared: no
-    pass on the window sees them.
+    one.  Where the lists at n and m both exist, for m = n + 1, n + 2 and
+    n + 3 (a step across the terms between, which a sum passes over when
+    they are 0 or above its window), the step multiplies by each binomial as
+    often as the numerator at m and the denominator at n hold it more than
+    the numerator at n and the denominator at m, and divides by it as often
+    as they hold it less, so no binomial is on both sides.  Binomials at
+    exponents from ``width`` on are not compared: no pass on the window sees
+    them.
     """
     plan = qf._plan(spec)
     for n in range(spec.start, spec.start + steps):
         assert said(plan.term, n) == said(literal_valuation, spec, n), (spec, n)
-        try:
-            lists = [literal_at(fs, k) for k in (n, n + 1) for fs in (spec.num, spec.den)]
-        except ValueError:  # a negative length: no sum steps across it
-            continue
-        num0, den0, num1, den1 = (literal_binomials(f, width) for f in lists)
-        net = num1 + den0
-        net.subtract(num0 + den1)
-        mul, div = plan.net(n, width)
-        got = [Counter(f for f in pairs if f[1] < width) for pairs in (mul, div)]
-        assert got == [+net, -net], (spec, n, mul, div)
-        assert not Counter(mul) & Counter(div), (spec, n, mul, div)
+        for m in (n + 1, n + 2, n + 3):
+            try:
+                lists = [literal_at(fs, k) for k in (n, m) for fs in (spec.num, spec.den)]
+            except ValueError:  # a negative length: no sum steps across it
+                continue
+            num0, den0, num1, den1 = (literal_binomials(f, width) for f in lists)
+            net = num1 + den0
+            net.subtract(num0 + den1)
+            mul, div = plan.net(n, m, width)
+            got = [Counter(f for f in pairs if f[1] < width) for pairs in (mul, div)]
+            assert got == [+net, -net], (spec, n, m, mul, div)
+            assert not Counter(mul) & Counter(div), (spec, n, m, mul, div)
 
 
 def run_catalog(order):
     """Every catalog row, and every named form at the rows' parameters, at ``order``."""
     values = {"b": MONO_Q, "z": mono(1, 3), "a": MONO_ONE}
-    for memo in (qf.qsum, qf.qprod):  # _summed is not memoized here
+    for memo in (qsum, qprod):  # the sums qsum pulls factors out of are not memoized here
         memo.cache_clear()  # so that every term is compiled
     registry.verify_all(order=order)
     for name in qf.names():
@@ -984,6 +1029,9 @@ def test_catalog_plans_equal_the_literal_factor_lists():
 @example(spec=QTerm((0, 1, 0), den=(one_minus(0, 1),) * 2 + (Poch(MONO_Q, 1, None, 1),), start=1))
 # an exponent that is not an integer at n = 1
 @example(spec=QTerm(exp=(HALF, 0, 0)))
+# steps across a zero term (1 - q^0 at n = 2) and from a factor of length 0
+@example(spec=_SPLIT)
+@example(spec=_ABOVE)
 # the 1 + q^n that one denominator loses is among the many that another gains,
 # so it cancels
 @example(spec=QTerm((0, 1, 0), den=(Poch(mono(-1, 0), 1, None, 1), Poch(mono(-1, -1), 2, None, 1))))
