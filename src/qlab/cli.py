@@ -142,7 +142,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     except (qf.UnknownName, qf.MissingParameter, qf.UnsupportedParameter, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except SeriesError as exc:
+    except (SeriesError, MemoryError) as exc:
         print(f"builder failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return MISMATCH_ERROR
     rows = [

@@ -20,7 +20,7 @@ monomial c*q^k supplied through :class:`Monomial`.
 
 Stating a sum.  Every series here is a q-hypergeometric sum whose summand
 is one q-product, so a builder states that product as a :class:`QTerm` and
-hands it to :func:`qsum` (or, for a closed product, to :func:`qprod`).
+hands it to :func:`qsum`; a closed product is the same sum with ratio 0.
 A :class:`Poch` is one factor (arg*q^(slope*n); q^step)_length, with the
 length ``(a, b)`` meaning a*n + b (``N`` is the length n) and ``None`` the
 infinite product.  For example f(q) = sum q^(n^2) / (-q;q)_n^2 is::
@@ -33,10 +33,10 @@ truncation windows, including the Laurent depth of factors with negative
 exponents, and the cutoff from the factors' exact valuations; builders
 never pick a window or a cutoff by hand.
 
-Series as data.  Each form is one :class:`QSeries`, parts ``S(spec)``
-(:func:`qsum`) and ``P(spec)`` (:func:`qprod`) joined by ``+``, every
-multiplier moved into a part's term: 1/(q;q)_inf - 4 N(q) is ``euler_inv +
-_no_plus_form1.times(-4)``, with no series arithmetic between the parts.
+Series as data.  Each form is one :class:`QSeries`, parts ``S(spec)`` and
+``P(spec)`` (the ratio-0 sum), each summed by :func:`qsum`, joined by ``+``,
+every multiplier moved into a part's term: 1/(q;q)_inf - 4 N(q) is ``euler_inv
++ _no_plus_form1.times(-4)``, with no series arithmetic between the parts.
 A parameterized form is a function of ``(order, **params)`` stating its
 parts the same way; only the literal-product reference forms are not.
 """
@@ -347,21 +347,6 @@ def _plan(spec: QTerm, fixed: bool = False) -> _Plan:
 
 
 @lru_cache(maxsize=None)
-def qprod(spec: QTerm, order: int) -> LaurentSeries:
-    """The single term of ``spec`` at n = ``spec.start``, exact below ``order``.
-
-    Closed product sides are stated this way; the term is a chain of one
-    (:func:`_nested`), and a zero scale gives 0 before any factor's
-    valuation is looked at.  Memoized by (spec, order).
-    """
-    n, plan = spec.start, _plan(spec)
-    v, _ = plan.term(n), plan.at(n)  # a negative length raises even at scale 0
-    if v is None or v >= order:
-        return zero(order)
-    return _make(*_nested(plan, [(n, v)], order), order)
-
-
-@lru_cache(maxsize=None)
 def qsum(spec: QTerm, order: int) -> LaurentSeries:
     """Sum ``spec`` over n >= ``spec.start``, exact below ``order``.
 
@@ -484,7 +469,7 @@ def _nested(plan: _Plan, terms: List[Tuple[int, int]], order: int) -> Tuple[int,
 
 
 class QSeries(Record):
-    """A sum of parts, each :func:`qsum` or :func:`qprod` of one :class:`QTerm`.
+    """A sum of parts, each the :func:`qsum` of one :class:`QTerm`.
 
     Every unparameterized named series and catalog side is one: parts join
     with ``+``, :func:`S` and :func:`P` make one-part values, and
@@ -492,14 +477,14 @@ class QSeries(Record):
     series arithmetic runs between the parts.
     """
 
-    parts: Tuple[Tuple[Callable[[QTerm, int], LaurentSeries], QTerm], ...]
+    parts: Tuple[QTerm, ...]
 
     def __add__(self, other: "QSeries") -> "QSeries":
         return QSeries(self.parts + other.parts)
 
     def times(self, *args, **kwargs) -> "QSeries":
         """Every part's term times one constant, given as :meth:`QTerm.times` takes it."""
-        return QSeries(tuple((f, t.times(*args, **kwargs)) for f, t in self.parts))
+        return QSeries(tuple(t.times(*args, **kwargs) for t in self.parts))
 
     def __call__(self, order: int) -> LaurentSeries:
         """The parts, evaluated in the order stated, added into one window below ``order``.
@@ -507,18 +492,20 @@ class QSeries(Record):
         A lone part is already the canonical series on that window, so it is
         returned as it is.
         """
-        series = [f(t, order) for f, t in self.parts]
+        series = [qsum(t, order) for t in self.parts]
         return series[0] if len(series) == 1 else _total(series, order)
 
 
 def S(spec: QTerm) -> QSeries:
     """The sum of ``spec`` over n >= ``spec.start`` (:func:`qsum`)."""
-    return QSeries(((qsum, spec),))
+    return QSeries((spec,))
 
 
 def P(spec: QTerm) -> QSeries:
-    """The single term of ``spec`` (:func:`qprod`)."""
-    return QSeries(((qprod, spec),))
+    """The term of ``spec`` at n = 0: its sum with ratio 0, 0^n T_n summed over n >= 0."""
+    if spec.start:
+        raise ValueError(f"a product is the term at n = 0, not at start {spec.start}")
+    return S(replace(spec, ratio=MONO_ZERO))
 
 
 # ----------------------------------------------------------------------
@@ -909,6 +896,14 @@ def check_order(order: int) -> None:
         raise ValueError(f"order must be positive, got {order}")
 
 
+def evaluate(form: Callable[..., LaurentSeries], order: int, **params: Monomial) -> LaurentSeries:
+    """``form(order, **params)``, where a window that memory cannot hold raises a ``MemoryError`` naming the order."""
+    try:
+        return form(order, **params)
+    except MemoryError:  # a bare one names nothing
+        raise MemoryError(f"the series window below order {order} does not fit in memory") from None
+
+
 def build(
     name: str,
     order: int,
@@ -933,7 +928,7 @@ def build(
         )
     if not 0 <= form < len(forms):
         raise IndexError(f"{name} has forms 0..{len(forms) - 1}, got {form}")
-    result = forms[form](order, **given)
+    result = evaluate(forms[form], order, **given)
     if result.order < order:
         raise InvalidWindowContract(name, result.order, order)
     return result

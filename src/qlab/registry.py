@@ -4,7 +4,7 @@ Each :class:`IdentityEntry` pairs two independent series builders (left and
 right side of one identity) with the monomial specializations at which the
 identity is checked; each row's label and default truncation order follow
 from its parameters.  A side is one :class:`~qlab.qfunctions.QSeries` (a
-named series, or ``qsum`` and ``qprod`` parts joined by ``+``), or for a
+named series, or sums and products, each a ``qsum``, joined by ``+``), or for a
 parameterized row a function of ``(order, **params)`` that states its parts
 the same way, so no series arithmetic runs on any side.
 
@@ -557,8 +557,8 @@ def _run_row(
     start = time.perf_counter()
     passed, stalled, mismatch, error = False, False, None, None
     try:
-        lhs = entry.lhs(order, **kwargs)
-        rhs = entry.rhs(order, **kwargs)
+        lhs = qf.evaluate(entry.lhs, order, **kwargs)
+        rhs = qf.evaluate(entry.rhs, order, **kwargs)
         if spec.expects_stall:
             # completing without a stall means the negative control failed
             error = "expected TruncationStall, but evaluation completed"

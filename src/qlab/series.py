@@ -193,7 +193,7 @@ class LaurentSeries:
         """Multiply every coefficient by the exact rational ``c``."""
         c = Fraction(exact(c))
         if not c:
-            return _zero(self.order)
+            return zero(self.order)
         cn, cd = c.numerator, c.denominator
         return _make(self.min_exp, [x * cn for x in self.nums], self.den * cd, self.order)
 
@@ -205,7 +205,7 @@ class LaurentSeries:
         me = self.min_exp + other.min_exp
         mo = min(self.order + other.min_exp, other.order + self.min_exp)
         if mo <= me:
-            return _zero(mo)
+            return zero(mo)
         a, b = self.nums, other.nums
         if len(a) > len(b):
             a, b = b, a
@@ -305,7 +305,8 @@ def _raw(min_exp: int, nums: Tuple[int, ...], den: int, order: int) -> LaurentSe
     return s
 
 
-def _zero(order: int) -> LaurentSeries:
+def zero(order: int) -> LaurentSeries:
+    """The zero series, known to vanish for all exponents below ``order``."""
     return _raw(order, (), 1, order)
 
 
@@ -316,7 +317,7 @@ def _make(min_exp: int, nums: Sequence[int], den: int, order: int) -> LaurentSer
     while i < n and not nums[i]:
         i += 1
     if i == n:
-        return _zero(order)
+        return zero(order)
     if i:
         min_exp += i
         nums = nums[i:]
@@ -375,11 +376,6 @@ def _total(terms: Sequence[LaurentSeries], order: int) -> LaurentSeries:
     for t in terms:
         lo, den = _add_into(acc, lo, den, t, order)
     return _make(lo, acc, den, order)
-
-
-def zero(order: int) -> LaurentSeries:
-    """The zero series, known to vanish for all exponents below ``order``."""
-    return _zero(order)
 
 
 def one(order: int) -> LaurentSeries:
@@ -667,7 +663,7 @@ class _Plan:
         else all of n and all of m.  An infinite factor's run with no end
         stops at ``width``; finite ends are not clipped.  Lost numerator and
         gained denominator binomials divide, and a binomial on both sides
-        cancels.
+        cancels, as many times as it is on both, in time linear in the lists.
         """
         mul: list = []
         div: list = []
@@ -679,17 +675,25 @@ class _Plan:
                 h, g = o + step * (a * n + b), p + step * (a * m + b)
                 if (p - o) % step:
                     runs = ((o, h, den), (p, g, not den))
-                else:
-                    runs = ((o, min(h, p), den), (max(o, g), h, den), (p, min(g, o), not den), (max(p, h), g, not den))
+                else:  # min and max spelled out: calls to them cost more than the rest of the step
+                    runs = ((o, h if h < p else p, den), (o if o > g else g, h, den),
+                            (p, g if g < o else o, not den), (p if p > h else h, g, not den))
             for lo, hi, multiplies in runs:  # a lost binomial multiplies in a denominator
                 if hi - lo > step:
                     (mul if multiplies else div).extend([(sign, e) for e in range(lo, hi, step)])
                 elif lo < hi:  # most runs are empty or one binomial, which a comprehension would slow
                     (mul if multiplies else div).append((sign, lo))
-        for f in div[:]:
-            if f in mul:
-                mul.remove(f)
-                div.remove(f)
+        if mul and div and not set(mul).isdisjoint(div):
+            left = dict.fromkeys(div, 0)  # how many times each binomial divides
+            for f in div:
+                left[f] += 1
+            keep = []
+            for f in mul:
+                if left.get(f):
+                    left[f] -= 1
+                else:
+                    keep.append(f)
+            mul, div = keep, [f for f, c in left.items() for _ in range(c)]
         return mul, div
 
 
@@ -711,7 +715,7 @@ def pochhammer(spec: PochhammerSpec, order: int) -> LaurentSeries:
             e = offset + k * step
     mu = sum(neg_exps)
     if order <= mu:
-        return _zero(order)
+        return zero(order)
     top = order if order >= 1 else 1
     arr = [0] * (top - mu)
     arr[-mu] = 1

@@ -244,8 +244,7 @@ def test_stats_csv_and_json_same_content(capsys):
 def test_stats_columns_take_no_series_arithmetic(capsys):
     """Each ``stats`` column is one ``QSeries``; none adds, scales or shifts series."""
     names = ("add", "neg", "sub", "scale", "shift", "mul", "invert")
-    for memo in (qf.qsum, qf.qprod):
-        memo.cache_clear()  # so that no column is a memo hit
+    qf.qsum.cache_clear()  # so that no column is a memo hit
     with ExitStack() as stack:
         for name in names:
             stack.enter_context(patch.object(LaurentSeries, name, side_effect=AssertionError(name)))
@@ -570,6 +569,42 @@ def test_compute_divergent_sum_stalls_at_once():
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.strip().splitlines()
     assert "TruncationStall: from term n=0 on every term has valuation at most -1 below order 20" in line
+
+
+def run_capped(*argv, limit=1 << 30):
+    """``python *argv`` with the child's address space alone capped at ``limit`` bytes (RLIMIT_AS)."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=_child_env(), preexec_fn=cap
+    )
+
+
+# a window of 300,000,000 coefficients is a list of 2.4 GB, more than the cap
+_TOO_WIDE = "the series window below order 300000000 does not fit in memory"
+
+
+@pytest.mark.parametrize("form", ["0", "1"])
+def test_a_window_that_does_not_fit_in_memory_is_a_builder_failure(form):
+    """compute says so in one line naming the order, exit 1, for the sum and the literal product alike."""
+    proc = run_capped("-m", "qlab.cli", "compute", "euler_inverse", "--form", form, "--order", "300000000")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"builder failed: MemoryError: {_TOO_WIDE}\n"
+
+
+def test_a_row_whose_window_does_not_fit_in_memory_reports_it():
+    """verify's row error has the same text as compute's line, not a bare ``MemoryError: ``."""
+    script = (
+        "from qlab import qfunctions as qf, registry\n"
+        "row = registry.IdentityEntry(id='wide', anchor='', lhs=qf.euler_inv, rhs=qf.euler_inv)\n"
+        "print(registry.verify_all(300000000, [row])[0].error)\n"
+    )
+    proc = run_capped("-c", script)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"MemoryError: {_TOO_WIDE}\n"
 
 
 @pytest.mark.parametrize(

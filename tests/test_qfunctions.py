@@ -333,4 +333,4 @@ def test_a_series_adds_its_parts_in_one_window():
     s = qf.QTerm(exp=(1, 0, 0), den=(qf.Poch(mono(-1, 1), 1, qf.N),) * 2)
     p = qf.QTerm(den=(qf.EULER,))
     got = (qf.S(s) + qf.P(p).times(Fraction(-1, 3), -2))(30)
-    assert got == qf.qsum(s, 30).add(qf.qprod(p, 32).scale(Fraction(-1, 3)).shift(-2))
+    assert got == qf.qsum(s, 30).add(qf.euler_inverse_direct(32).scale(Fraction(-1, 3)).shift(-2))

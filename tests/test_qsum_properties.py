@@ -3,10 +3,9 @@
 Each drawn term is summed at a truncation order N and again at N + 40; the
 two results must agree below N.  The term windows are derived from the
 factors' valuations, so a window that is too small shows up as a
-disagreement (or an ``InvalidWindow``) here.  ``qprod`` builds each
-product as one integer window of binomial passes, and ``qsum`` sums its terms
-backward as nested products of their ratio; both are also checked against a
-literal route that they do not take: every term built afresh from one
+disagreement (or an ``InvalidWindow``) here.  ``qsum`` sums its terms
+backward as nested products of their ratio, and a closed product ``P(spec)``
+is the same sum with ratio 0; both are also checked against a literal route that they do not take: every term built afresh from one
 ``pochhammer`` series per factor, ``mul`` and one ``invert`` of the
 denominator, and the terms added by ``sum_terms``.  The eta route of the
 factor-list rule ``_apply`` is checked against the literal binomial passes
@@ -40,13 +39,13 @@ from qlab.qfunctions import (
     N,
     SIGN,
     Monomial,
+    P,
     Poch,
     QTerm,
     build,
     mono,
     one_minus,
     one_plus,
-    qprod,
     qsum,
 )
 from qlab.record import replace
@@ -125,12 +124,27 @@ def test_qsum_is_exact_below_its_order(spec, order):
     assert small.equal_up_to(qsum(spec, order + 40), order) == (True, None)
 
 
+# a product is the term at n = 0, which has no factor n
+products = qterms().map(lambda spec: replace(spec, start=0, times_n=False))
+
+
+def product(spec, order):
+    """``spec``'s term at n = 0 as a catalog side states it, ``P(spec)``."""
+    return P(spec)(order)
+
+
 @settings(max_examples=200, deadline=None)
-@given(spec=qterms(), order=st.integers(1, 40))
-def test_qprod_is_exact_below_its_order(spec, order):
-    small = qprod(spec, order)
+@given(spec=products, order=st.integers(1, 40))
+def test_a_product_is_exact_below_its_order(spec, order):
+    small = product(spec, order)
     assert small.order >= order
-    assert small.equal_up_to(qprod(spec, order + 40), order) == (True, None)
+    assert small.equal_up_to(product(spec, order + 40), order) == (True, None)
+
+
+def test_a_product_refuses_a_start_other_than_0():
+    """``P`` states the term at n = 0 only; a later term is a sum's business."""
+    with pytest.raises(ValueError, match=r"^a product is the term at n = 0, not at start 2$"):
+        P(QTerm(start=2))
 
 
 # ----------------------------------------------------------------------
@@ -237,18 +251,18 @@ def result(f, *args):
 # (q^-1;q^2)_inf / (-1;q^2)_inf, the shape of the product side of eq-1psi1-sec3
 @example(spec=QTerm(num=(Poch(mono(1, -1), 2),), den=(Poch(mono(-1, 0), 2),)), order=20)
 @settings(max_examples=200, deadline=None)
-@given(spec=qterms(), order=st.integers(1, 40))
-def test_qprod_equals_the_literal_product(spec, order):
-    expected = result(reference_term, spec, spec.num, spec.den, spec.start, order)
-    assert result(qprod.__wrapped__, spec, order) == expected
+@given(spec=products, order=st.integers(1, 40))
+def test_a_product_equals_the_literal_product(spec, order):
+    expected = result(reference_term, spec, spec.num, spec.den, 0, order)
+    assert result(product, spec, order) == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(spec=qterms(), order=st.integers(1, 40))
 def test_sums_and_products_take_no_series_products(spec, order):
-    """qsum and qprod reach the same outcome with every series sum, product and inverse disabled."""
-    unmemoized = (qsum.__wrapped__, qprod.__wrapped__)
-    expected = [result(f, spec, order) for f in unmemoized]
+    """qsum and P reach the same outcome with every series sum, product and inverse disabled."""
+    routes = ((qsum.__wrapped__, spec), (product, replace(spec, start=0, times_n=False)))
+    expected = [result(f, s, order) for f, s in routes]
     disabled = (
         (LaurentSeries, "add"),
         (LaurentSeries, "mul"),
@@ -259,7 +273,7 @@ def test_sums_and_products_take_no_series_products(spec, order):
     with ExitStack() as stack:
         for owner, name in disabled:
             stack.enter_context(patch.object(owner, name, side_effect=AssertionError(name)))
-        assert [result(f, spec, order) for f in unmemoized] == expected
+        assert [result(f, s, order) for f, s in routes] == expected
 
 
 # ----------------------------------------------------------------------
@@ -405,6 +419,40 @@ def test_a_factor_steps_by_the_difference_of_its_binomials():
                     literal = sorted(set(exponents(x)) - set(exponents(y)))
                     assert sorted(e for e in es if e < 60) == literal, (factor, m, pairs)
     assert across_zero and from_empty, (across_zero, from_empty)
+
+
+class CountingSign(int):
+    """A binomial's sign that counts how often it is compared for equality."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        CountingSign.compared += 1
+        return int.__eq__(self, other)
+
+    __hash__ = int.__hash__
+
+
+@pytest.mark.parametrize("count", [50, 200])
+def test_a_step_cancels_its_binomials_in_linear_time(count):
+    """A step compares binomials of different factors a number of times linear in its lists, not quadratic.
+
+    The numerator is ``count`` binomials 1 - q^(k+n), k = 1, ..., count, so a
+    step from n to n + 1 loses 1 - q^(n+k) and gains 1 - q^(n+k+1): all but
+    one each way cancel.  The even k come first, so the gained binomial that
+    cancels a lost one is about half a list away.  Each factor's sign is a
+    counting object of its own, so every comparison of two binomials is
+    counted; a search of one list for each entry of the other makes about
+    count^2/4.
+    """
+    ks = [*range(2, count + 1, 2), *range(1, count + 1, 2)]
+    plan = qf._plan(QTerm(num=tuple(one_minus(k, 1) for k in ks)))
+    plan.factors = [(den, CountingSign(sign), *rest) for den, sign, *rest in plan.factors]
+    CountingSign.compared = 0
+    mul, div = plan.net(5, 6, 10 * count)
+    compared = CountingSign.compared
+    assert (mul, div) == ([(1, 6 + count)], [(1, 6)])
+    assert compared <= 4 * count, compared
 
 
 # ----------------------------------------------------------------------
@@ -728,9 +776,9 @@ _POLE = (Poch(mono(1, 0)),)
     "f, spec, nonzero",
     [
         # a zero ratio makes every term from n = 1 on 0; from n = 0, term 0 is 1/(1 - q^0)
-        (qsum, QTerm(den=_POLE, ratio=MONO_ZERO, start=1), {"start": 0}),
-        (qsum, QTerm(den=_POLE, scale=0), {"scale": 2}),
-        (qprod, QTerm(den=_POLE, scale=0), {"scale": -1}),
+        (qsum.__wrapped__, QTerm(den=_POLE, ratio=MONO_ZERO, start=1), {"start": 0}),
+        (qsum.__wrapped__, QTerm(den=_POLE, scale=0), {"scale": 2}),
+        (product, QTerm(den=_POLE, scale=0), {"scale": -1}),
     ],
 )
 def test_zero_terms_are_zero_despite_a_fixed_pole(f, spec, nonzero):
@@ -738,9 +786,9 @@ def test_zero_terms_are_zero_despite_a_fixed_pole(f, spec, nonzero):
 
     The same spec with a term that is not 0 still divides by 1 - q^0.
     """
-    assert f.__wrapped__(spec, 3) == zero(3)
+    assert f(spec, 3) == zero(3)
     with pytest.raises(NotInvertible):
-        f.__wrapped__(replace(spec, **nonzero), 3)
+        f(replace(spec, **nonzero), 3)
 
 
 def test_falling_valuations_stall_at_once(scanned):
@@ -991,8 +1039,8 @@ def check_plan(spec, steps=30, width=60):
 def run_catalog(order):
     """Every catalog row, and every named form at the rows' parameters, at ``order``."""
     values = {"b": MONO_Q, "z": mono(1, 3), "a": MONO_ONE}
-    for memo in (qsum, qprod):  # the sums qsum pulls factors out of are not memoized here
-        memo.cache_clear()  # so that every term is compiled
+    # so that every term is compiled; the sums qsum pulls factors out of are not memoized here
+    qsum.cache_clear()
     registry.verify_all(order=order)
     for name in qf.names():
         params = {p: values[p] for p in qf.param_names(name)} or None

@@ -335,7 +335,7 @@ def test_order_below_one_is_refused(run):
 
 
 def test_catalog_sides_take_no_series_arithmetic():
-    """Every side is a sum of ``qsum``/``qprod`` parts; none multiplies, inverts or shifts series."""
+    """Every side is a sum of ``qsum`` parts; none multiplies, inverts or shifts series."""
     names = ("add", "neg", "sub", "scale", "shift", "mul", "invert")
     with ExitStack() as stack:
         for name in names:
