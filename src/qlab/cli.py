@@ -129,8 +129,8 @@ def _parse_params(pairs: List[str]) -> Dict[str, Monomial]:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
+    from .series import SeriesError  # before qfunctions: see _stat_columns
     from . import qfunctions as qf
-    from .series import SeriesError
 
     try:
         params = _parse_params(args.param)
@@ -271,6 +271,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _stat_columns() -> Dict[str, Tuple[str, QSeries]]:
     """Each stats column: the StatRow field that the oracle fills it from, and its series."""
+    # series before qfunctions, as registry imports them: with no cached
+    # bytecode each module compiles when imported, and series, the larger,
+    # then compiles before qfunctions' code is held, which lowers the peak
+    # memory of a fresh process
+    from . import series  # noqa: F401
     from . import qfunctions as qf
 
     return {

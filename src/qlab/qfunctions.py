@@ -28,10 +28,11 @@ infinite product.  For example f(q) = sum q^(n^2) / (-q;q)_n^2 is::
     qsum(QTerm(exp=(1, 0, 0), den=(Poch(mono(-1, 1), 1, N),) * 2), order)
 
 and sum_{n>=1} (-1)^n q^(2n) / (1 + q^(2n+1)) is ``QTerm(exp=(0, 2, 0),
-den=(one_plus(1, 2),), ratio=SIGN, start=1)``.  The driver works out the
-truncation windows, including the Laurent depth of factors with negative
-exponents, and the cutoff from the factors' exact valuations; builders
-never pick a window or a cutoff by hand.
+den=(one_plus(1, 2),), ratio=SIGN, start=1)``.  ``qsum`` compiles the
+term once (:func:`_plan`) and :mod:`qlab.series` sums the plan: it works
+out the truncation windows, including the Laurent depth of factors with
+negative exponents, and the cutoff from the factors' exact valuations;
+builders never pick a window or a cutoff by hand.
 
 Series as data.  Each form is one :class:`QSeries`, parts ``S(spec)`` and
 ``P(spec)`` (the ratio-0 sum), each summed by :func:`qsum`, joined by ``+``,
@@ -43,7 +44,6 @@ parts the same way; only the literal-product reference forms are not.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -51,17 +51,15 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .record import Record, replace
 from .series import (
-    DEFAULT_TERM_CAP,
     LaurentSeries,
     PochhammerSpec,
     Rational,
-    TruncationStall,
+    UnsupportedParameter,
     _Plan,
     _apply,
-    _binomial_divide_inplace,
-    _binomial_factor_inplace,
-    _low,
     _make,
+    _nested,
+    _scan,
     _total,
     exact,
     pochhammer,
@@ -80,17 +78,13 @@ class MissingParameter(ValueError):
     """A parameterized builder was invoked without a required parameter."""
 
 
-class UnsupportedParameter(ValueError):
-    """A parameter value that the builders cannot evaluate exactly."""
-
-
 # ----------------------------------------------------------------------
 # monomial parameters
 
 
 def _integer(field: str, x: object) -> None:
-    """A float or anything else but an int in an integer field raises TypeError."""
-    if not isinstance(x, int):
+    """A float, a bool or anything else but an int in an integer field raises TypeError."""
+    if not isinstance(x, int) or isinstance(x, bool):
         raise TypeError(f"{field} {x!r} is not an int")
 
 
@@ -286,50 +280,6 @@ class QTerm(Record):
         )
 
 
-def _bounds(plan: _Plan) -> Tuple[int, bool, bool]:
-    """(floor, never_falls, never_rises) for the term valuations of the sum of ``plan``.
-
-    From index ``floor`` on the valuation v_n = e_n + (valuation of P_n)
-    never falls, or never rises, as the flags say.  It is bounded from the
-    compiled term, with E_n = e_(n+1) - e_n = e2*(2n+1) + e1:
-
-    * a factor of slope >= 0 and length slope >= 0 settles: from some n on
-      its binomials at exponents <= 0 stay fixed, so its valuation is
-      constant (and a numerator that vanishes there vanishes for good);
-    * a factor of slope < 0 only gains binomials below 0 as n grows, so its
-      valuation falls, without bound: it lowers v_n in a numerator and
-      raises it in a denominator;
-    * from ``turn`` on, E_n keeps the sign it has for large n.
-
-    A zero ratio gives (start, True, False): every term past n = 0 is
-    exactly 0, so the first term that clears the window ends the sum.  A
-    factor whose length falls with n (it turns negative), a factor of
-    slope < 0 and sign 1 (its 1 - q^0 comes and goes), or valuations pushed
-    both ways give no bound and raise :class:`UnsupportedParameter`.
-    """
-    start, factors = plan.start, plan.factors
-    if not plan.ratio:
-        return start, True, False
-    large = plan.a2 or plan.a1  # the sign of E_n for large n
-    falling = [(den, sign) for den, sign, _, slope, *_ in factors if slope < 0]
-    never_falls = large >= 0 and all(den for den, _ in falling)
-    never_rises = large <= 0 and not any(den for den, _ in falling)
-    shrinks = any(a is not None and a < 0 for *_, a, _ in factors)
-    if shrinks or any(sign == 1 for _, sign in falling) or not (never_falls or never_rises):
-        raise UnsupportedParameter(
-            "no bound on the term valuations follows from this sum: a factor's length falls "
-            "with n, a factor of slope < 0 has sign 1, or the valuations are pushed both ways"
-        )
-    settle = [start]
-    for _, _, k, slope, step, a, b in factors:
-        if slope > 0:  # the first exponent reaches 1
-            settle.append(-((k - 1) // slope))
-        elif slope == 0:  # the length reaches the binomials at exponents <= 0
-            settle.append(-((b - (-k // step + 1 if k <= 0 else 0)) // a))
-    turn = math.ceil((Fraction(-plan.a1, plan.a2) - 1) / 2) if plan.a2 else start
-    return max(*settle, turn), never_falls, never_rises
-
-
 def _plan(spec: QTerm, fixed: bool = False) -> _Plan:
     """``spec`` compiled to integers (:class:`~qlab.series._Plan`).
 
@@ -343,7 +293,7 @@ def _plan(spec: QTerm, fixed: bool = False) -> _Plan:
         if p.arg.coeff and p.length != (0, 0) and (p.fixed or not fixed)
     ]
     e2, e1, e0 = spec.exp
-    return _Plan((e2, e1 + spec.ratio.power, e0), factors, spec.start, spec.scale, spec.ratio.coeff, spec.times_n)
+    return _Plan((e2, e1 + spec.ratio.power, e0), factors, spec.start, spec.ratio.coeff, spec.times_n)
 
 
 @lru_cache(maxsize=None)
@@ -357,17 +307,16 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
     caller's frame.  The term that is left, of scale 1, is summed by
     ``qsum`` itself under the same memo, so f(q), f(q)/4 and f(q) (q;q)_inf
     share one evaluation.  A term with nothing to pull out is compiled once
-    (:func:`_plan`), :func:`_scan` finds from exact valuations which terms
-    reach below ``order``, and :func:`_nested` sums them as one chain of
-    nested products: no term is a series of its own.  A sum whose first
-    term has scale 0 (a zero scale, or a zero ratio from n = 1 on) is 0,
-    whatever poles its factors hold.
+    (:func:`_plan`), :func:`~qlab.series._scan` finds from exact valuations
+    which terms reach below ``order``, and :func:`~qlab.series._nested` sums
+    them as one chain of nested products: no term is a series of its own.
+    A sum whose first term has scale 0 (a zero scale, or a zero ratio from
+    n = 1 on) is 0, whatever poles its factors hold.
     """
     outer = _plan(spec, True)
     outer.exponent(spec.start)  # a non-integral first exponent raises, even at scale 0
     if not spec.scale or spec.ratio.is_zero and spec.start:
         return zero(order)
-    outer_num, outer_den = outer.at(0)
     # When the pulled-out product vanishes the sum still runs, so that a
     # pole or a stall in it is reported rather than multiplied by zero.
     mu = outer.valuation(0)
@@ -381,87 +330,8 @@ def qsum(spec: QTerm, order: int) -> LaurentSeries:
     if mu is None:
         return zero(order)
     arr = list(total.nums)
-    c = spec.scale * _apply(arr, outer_num, outer_den) / total.den
+    c = spec.scale * _apply(arr, outer.factors, 0) / total.den
     return _make(total.min_exp, [x * c.numerator for x in arr], c.denominator, order)
-
-
-def _scan(plan: _Plan, order: int) -> List[Tuple[int, int]]:
-    """The terms of the sum of ``plan`` (scale 1) that reach below ``order``, as pairs (n, valuation).
-
-    Term n has valuation e_n plus that of its factors, or is 0: a zero
-    ratio past n = 0, or a vanishing numerator.  Both are read off integers
-    (:meth:`~qlab.series._Plan.term`).  Past :func:`_bounds`' floor a term
-    not below ``order`` ends the sum when valuations never fall or it
-    vanishes, and a term below it stalls the sum
-    (:class:`~qlab.series.TruncationStall`) when they never rise; any other
-    term not below ``order`` is passed over.  A sum that no term ends within
-    ``max(order, 0) + DEFAULT_TERM_CAP`` terms stalls too.
-    """
-    floor, never_falls, never_rises = _bounds(plan)
-    cap = max(order, 0) + DEFAULT_TERM_CAP
-    terms = []
-    for n in range(plan.start, plan.start + cap):
-        v = plan.term(n)
-        last = None if v is None or v >= order else v
-        if last is not None:
-            if never_rises and n >= floor:
-                raise TruncationStall(
-                    f"from term n={n} on every term has valuation at most {last} "
-                    f"below order {order}, so no term can clear the window"
-                )
-            terms.append((n, last))
-        elif n >= floor and (never_falls or v is None):
-            return terms
-    suffix = f": term {cap - 1} has valuation {last}" if cap > 0 and last is not None else ""
-    raise TruncationStall(f"no term cleared order {order} within {cap} evaluations{suffix}")
-
-
-def _nested(plan: _Plan, terms: List[Tuple[int, int]], order: int) -> Tuple[int, List[int], int]:
-    """The terms (n, v_n) of ``terms``, n rising, summed as (lo, nums, den).
-
-    The sum is sum nums[i] q^(lo + i) / den, exact below ``order``.  Term n
-    is w_n c_n q^(v_n) W_n: w_n = n for a ``times_n`` term, else 1, a
-    constant c_n and W_n = 1 + O(q).  With s the first term, the sum is
-    c_s W_s X_s, where X = w q^v at the last term and backward, from each
-    term m to the one before it, n,
-
-        X_n = w_n q^(v_n) + (c_m / c_n) (W_m / W_n) X_m,
-
-    one integer window A / d on [lo, order), lo the least valuation so far.
-    Terms left out of ``terms`` (0, or above the window) are stepped
-    across.  W_m / W_n is one kernel pass per binomial that ``plan``, the
-    compiled term, gives the step (:meth:`~qlab.series._Plan.net`); one at
-    an exponent <= 0 goes by :func:`~qlab.series._low`, and its constant
-    joins c_m / c_n.  That ratio goes into d, and into a pass over A only
-    for a numerator other than 1 or -1.  Last,
-    :func:`~qlab.series._apply` applies W_s, the first term's whole factor
-    list, once.
-    """
-    m, lo = terms[-1]
-    coeff, d = plan.ratio, 1
-    passes = (_binomial_factor_inplace, _binomial_divide_inplace)
-    arr = [m if plan.times_n else 1] + [0] * (order - lo - 1)
-    for n, v in terms[-2::-1]:
-        c = [coeff.numerator ** (m - n), coeff.denominator ** (m - n)]
-        for i, binomials in enumerate(plan.net(n, m, len(arr))):
-            for sign, e in binomials:
-                if e > 0:
-                    passes[i](arr, sign, e)
-                else:
-                    c[i] *= _low(passes[i], arr, sign, e)
-        p, q = c
-        if p != 1 or q != 1:  # X = (p / (q d)) A + w q^v, in lowest terms with p > 0
-            g = math.gcd(p, q * d) * (1 if p > 0 else -1)
-            p, d = p // g, q * d // g
-            if p != 1:
-                arr[:] = [x * p for x in arr]
-        if v < lo:
-            arr[:0] = [0] * (lo - v)
-            lo = v
-        arr[v - lo] += d * (n if plan.times_n else 1)
-        m = n
-    c = plan.scale * coeff**m * _apply(arr, *plan.at(m)) / d
-    return lo, arr if c.numerator == 1 else [x * c.numerator for x in arr], c.denominator
 
 
 # ----------------------------------------------------------------------
@@ -891,7 +761,8 @@ def param_names(name: str) -> Tuple[str, ...]:
 
 
 def check_order(order: int) -> None:
-    """Raise ValueError unless the truncation order is at least 1."""
+    """Raise TypeError unless the truncation order is an int, and ValueError unless it is at least 1."""
+    _integer("order", order)
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
 

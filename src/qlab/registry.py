@@ -589,8 +589,9 @@ def verify(
 ) -> VerificationReport:
     """Verify one catalog row at ``order``, or at its entry's default order when None.
 
-    Raises only on an unknown id or specialization, or on an order below 1
-    (``ValueError``, as :func:`~qlab.qfunctions.build` raises).
+    Raises only on an unknown id or specialization, or on an order that is
+    not an int (``TypeError``) or below 1 (``ValueError``), as
+    :func:`~qlab.qfunctions.build` raises.
     """
     entry = get_entry(entry_id)
     spec = entry.specialization(specialization)
@@ -607,8 +608,9 @@ def verify_all(
     """Verify every row of ``entries`` (default: the whole catalog).
 
     Every row runs at ``order``, or at its entry's default order when
-    ``order`` is None.  An order below 1 raises ``ValueError`` before any
-    row runs; beyond that it never raises: a row whose sides fail to build
+    ``order`` is None.  An order that is not an int or below 1 raises
+    (:func:`~qlab.qfunctions.check_order`) before any row runs; beyond that
+    it never raises: a row whose sides fail to build
     becomes a failed report.  With ``jobs > 1`` and several catalog rows, the rows
     run in a process pool.  Results are sorted by row id regardless of
     execution order.

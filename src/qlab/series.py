@@ -19,12 +19,14 @@ API boundary.  The leading stored coefficient is nonzero, except that a
 series which is zero on its whole window is stored with an empty coefficient
 block and ``min_exp == order``.
 
-Kernels.  The in-place binomial and pentagonal passes over integer windows,
-and :func:`_apply`, which multiplies a window by a list of q-product factors
-through them, are the engine behind :mod:`qlab.qfunctions`' products and sums.
-A sum's term is compiled once into integers (:class:`_Plan`), from which
-each term's valuation, and the binomials that step one term into a later
-one, are worked out at their indices.
+Kernels.  The in-place binomial and pentagonal passes over integer windows
+are the engine behind :mod:`qlab.qfunctions`' products and sums.  A sum's
+term is compiled once into integers (:class:`_Plan`), and everything that
+reads it is here: :func:`_scan` finds from each term's valuation which terms
+reach the window (bounded by :func:`_bounds`), :func:`_nested` sums them as
+one chain whose steps take the binomials that turn one term into a later
+one, and :func:`_apply` multiplies a window by the term's factors at one
+index through the kernels.
 
 Everything here is immutable and side-effect free, so series may be shared
 freely across threads.
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .record import Record
@@ -70,6 +72,10 @@ class TruncationStall(SeriesError):
     This is the formal-divergence signal: the terms of the sum keep
     contributing below the truncation order instead of escaping above it.
     """
+
+
+class UnsupportedParameter(ValueError):
+    """A parameter value that the builders cannot evaluate exactly."""
 
 
 class Mismatch(NamedTuple):
@@ -418,10 +424,6 @@ class PochhammerSpec(Record):
             raise ValueError("length must be nonnegative or None")
 
 
-# the factor (sign*q^offset; q^step)_length as (sign, offset, step, length)
-_Factor = Tuple[int, int, int, Optional[int]]
-
-
 def _binomial_factor_inplace(arr: list, sign: int, e: int) -> None:
     """Multiply the dense window ``arr`` by (1 - sign*q^e) in place."""
     length = len(arr)
@@ -539,60 +541,62 @@ def _low(kernel: Callable[[list, int, int], None], arr: list, sign: int, e: int)
     return -sign
 
 
-def _apply(arr: List[int], num: List[_Factor], den: List[_Factor]) -> Fraction:
-    """Multiply ``arr`` in place by prod(num) / prod(den), up to the returned constant.
+def _apply(arr: List[int], factors: list, n: int) -> Fraction:
+    """Multiply ``arr`` in place by P_n, the product of a :class:`_Plan`'s ``factors`` at n, up to the returned constant.
 
-    Binomials at exponents <= 0 go by :func:`_low`, and the quotient of
-    their constants is returned.  An infinite factor's binomials from q^a
-    on, a >= 1, go by the pentagonal number theorem when step | 2a
-    (:func:`_eta_quotient` and :func:`_eta`) and that takes fewer passes
-    over the window: the finite run below q^a plus one per pentagonal
-    exponent, against one per binomial from q^a.  Every other binomial below
+    A factor at n is the binomials 1 - sign*q^e from e = k + slope*n by
+    ``step``, a*n + b of them or infinitely many; one of length <= 0 takes
+    no pass.  Binomials at exponents <= 0 go by :func:`_low`, and the
+    quotient of their constants is returned.  An infinite factor's
+    binomials from q^f on, f >= 1, go by the pentagonal number theorem when
+    step | 2f (:func:`_eta_quotient` and :func:`_eta`) and that takes fewer
+    passes over the window: the finite run below q^f plus one per pentagonal
+    exponent, against one per binomial from q^f.  Every other binomial below
     the width is one literal multiply or exact divide.
     """
     c, width = [1, 1], len(arr)
     passes = (_binomial_factor_inplace, _binomial_divide_inplace)
-    for i, factors in enumerate((num, den)):
-        for sign, offset, step, length in factors:
-            end = width if length is None else min(offset + length * step, width)
-            a = offset if offset > 0 else offset % step or step  # the first exponent >= 1
-            for e in range(offset, min(a, end), step):
-                c[i] *= _low(passes[i], arr, sign, e)
-            eta = length is None and a < end and _eta_quotient(sign, a, step)
-            base, powers = eta or (a, ())
-            pent = sum(abs(p) * len(list(_pentagonal(-(-width // t)))) for t, p in powers)
-            if not eta or (a - base) // step + pent >= len(range(a, end, step)):
-                for e in range(a, end, step):
-                    passes[i](arr, sign, e)
-                continue
-            for t, p in powers:
-                for _ in range(abs(p)):
-                    _eta(arr, t, (p < 0) != (i == 1))
-            for e in range(base, a, step):  # the finite run undoes the binomials below q^a
-                passes[1 - i](arr, sign, e)
+    for i, sign, k, slope, step, a, b in factors:
+        offset = k + slope * n
+        end = width if a is None else min(offset + (a * n + b) * step, width)
+        f = offset if offset > 0 else offset % step or step  # the first exponent >= 1
+        for e in range(offset, min(f, end), step):
+            c[i] *= _low(passes[i], arr, sign, e)
+        eta = a is None and f < end and _eta_quotient(sign, f, step)
+        base, powers = eta or (f, ())
+        pent = sum(abs(p) * len(list(_pentagonal(-(-width // t)))) for t, p in powers)
+        if not eta or (f - base) // step + pent >= len(range(f, end, step)):
+            for e in range(f, end, step):
+                passes[i](arr, sign, e)
+            continue
+        for t, p in powers:
+            for _ in range(abs(p)):
+                _eta(arr, t, (p < 0) != (i == 1))
+        for e in range(base, f, step):  # the finite run undoes the binomials below q^f
+            passes[1 - i](arr, sign, e)
     return Fraction(*c)
 
 
 # ----------------------------------------------------------------------
-# compiled q-product terms
+# compiled q-product terms and their sums
 
 class _Plan:
     """A q-product term compiled to integers once, for the scan and the steps of its sum.
 
-    Term n is scale * ratio^n * [n] * q^(e_n) * P_n with ``exp`` = (e2, e1,
-    e0) and e_n = e2*n^2 + e1*n + e0, integral at every n; its scale is
-    nonzero exactly when ``scale != 0`` and (the ratio is not 0 or n = 0).
-    P_n is the product of ``factors``, each (den, sign, k, slope, step, a,
-    b) for (sign*q^(k + slope*n); q^step)_(a*n + b), ``a = None`` when
-    infinite, sign 1 or -1, in the numerator unless ``den``.  Each step's
-    binomials, P_m / P_n for m > n, are worked out from these tuples at n
-    and m (:meth:`net`).
+    Term n is ratio^n * [n] * q^(e_n) * P_n with ``exp`` = (e2, e1, e0) and
+    e_n = e2*n^2 + e1*n + e0, integral at every n; it is 0 when the ratio
+    is 0 and n > 0.  P_n is the product of ``factors``, each (den, sign, k,
+    slope, step, a, b) for (sign*q^(k + slope*n); q^step)_(a*n + b),
+    ``a = None`` when infinite, sign 1 or -1, in the numerator unless
+    ``den``.  Each step's binomials, P_m / P_n for m > n, are worked out
+    from these tuples at n and m (:meth:`net`), and :func:`_apply` applies
+    P_n itself.
     """
 
-    def __init__(self, exp: tuple, factors: list, start: int, scale: Rational, ratio: Rational, times_n: bool):
+    def __init__(self, exp: tuple, factors: list, start: int, ratio: Rational, times_n: bool):
         self.d = d = lcm(*(Fraction(x).denominator for x in exp if not isinstance(x, int)))
         self.a2, self.a1, self.a0 = (int(x * d) for x in exp)
-        self.factors, self.start, self.scale, self.ratio, self.times_n = factors, start, scale, ratio, times_n
+        self.factors, self.start, self.ratio, self.times_n = factors, start, ratio, times_n
 
     def exponent(self, n: int) -> int:
         """e_n, or ``ValueError`` when it is not an integer."""
@@ -604,11 +608,11 @@ class _Plan:
     def term(self, n: int) -> Optional[int]:
         """The valuation of term n, or ``None`` when it is 0.
 
-        A term of scale 0 is 0 without a look at its factors; else P_n's
-        numerator may vanish (:meth:`valuation`).
+        A term of ratio 0 past n = 0 is 0 without a look at its factors;
+        else P_n's numerator may vanish (:meth:`valuation`).
         """
         e = self.exponent(n)
-        mu = self.valuation(n) if self.scale and (self.ratio or not n) else None
+        mu = self.valuation(n) if self.ratio or not n else None
         return None if mu is None else e + mu
 
     def valuation(self, n: int) -> Optional[int]:
@@ -639,18 +643,6 @@ class _Plan:
         if pole:
             raise NotInvertible("a denominator factor vanishes")
         return None if zero else v
-
-    def at(self, n: int) -> Tuple[List[_Factor], List[_Factor]]:
-        """The numerator and denominator factors of P_n, as :func:`~qlab.series._apply` takes them."""
-        out: Tuple[List[_Factor], List[_Factor]] = ([], [])
-        for den, sign, k, slope, step, a, b in self.factors:
-            length = None if a is None else a * n + b
-            if length is not None and length <= 0:
-                if length:
-                    raise ValueError(f"negative Pochhammer length {length} at n={n}")
-                continue
-            out[den].append((sign, k + slope * n, step, length))
-        return out
 
     def net(self, n: int, m: int, width: int) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
         """The binomials 1 - sign*q^e that multiply and divide P_n into P_m, as pairs (sign, e).
@@ -695,6 +687,127 @@ class _Plan:
                     keep.append(f)
             mul, div = keep, [f for f, c in left.items() for _ in range(c)]
         return mul, div
+
+
+def _bounds(plan: _Plan) -> Tuple[int, bool, bool]:
+    """(floor, never_falls, never_rises) for the term valuations of the sum of ``plan``.
+
+    From index ``floor`` on the valuation v_n = e_n + (valuation of P_n)
+    never falls, or never rises, as the flags say.  It is bounded from the
+    compiled term, with E_n = e_(n+1) - e_n = e2*(2n+1) + e1:
+
+    * a factor of slope >= 0 and length slope >= 0 settles: from some n on
+      its binomials at exponents <= 0 stay fixed, so its valuation is
+      constant (and a numerator that vanishes there vanishes for good);
+    * a factor of slope < 0 only gains binomials below 0 as n grows, so its
+      valuation falls, without bound: it lowers v_n in a numerator and
+      raises it in a denominator;
+    * from ``turn`` on, E_n keeps the sign it has for large n.
+
+    A zero ratio gives (start, True, False): every term past n = 0 is
+    exactly 0, so the first term that clears the window ends the sum.  A
+    factor whose length falls with n (it turns negative), a factor of
+    slope < 0 and sign 1 (its 1 - q^0 comes and goes), or valuations pushed
+    both ways give no bound and raise :class:`UnsupportedParameter`.
+    """
+    start, factors = plan.start, plan.factors
+    if not plan.ratio:
+        return start, True, False
+    large = plan.a2 or plan.a1  # the sign of E_n for large n
+    falling = [(den, sign) for den, sign, _, slope, *_ in factors if slope < 0]
+    never_falls = large >= 0 and all(den for den, _ in falling)
+    never_rises = large <= 0 and not any(den for den, _ in falling)
+    shrinks = any(a is not None and a < 0 for *_, a, _ in factors)
+    if shrinks or any(sign == 1 for _, sign in falling) or not (never_falls or never_rises):
+        raise UnsupportedParameter(
+            "no bound on the term valuations follows from this sum: a factor's length falls "
+            "with n, a factor of slope < 0 has sign 1, or the valuations are pushed both ways"
+        )
+    settle = [start]
+    for _, _, k, slope, step, a, b in factors:
+        if slope > 0:  # the first exponent reaches 1
+            settle.append(-((k - 1) // slope))
+        elif slope == 0:  # the length reaches the binomials at exponents <= 0
+            settle.append(-((b - (-k // step + 1 if k <= 0 else 0)) // a))
+    turn = ceil((Fraction(-plan.a1, plan.a2) - 1) / 2) if plan.a2 else start
+    return max(*settle, turn), never_falls, never_rises
+
+
+def _scan(plan: _Plan, order: int) -> List[Tuple[int, int]]:
+    """The terms of the sum of ``plan`` that reach below ``order``, as pairs (n, valuation).
+
+    Term n has valuation e_n plus that of its factors, or is 0: a zero
+    ratio past n = 0, or a vanishing numerator.  Both are read off integers
+    (:meth:`_Plan.term`).  Past :func:`_bounds`' floor a term not below
+    ``order`` ends the sum when valuations never fall or it vanishes, and a
+    term below it stalls the sum (:class:`TruncationStall`) when they never
+    rise; any other term not below ``order`` is passed over.  A sum that no
+    term ends within ``max(order, 0) + DEFAULT_TERM_CAP`` terms stalls too.
+    """
+    floor, never_falls, never_rises = _bounds(plan)
+    cap = max(order, 0) + DEFAULT_TERM_CAP
+    terms = []
+    for n in range(plan.start, plan.start + cap):
+        v = plan.term(n)
+        last = None if v is None or v >= order else v
+        if last is not None:
+            if never_rises and n >= floor:
+                raise TruncationStall(
+                    f"from term n={n} on every term has valuation at most {last} "
+                    f"below order {order}, so no term can clear the window"
+                )
+            terms.append((n, last))
+        elif n >= floor and (never_falls or v is None):
+            return terms
+    suffix = f": term {cap - 1} has valuation {last}" if cap > 0 and last is not None else ""
+    raise TruncationStall(f"no term cleared order {order} within {cap} evaluations{suffix}")
+
+
+def _nested(plan: _Plan, terms: List[Tuple[int, int]], order: int) -> Tuple[int, List[int], int]:
+    """The terms (n, v_n) of ``terms``, n rising, summed as (lo, nums, den).
+
+    The sum is sum nums[i] q^(lo + i) / den, exact below ``order``.  Term n
+    is w_n c_n q^(v_n) W_n: w_n = n for a ``times_n`` term, else 1, a
+    constant c_n and W_n = 1 + O(q).  With s the first term, the sum is
+    c_s W_s X_s, where X = w q^v at the last term and backward, from each
+    term m to the one before it, n,
+
+        X_n = w_n q^(v_n) + (c_m / c_n) (W_m / W_n) X_m,
+
+    one integer window A / d on [lo, order), lo the least valuation so far.
+    Terms left out of ``terms`` (0, or above the window) are stepped
+    across.  W_m / W_n is one kernel pass per binomial that ``plan``, the
+    compiled term, gives the step (:meth:`_Plan.net`); one at an exponent
+    <= 0 goes by :func:`_low`, and its constant joins c_m / c_n.  That
+    ratio goes into d, and into a pass over A only for a numerator other
+    than 1 or -1.  Last, :func:`_apply` applies W_s, the first term's whole
+    factor list, once.
+    """
+    m, lo = terms[-1]
+    coeff, d = plan.ratio, 1
+    passes = (_binomial_factor_inplace, _binomial_divide_inplace)
+    arr = [m if plan.times_n else 1] + [0] * (order - lo - 1)
+    for n, v in terms[-2::-1]:
+        c = [coeff.numerator ** (m - n), coeff.denominator ** (m - n)]
+        for i, binomials in enumerate(plan.net(n, m, len(arr))):
+            for sign, e in binomials:
+                if e > 0:
+                    passes[i](arr, sign, e)
+                else:
+                    c[i] *= _low(passes[i], arr, sign, e)
+        p, q = c
+        if p != 1 or q != 1:  # X = (p / (q d)) A + w q^v, in lowest terms with p > 0
+            g = gcd(p, q * d) * (1 if p > 0 else -1)
+            p, d = p // g, q * d // g
+            if p != 1:
+                arr[:] = [x * p for x in arr]
+        if v < lo:
+            arr[:0] = [0] * (lo - v)
+            lo = v
+        arr[v - lo] += d * (n if plan.times_n else 1)
+        m = n
+    c = coeff**m * _apply(arr, plan.factors, m) / d
+    return lo, arr if c.numerator == 1 else [x * c.numerator for x in arr], c.denominator
 
 
 def pochhammer(spec: PochhammerSpec, order: int) -> LaurentSeries:

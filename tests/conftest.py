@@ -9,9 +9,10 @@ from qlab import qfunctions as qf
 
 @pytest.fixture
 def scanned():
-    """The number of terms each scan of a sum (``qfunctions._scan``) looks at, in call order.
+    """The number of terms each scan of a sum (``series._scan``) looks at, in call order.
 
-    The scan looks at a term with one call of its plan's ``_Plan.term``.
+    ``qsum`` calls the scan by the name it imports into ``qfunctions``, and
+    the scan looks at a term with one call of its plan's ``_Plan.term``.
     """
     counts = []
     scan, term = qf._scan, qf._Plan.term

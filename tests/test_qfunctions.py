@@ -286,8 +286,18 @@ def test_a_float_parameter_or_scale_is_a_type_error(make, field):
         (lambda: qf.Poch(MONO_Q, 2.0), r"step 2\.0 is not an int"),
         (lambda: qf.Poch(MONO_Q, 1, None, 1.0), r"slope 1\.0 is not an int"),
         (lambda: qf.Poch(MONO_Q, 1, (1, 0.0)), r"length 0\.0 is not an int"),
+        # a bool is an int to isinstance, but True is no step, start or power
+        (lambda: qf.Poch(MONO_Q, True), r"^step True is not an int$"),
+        (lambda: qf.QTerm(start=True), r"^start True is not an int$"),
+        (lambda: Monomial(1, True), r"^power True is not an int$"),
+        # once <1*q^0 on [0,True)>, and a bare TypeError from range
+        (lambda: qf.build("f3_def", True), r"^order True is not an int$"),
+        (lambda: qf.build("f3_def", 2.0), r"^order 2\.0 is not an int$"),
     ],
-    ids=["exp-e2", "exp-e1", "exp-e0", "Monomial.power", "QTerm.start", "Poch.step", "Poch.slope", "Poch.length"],
+    ids=[
+        "exp-e2", "exp-e1", "exp-e0", "Monomial.power", "QTerm.start", "Poch.step", "Poch.slope", "Poch.length",
+        "Poch.step-bool", "QTerm.start-bool", "Monomial.power-bool", "build.order-bool", "build.order-float",
+    ],
 )
 def test_a_float_in_an_integer_field_is_a_type_error(make, message):
     """Refused when the value is made, not summed silently or failing only when evaluated."""

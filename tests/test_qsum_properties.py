@@ -19,6 +19,7 @@ stay the independent witnesses of the catalog's values.
 
 import itertools
 import re
+import sys
 from collections import Counter
 from contextlib import ExitStack
 from fractions import Fraction
@@ -281,49 +282,64 @@ def test_sums_and_products_take_no_series_products(spec, order):
 
 
 @st.composite
-def factor_lists(draw):
-    """Factors (sign, offset, step, length) that hold no 1 - q^0.
+def applied_terms(draw):
+    """An index n > 0 and the numerator and denominator factors of a term, none holding 1 - q^0 at n.
 
-    Offsets run from -4 (a Laurent head of binomials below 0) to 3*step,
-    so the first binomial above 0 lands on every residue, the half step
-    among them, and most factors are infinite.
+    Each factor (sign*q^(k + slope*n); q^step)_(a*n + b) is drawn at n: its
+    first exponent there runs from -4 (a Laurent head of binomials below 0)
+    to 3*step, so the first binomial above 0 lands on every residue, the
+    half step among them; its slope is mostly not 0, most factors are
+    infinite, and a finite length a*n + b runs from 0 to 8 with a from -1
+    to 3.
     """
+    n = draw(st.integers(1, 4))
 
     def factor(d):
-        step = d(st.integers(1, 6))
-        length = d(st.one_of(st.none(), st.none(), st.integers(0, 8)))
-        return (d(st.sampled_from([1, -1])), d(st.integers(-4, 3 * step)), step, length)
+        step, slope = d(st.integers(1, 6)), d(st.integers(-2, 3))
+        length = d(st.one_of(st.none(), st.none(), st.tuples(st.integers(-1, 3), st.integers(0, 8))))
+        k = d(st.integers(-4, 3 * step)) - slope * n
+        if length is not None:
+            length = (length[0], length[1] - length[0] * n)
+        return Poch(mono(d(st.sampled_from([1, -1])), k), step, length, slope)
 
-    drawn = [factor(draw) for _ in range(draw(st.integers(0, 4)))]
-    return [f for f in drawn if literal_factor_valuation(*f) is not None]
+    def factor_list():
+        drawn = (factor(draw) for _ in range(draw(st.integers(0, 4))))
+        return tuple(p for p in drawn if None not in [literal_factor_valuation(*f) for f in literal_at((p,), n)])
+
+    return n, factor_list(), factor_list()
 
 
-@example(width=800, num=[(1, 1, 1, None)], den=[(-1, 3, 2, None), (-1, -4, 4, None)])
+@example(width=800, drawn=(0, (qf.EULER,), (Poch(mono(-1, 3), 2), Poch(mono(-1, -4), 4))))
 @settings(max_examples=100, deadline=None)
-@given(width=st.integers(0, 400), num=factor_lists(), den=factor_lists())
-def test_eta_route_equals_the_literal_passes(width, num, den):
-    """_apply's window and constant equal the literal passes' and the pochhammer products'.
+@given(width=st.integers(0, 400), drawn=applied_terms())
+def test_eta_route_equals_the_literal_passes(width, drawn):
+    """_apply's window and constant at n equal the literal passes' and the pochhammer products'.
 
-    Widths reach past the pentagonal exponents 51, 57, 70, ..., where a
-    wrong sign would first show.  The literal route is _apply with the eta
-    quotients switched off; the second reference multiplies the window by one
-    ``pochhammer`` series per factor and inverts the denominator.
+    ``_apply`` reads a plan's factors at n: offsets k + slope*n and lengths
+    a*n + b, down to length 0.  Widths reach past the pentagonal exponents
+    51, 57, 70, ..., where a wrong sign would first show.  The literal route
+    is _apply with the eta quotients switched off; the second reference
+    multiplies the window by one ``pochhammer`` series per factor at n and
+    inverts the denominator.
     """
+    n, num, den = drawn
+    factors = qf._plan(QTerm(num=num, den=den)).factors
     arr = [(7 * k * k + 3 * k + 1) % 19 - 9 for k in range(width)]
     got = arr[:]
-    c = qs._apply(got, num, den)
+    c = qs._apply(got, factors, n)
     literal = arr[:]
     with patch.object(qs, "_eta_quotient", return_value=None):
-        assert (got, c) == (literal, qs._apply(literal, num, den))
+        assert (got, c) == (literal, qs._apply(literal, factors, n))
     if width:
+        num, den = literal_at(num, n), literal_at(den, n)
         mu = literal_shift(num, den)
         window = LaurentSeries(0, arr, width).mul(reference_product(1, 0, num, den, mu + width))
         applied = qs._make(mu, [x * c.numerator for x in got], c.denominator, mu + width)
         assert applied.equal_up_to(window, mu + width) == (True, None)
 
 
-def counted_apply(width, num, den):
-    """_apply on the window 1 of ``width``: the window, and the literal and pentagonal passes it took.
+def counted_apply(width, spec):
+    """_apply of the factors of ``spec`` at n = 0 on the window 1 of ``width``: the window, and the literal and pentagonal passes it took.
 
     Each ``_eta`` call by (q^t;q^t)_inf counts one pass per pentagonal
     exponent below the width.
@@ -342,12 +358,13 @@ def counted_apply(width, num, den):
         return original_eta(arr, t, divide)
 
     original_eta = qs._eta
+    factors = qf._plan(spec).factors
     with ExitStack() as stack:
         for name in ("_binomial_factor_inplace", "_binomial_divide_inplace"):
             stack.enter_context(patch.object(qs, name, counted(name, getattr(qs, name))))
         stack.enter_context(patch.object(qs, "_eta", eta))
         arr = [1] + [0] * (width - 1)
-        qs._apply(arr, num, den)
+        qs._apply(arr, factors, 0)
     return arr, counts
 
 
@@ -357,8 +374,8 @@ def test_euler_factor_takes_pentagonal_passes(divide):
 
     A silent fall-back to the W literal passes fails here, not only runs slowly.
     """
-    width, euler = 800, [(1, 1, 1, None)]
-    arr, counts = counted_apply(width, [] if divide else euler, euler if divide else [])
+    width = 800
+    arr, counts = counted_apply(width, QTerm(den=(qf.EULER,)) if divide else QTerm(num=(qf.EULER,)))
     assert counts["_binomial_factor_inplace"] + counts["_binomial_divide_inplace"] == 0, counts
     assert 0 < counts["pentagonal"] <= 2 * (2 * width / 3) ** 0.5 + 2, counts
     expected = build("euler_inverse" if divide else "euler_product", width, form=1)
@@ -371,7 +388,7 @@ def test_far_factor_takes_the_literal_passes():
     The eta route would undo the 699 binomials below q^700 after its
     pentagonal passes.
     """
-    arr, counts = counted_apply(800, [(1, 700, 1, None)], [])
+    arr, counts = counted_apply(800, QTerm(num=(Poch(mono(1, 700)),)))
     assert counts == {"_binomial_factor_inplace": 100}, counts
     assert arr == [1] + [0] * 699 + [-1] * 100
 
@@ -471,7 +488,7 @@ LOOK = 60
 
 def capped(order, cap=CAP):
     """qsum's term cap at ``order`` set to ``cap``."""
-    return patch.object(qf, "DEFAULT_TERM_CAP", cap - order)
+    return patch.object(qs, "DEFAULT_TERM_CAP", cap - order)
 
 
 def literal_summed(spec, order, cap=CAP):
@@ -479,9 +496,9 @@ def literal_summed(spec, order, cap=CAP):
 
     Every term is built afresh by the literal product route (a term of scale
     0 is 0, poles or not).  qsum's rule for where a sum ends or stalls is
-    restated on the built terms, with ``qf._bounds``' floor and flags.
+    restated on the built terms, with ``qs._bounds``' floor and flags.
     """
-    floor, never_falls, never_rises = qf._bounds(qf._plan(spec))
+    floor, never_falls, never_rises = qs._bounds(qf._plan(spec))
 
     def term(i):
         n = spec.start + i
@@ -851,11 +868,33 @@ def test_catalog_sums_step_instead_of_rebuilding(name, params, scanned):
     """
     counts = Counter()
     qsum.cache_clear()
-    with counted(qf, "_apply", counts), counted(qf, "_make", counts), counted(qs, "_make", counts):
+    with ExitStack() as stack:
+        for owner, fn in itertools.product((qf, qs), ("_apply", "_make")):
+            stack.enter_context(counted(owner, fn, counts))
         build(name, 200, params)
     assert len(scanned) == 1 and scanned[0] > 10, scanned
     assert 1 <= counts["_apply"] <= 3, counts
     assert counts["_make"] == 1, counts
+
+
+def stepped(name, record):
+    """A patch of the kernel ``qs.name`` that hands ``record`` each call (sign, e) that ``_nested`` makes.
+
+    A step's passes come from ``_nested`` itself or through ``_low``; the
+    passes of ``_apply``, which applies a sum's first term, and of the
+    literal ``pochhammer`` products are not steps and are not recorded.
+    """
+    fn = getattr(qs, name)
+
+    def call(arr, sign, e):
+        caller = sys._getframe(1)
+        if caller.f_code is qs._low.__code__:
+            caller = caller.f_back
+        if caller.f_code is qs._nested.__code__:
+            record(name, sign, e)
+        return fn(arr, sign, e)
+
+    return patch.object(qs, name, call)
 
 
 def test_spt_sum_makes_three_passes_per_step():
@@ -869,17 +908,11 @@ def test_spt_sum_makes_three_passes_per_step():
     """
     calls = Counter()
 
-    def logged(name):
-        fn = getattr(qf, name)
-
-        def call(arr, sign, e):
-            calls[name, sign, e] += 1
-            return fn(arr, sign, e)
-
-        return patch.object(qf, name, call)
+    def record(*call):
+        calls[call] += 1
 
     qsum.cache_clear()
-    with logged("_binomial_factor_inplace"), logged("_binomial_divide_inplace"):
+    with stepped("_binomial_factor_inplace", record), stepped("_binomial_divide_inplace", record):
         total = build("spt_lhs", 200)
     expected = Counter()
     for n in range(1, 199):
@@ -913,20 +946,14 @@ def test_catalog_sums_step_by_their_literal_net_binomials():
         steps.append((specs[plan], n, m, width, Counter()))
         return net(plan, n, m, width)
 
-    def logged(name):
-        fn = getattr(qf, name)
-
-        def call(arr, sign, e):
-            steps[-1][-1][name, sign, e] += 1
-            return fn(arr, sign, e)
-
-        return patch.object(qf, name, call)
+    def record(*call):
+        steps[-1][-1][call] += 1
 
     with ExitStack() as stack:
         stack.enter_context(patch.object(qf, "_plan", recording))
         stack.enter_context(patch.object(qs._Plan, "net", stepping))
         for name in ("_binomial_factor_inplace", "_binomial_divide_inplace"):
-            stack.enter_context(logged(name))
+            stack.enter_context(stepped(name, record))
         run_catalog(200)
     low = 0
     for spec, n, m, width, calls in steps:
@@ -961,13 +988,13 @@ def test_a_zero_term_or_one_above_the_window_is_stepped_across(spec, order, term
     term clears the window.
     """
     plan = qf._plan(spec)
-    assert qf._scan(plan, order) == terms
+    assert qs._scan(plan, order) == terms
     counts = Counter()
     with counted(qf, "_make", counts), counted(qs, "_make", counts):
-        with patch.object(qf, "_apply", wraps=qf._apply) as apply:
+        with patch.object(qs, "_apply", wraps=qs._apply) as apply, patch.object(qf, "_apply", apply):
             total = qsum.__wrapped__(spec, order)
     assert counts["_make"] == 1
-    assert [c.args[1:] for c in apply.call_args_list] == [plan.at(terms[0][0])]
+    assert [c.args[1:] for c in apply.call_args_list] == [(plan.factors, terms[0][0])]
     expected = zero(order)
     for n in range(order + 10):
         expected = expected.add(reference_term(spec, spec.num, spec.den, n, order))
